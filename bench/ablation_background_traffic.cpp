@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <memory>
 
+#include "bench/cli.h"
 #include "net/routing.h"
 #include "sim/simulator.h"
 #include "telemetry/table.h"
@@ -78,7 +79,8 @@ Outcome run(double background_gbps, int seconds, int priority) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int seconds = argc > 1 ? std::atoi(argv[1]) : 15;
+  const bench::Args args(argc, argv, "[sim-seconds]");
+  const int seconds = args.positive(1, 15);
   std::printf("Ablation: Poisson background traffic vs the unfairness "
               "mechanism (2 x DLRM(2000) unfair DCQCN, solo 1000 ms)\n\n");
 

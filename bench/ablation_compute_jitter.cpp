@@ -8,6 +8,7 @@
 //     a late phase must wait for the next slot).
 #include <cstdio>
 
+#include "bench/cli.h"
 #include "cluster/scenario.h"
 #include "core/schedule.h"
 #include "core/solver.h"
@@ -59,7 +60,8 @@ ScenarioResult run_scheduled(const JobProfile& p, Duration jitter,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int seconds = argc > 1 ? std::atoi(argv[1]) : 30;
+  const bench::Args args(argc, argv, "[sim-seconds]");
+  const int seconds = args.positive(1, 30);
   const auto dlrm = *ModelZoo::calibrated("DLRM", 2000);
   std::printf("Ablation: per-iteration compute jitter vs interleaving "
               "mechanisms (2 x DLRM(2000); compute 700 ms, solo 1000 ms, "

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "bench/cli.h"
 #include "cluster/scenario.h"
 #include "sim/sweep.h"
 #include "telemetry/table.h"
@@ -27,7 +28,8 @@ struct Cell {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int seconds = argc > 1 ? std::atoi(argv[1]) : 20;
+  const bench::Args args(argc, argv, "[sim-seconds]");
+  const int seconds = args.positive(1, 20);
   const auto vgg = *ModelZoo::calibrated("VGG16", 1400);
 
   const PolicyKind policies[] = {

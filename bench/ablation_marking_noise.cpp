@@ -7,13 +7,15 @@
 // fair-sharing baseline the paper compares against.
 #include <cstdio>
 
+#include "bench/cli.h"
 #include "cluster/scenario.h"
 #include "telemetry/table.h"
 
 using namespace ccml;
 
 int main(int argc, char** argv) {
-  const int seconds = argc > 1 ? std::atoi(argv[1]) : 40;
+  const bench::Args args(argc, argv, "[sim-seconds]");
+  const int seconds = args.positive(1, 40);
   const auto dlrm = *ModelZoo::calibrated("DLRM", 2000);
   std::printf("Ablation: deterministic vs stochastic ECN marking under FAIR "
               "DCQCN (2 x DLRM(2000))\n\n");

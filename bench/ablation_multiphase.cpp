@@ -9,6 +9,7 @@
 //      jobs in the fluid simulation?
 #include <cstdio>
 
+#include "bench/cli.h"
 #include "cluster/scenario.h"
 #include "core/solver.h"
 #include "telemetry/table.h"
@@ -64,7 +65,8 @@ JobProfile seeker_job(int bursts) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int seconds = argc > 1 ? std::atoi(argv[1]) : 25;
+  const bench::Args args(argc, argv, "[sim-seconds]");
+  const int seconds = args.positive(1, 25);
   std::printf("Ablation: burst granularity vs compatibility "
               "(J1: 2 x 27.5 ms bursts per 200 ms; J2: 80 ms total comm "
               "split into k bursts)\n\n");

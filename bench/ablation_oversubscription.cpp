@@ -7,6 +7,7 @@
 // DCQCN at each ratio.
 #include <cstdio>
 
+#include "bench/cli.h"
 #include "cluster/scenario.h"
 #include "core/solver.h"
 #include "sim/sweep.h"
@@ -39,7 +40,8 @@ ScenarioResult run(double fabric_gbps, bool unfair, int seconds) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int seconds = argc > 1 ? std::atoi(argv[1]) : 30;
+  const bench::Args args(argc, argv, "[sim-seconds]");
+  const int seconds = args.positive(1, 30);
   const auto dlrm = *ModelZoo::calibrated("DLRM", 2000);
   std::printf("Ablation: fabric oversubscription (2 x DLRM(2000), 50 Gbps "
               "NICs)\n\n");

@@ -4,6 +4,7 @@
 // experiment on TIMELY (delay-based) with asymmetric additive steps.
 #include <cstdio>
 
+#include "bench/cli.h"
 #include "cluster/scenario.h"
 #include "telemetry/table.h"
 
@@ -29,7 +30,8 @@ ScenarioResult run(PolicyKind policy, Rate delta1, Rate delta2,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int seconds = argc > 1 ? std::atoi(argv[1]) : 30;
+  const bench::Args args(argc, argv, "[sim-seconds]");
+  const int seconds = args.positive(1, 30);
   std::printf("Ablation: unfairness payoff across transport families "
               "(2 x DLRM(2000), solo 1000 ms)\n\n");
 

@@ -5,6 +5,7 @@
 // symmetric overlap equilibrium; beyond that, more unfairness buys nothing.
 #include <cstdio>
 
+#include "bench/cli.h"
 #include "cluster/scenario.h"
 #include "sim/sweep.h"
 #include "telemetry/table.h"
@@ -12,7 +13,8 @@
 using namespace ccml;
 
 int main(int argc, char** argv) {
-  const int seconds = argc > 1 ? std::atoi(argv[1]) : 30;
+  const bench::Args args(argc, argv, "[sim-seconds]");
+  const int seconds = args.positive(1, 30);
   const auto dlrm = *ModelZoo::calibrated("DLRM", 2000);
   std::printf("Ablation: degree of unfairness vs payoff "
               "(2 x DLRM(2000), solo 1000 ms)\n\n");

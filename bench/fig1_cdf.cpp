@@ -3,6 +3,7 @@
 // scenario accelerating the median iteration of *both* jobs by ~1.23x.
 #include <cstdio>
 
+#include "bench/cli.h"
 #include "cluster/scenario.h"
 #include "telemetry/plot.h"
 #include "telemetry/table.h"
@@ -36,7 +37,8 @@ ScenarioResult run(bool unfair, Duration duration) {
 
 int main(int argc, char** argv) {
   // ~500 iterations by default; pass seconds to override.
-  const int seconds = argc > 1 ? std::atoi(argv[1]) : 150;
+  const bench::Args args(argc, argv, "[sim-seconds]");
+  const int seconds = args.positive(1, 150);
   std::printf(
       "Figure 1d: CDF of iteration times, 2 x VGG19, %d s simulated\n\n",
       seconds);

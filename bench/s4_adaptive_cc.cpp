@@ -8,6 +8,7 @@
 //     job is persistently starved, unlike static unfairness).
 #include <cstdio>
 
+#include "bench/cli.h"
 #include "cluster/scenario.h"
 #include "telemetry/table.h"
 #include "workload/profiler.h"
@@ -85,7 +86,8 @@ void report(const char* title, const JobProfile& a, const JobProfile& b,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int seconds = argc > 1 ? std::atoi(argv[1]) : 40;
+  const bench::Args args(argc, argv, "[sim-seconds]");
+  const int seconds = args.positive(1, 40);
   std::printf("Section 4(i): adaptively unfair congestion control "
               "(R_AI x (1 + sent/total))\n\n");
 

@@ -5,6 +5,7 @@
 // synchronization (we also quantify sensitivity to clock error).
 #include <cstdio>
 
+#include "bench/cli.h"
 #include "cluster/scenario.h"
 #include "core/schedule.h"
 #include "core/solver.h"
@@ -44,7 +45,8 @@ ScenarioResult run_scheduled(const JobProfile& profile, Duration clock_error,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int seconds = argc > 1 ? std::atoi(argv[1]) : 30;
+  const bench::Args args(argc, argv, "[sim-seconds]");
+  const int seconds = args.positive(1, 30);
   const auto dlrm = *ModelZoo::calibrated("DLRM", 2000);
   const Rate goodput = scenario_goodput();
   std::printf("Section 4(iii): solver-driven flow scheduling "

@@ -4,6 +4,7 @@
 // congestion-control changes.
 #include <cstdio>
 
+#include "bench/cli.h"
 #include "cluster/scenario.h"
 #include "telemetry/table.h"
 #include "workload/profiler.h"
@@ -11,7 +12,8 @@
 using namespace ccml;
 
 int main(int argc, char** argv) {
-  const int seconds = argc > 1 ? std::atoi(argv[1]) : 30;
+  const bench::Args args(argc, argv, "[sim-seconds]");
+  const int seconds = args.positive(1, 30);
   std::printf("Section 4(ii): unique per-job switch priorities "
               "(strict priority queues)\n\n");
 

@@ -9,6 +9,7 @@
 // one unified circle.
 #include <cstdio>
 
+#include "bench/cli.h"
 #include "cluster/experiment.h"
 #include "telemetry/table.h"
 #include "workload/profiler.h"
@@ -70,7 +71,8 @@ void report(const char* title, const ExperimentResult& result) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int seconds = argc > 1 ? std::atoi(argv[1]) : 10;
+  const bench::Args args(argc, argv, "[sim-seconds]");
+  const int seconds = args.positive(1, 10);
   const Topology topo =
       Topology::leaf_spine(5, 3, 1, Rate::gbps(50), Rate::gbps(50));
   std::printf("Section 4/5: scheduler comparison on a 5x3 leaf-spine "

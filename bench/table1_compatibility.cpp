@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "bench/cli.h"
 #include "cluster/scenario.h"
 #include "core/solver.h"
 #include "telemetry/table.h"
@@ -69,7 +70,8 @@ ScenarioResult run_group(const GroupSpec& group, bool unfair,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int seconds = argc > 1 ? std::atoi(argv[1]) : 40;
+  const bench::Args args(argc, argv, "[sim-seconds]");
+  const int seconds = args.positive(1, 40);
   std::printf("Table 1: fair vs unfair iteration times per job group "
               "(%d s simulated per scenario)\n\n",
               seconds);

@@ -8,6 +8,7 @@
 // Usage: adaptive_transport [seconds_simulated]
 #include <cstdio>
 
+#include "bench/cli.h"
 #include "cc/dcqcn.h"
 #include "net/network.h"
 #include "sim/simulator.h"
@@ -18,7 +19,8 @@
 using namespace ccml;
 
 int main(int argc, char** argv) {
-  const int seconds = argc > 1 ? std::atoi(argv[1]) : 8;
+  const bench::Args args(argc, argv, "[sim-seconds]");
+  const int seconds = args.positive(1, 8);
 
   Simulator sim;
   const Topology topo = Topology::dumbbell(2, Rate::gbps(50), Rate::gbps(50));

@@ -12,6 +12,7 @@
 // Usage: cluster_scheduler [seconds_simulated]
 #include <cstdio>
 
+#include "bench/cli.h"
 #include "orch/orchestrator.h"
 #include "telemetry/table.h"
 #include "workload/profiler.h"
@@ -74,7 +75,8 @@ void report(const char* title, const ClusterRunReport& result) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int seconds = argc > 1 ? std::atoi(argv[1]) : 12;
+  const bench::Args args(argc, argv, "[sim-seconds]");
+  const int seconds = args.positive(1, 12);
   std::printf("== Step 1: profile jobs in isolation ==\n");
   // Two DLRMs (mutually compatible), one BERT (incompatible with DLRM), and
   // a small ResNet.  Locality admission happens to put BERT next to a DLRM

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "bench/cli.h"
 #include "core/solver.h"
 
 using namespace ccml;
@@ -26,7 +27,8 @@ CommProfile job(const char* name, double period_ms, double comm_ms) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int steps = argc > 1 ? std::atoi(argv[1]) : 19;
+  const bench::Args args(argc, argv, "[grid-steps]");
+  const int steps = args.positive(1, 19);
 
   std::printf("== Sweep 1: same period (100 ms), comm fraction of each job ==\n");
   std::printf("   ('#' compatible, '.' incompatible; rows = J1 comm "

@@ -11,6 +11,7 @@
 #include <functional>
 #include <vector>
 
+#include "bench/cli.h"
 #include "cluster/scenario.h"
 #include "core/solver.h"
 #include "core/schedule.h"
@@ -116,9 +117,10 @@ void compare(SweepRunner& pool, const char* title, const JobProfile& a,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int seconds = argc > 1 ? std::atoi(argv[1]) : 25;
+  const bench::Args args(argc, argv, "[sim-seconds] [threads]");
+  const int seconds = args.positive(1, 25);
   SweepOptions opts;
-  if (argc > 2) opts.threads = static_cast<unsigned>(std::atoi(argv[2]));
+  opts.threads = static_cast<unsigned>(args.positive(2, 0));
   SweepRunner pool(opts);
 
   compare(pool, "compatible pair: DLRM(2000) x 2",

@@ -1,43 +1,11 @@
 #include "cluster/experiment.h"
 
 #include <algorithm>
-#include <cassert>
 #include <map>
-#include <numeric>
 
-#include "faults/injector.h"
-#include "obs/trace_bus.h"
-#include "sim/simulator.h"
-#include "telemetry/recorders.h"
-#include "util/stats.h"
-#include "workload/job.h"
-#include "workload/profiler.h"
+#include "util/union_find.h"
 
 namespace ccml {
-
-namespace {
-
-/// Union-find over job indices, used to group jobs that (transitively) share
-/// links — the paper's §5 cluster-level compatibility domains.
-class UnionFind {
- public:
-  explicit UnionFind(std::size_t n) : parent_(n) {
-    std::iota(parent_.begin(), parent_.end(), 0);
-  }
-  std::size_t find(std::size_t x) {
-    while (parent_[x] != x) {
-      parent_[x] = parent_[parent_[x]];
-      x = parent_[x];
-    }
-    return x;
-  }
-  void unite(std::size_t a, std::size_t b) { parent_[find(a)] = find(b); }
-
- private:
-  std::vector<std::size_t> parent_;
-};
-
-}  // namespace
 
 double ExperimentResult::mean_slowdown() const {
   Summary s;
@@ -62,37 +30,20 @@ ExperimentResult run_cluster_experiment(const Topology& topo,
   ExperimentResult result;
   result.placement = placement.place(topo, requests);
 
-  Simulator sim;
-  Network net(topo, make_policy(config.policy, config.transports), config.net);
-  net.attach(sim);
-  std::unique_ptr<TraceThroughputSampler> sampler;
-  if (config.trace != nullptr) {
-    for (std::size_t j = 0; j < requests.size(); ++j) {
-      config.trace->register_job(JobId{static_cast<std::int32_t>(j)},
-                                 requests[j].name);
-    }
-    sampler = bind_trace_bus(*config.trace, net);
+  RunCore core(topo, config, config.net, config.run_time);
+  for (std::size_t j = 0; j < requests.size(); ++j) {
+    core.trace_job(j, requests[j].name);
   }
   const Router router(topo);
 
-  // Host NIC effective goodput, for solo baselines.
-  Rate nic_goodput = Rate::zero();
-  for (const NodeId host : topo.hosts()) {
-    nic_goodput = net.effective_capacity(topo.links_from(host).front());
-    break;
-  }
-
-  // Optional flow schedule: group jobs transitively by shared links, solve
-  // each group on one unified circle, convert rotations to comm gates.  The
-  // solve is reusable so faults that change the topology or job set can
-  // request a fresh schedule mid-run (epoch'd at the current instant, with
-  // departed jobs excluded).
-  std::vector<std::optional<CommGate>> gates(requests.size());
+  // Optional flow schedule: jobs sharing links transitively form a group,
+  // solved on one unified circle.  Faults that change the topology or job
+  // set re-solve it mid-run, without the departed jobs.
+  std::vector<CommProfile> profiles;
+  for (const JobRequest& r : requests) profiles.push_back(r.comm_profile);
   std::vector<Duration> start_offsets(requests.size(), Duration::zero());
   std::vector<bool> departed(requests.size(), false);
-  const auto solve_gates = [&](TimePoint epoch,
-                               std::vector<std::optional<CommGate>>& out,
-                               std::vector<Duration>* offsets) {
+  const auto solve_gates = [&](std::vector<Duration>* starts) {
     UnionFind uf(requests.size());
     for (const auto& sl : result.placement.shared_links) {
       for (std::size_t i = 1; i < sl.jobs.size(); ++i) {
@@ -105,54 +56,21 @@ ExperimentResult run_cluster_experiment(const Topology& topo,
         groups[uf.find(j)].push_back(j);
       }
     }
-    CompatibilitySolver solver(config.solver);
+    const CompatibilitySolver solver(config.solver);
+    RunCore::Gates gates(requests.size());
     for (const auto& [root, members] : groups) {
-      if (members.size() < 2) continue;
-      std::vector<CommProfile> profiles;
-      for (const std::size_t j : members) {
-        profiles.push_back(requests[j].comm_profile);
-      }
-      const SolverResult sr = solver.solve(profiles);
-      if (config.trace != nullptr) {
-        TraceEvent ev;
-        ev.time = epoch;
-        ev.kind = TraceEventKind::kSolve;
-        ev.value = sr.compatible ? 1.0 : 0.0;
-        ev.value2 = sr.violation_fraction;
-        config.trace->emit(ev);
-        config.trace->counter("solver.solves").add();
-      }
-      // Gating an incompatible group is actively harmful: contention
-      // stretches a communication phase past its slot, the job waits a full
-      // period for the next one, and iteration times balloon.  Precise flow
-      // scheduling is only applied where the solver proves compatibility;
-      // incompatible groups fall back to ungated transport.
-      if (!sr.compatible) continue;
-      const FlowSchedule fs = make_flow_schedule(profiles, sr.rotations, epoch);
-      for (std::size_t k = 0; k < members.size(); ++k) {
-        const std::size_t j = members[k];
-        out[j] = CommGate{fs.epoch, fs.slots[k].start_offset,
-                          fs.slots[k].period, fs.slots[k].phase_offsets,
-                          fs.slots[k].window};
-        if (offsets) (*offsets)[j] = fs.slots[k].job_start_offset;
-      }
+      core.gate_group(solver, members, profiles, gates, starts);
     }
+    return gates;
   };
-  if (config.flow_schedule) {
-    solve_gates(TimePoint::origin(), gates, &start_offsets);
-  }
+  RunCore::Gates gates(requests.size());
+  if (config.flow_schedule) gates = solve_gates(&start_offsets);
 
-  std::vector<std::unique_ptr<TrainingJob>> jobs;
-  std::vector<TrainingJob*> by_request(requests.size(), nullptr);
+  std::vector<std::unique_ptr<TrainingJob>> jobs(requests.size());
   for (std::size_t j = 0; j < requests.size(); ++j) {
     const Placement& p = result.placement.placements[j];
     if (p.hosts.empty()) continue;
-    JobSpec spec;
-    spec.id = JobId{static_cast<std::int32_t>(j)};
-    spec.name = requests[j].name;
-    spec.profile = requests[j].profile;
-    spec.paths = ring_paths(topo, router, p.hosts, j);
-    spec.split_bytes = false;  // ring: full wire bytes per worker path
+    JobSpec spec = ring_job_spec(topo, router, j, requests[j], p.hosts);
     spec.start = TimePoint::origin() + start_offsets[j];
     if (config.unique_priorities) {
       spec.priority = static_cast<int>(j);
@@ -160,99 +78,25 @@ ExperimentResult run_cluster_experiment(const Topology& topo,
       spec.weight = 1.0;
     }
     spec.gate = gates[j];
-    if (spec.paths.empty()) {
-      // Single-worker job: no network phase; synthesize a loop-back-free
-      // profile with zero communication so it still reports iterations.
-      spec.profile.comm_bytes = Bytes::zero();
-      spec.paths = {JobPath{p.hosts[0], p.hosts[0], Route{}}};
-    }
-    jobs.push_back(std::make_unique<TrainingJob>(sim, net, std::move(spec)));
-    by_request[j] = jobs.back().get();
+    jobs[j] =
+        std::make_unique<TrainingJob>(core.sim, core.net, std::move(spec));
   }
+  core.start_static_jobs(jobs, departed, config.flow_schedule,
+                         [&] { return solve_gates(nullptr); });
+  core.run();
+  if (core.injector) result.faults_applied = core.injector->applied();
 
-  // --- Fault injection -----------------------------------------------------
-  const bool faulty = !config.faults.empty();
-  std::unique_ptr<FaultInjector> injector;
-  if (faulty) {
-    injector = std::make_unique<FaultInjector>(sim, net, config.faults);
-    for (std::size_t j = 0; j < requests.size(); ++j) {
-      if (by_request[j]) {
-        injector->bind_job(JobId{static_cast<std::int32_t>(j)},
-                           *by_request[j]);
-      }
-    }
-    const auto resolve_now = [&] {
-      if (!config.flow_schedule) return;
-      std::vector<std::optional<CommGate>> fresh(requests.size());
-      solve_gates(sim.now(), fresh, nullptr);
-      for (std::size_t j = 0; j < requests.size(); ++j) {
-        if (by_request[j] && !departed[j]) by_request[j]->set_gate(fresh[j]);
-      }
-    };
-    injector->on_topology_change = [&, resolve_now](const FaultEvent& ev) {
-      if (!config.flow_schedule) return;
-      if (ev.factor <= 0.0) {
-        // Outage: schedules solved for the healthy fabric are stale.
-        for (std::size_t j = 0; j < requests.size(); ++j) {
-          if (by_request[j] && !departed[j]) {
-            by_request[j]->set_gate(std::nullopt);
-          }
-        }
-      } else {
-        resolve_now();
-      }
-    };
-    injector->on_jobset_change = [&, resolve_now](const FaultEvent& ev) {
-      if (ev.kind == FaultKind::kJobDepart) {
-        departed[static_cast<std::size_t>(ev.job.value)] = true;
-      }
-      if (ev.kind == FaultKind::kJobDepart ||
-          ev.kind == FaultKind::kJobArrive) {
-        resolve_now();
-      }
-    };
-  }
-  WatchdogConfig wd = config.watchdog;
-  if (faulty) {
-    if (wd.max_events == 0) wd.max_events = 20'000'000;
-    if (wd.max_sim_time.is_zero()) wd.max_sim_time = config.run_time * 4;
-  }
-  if (wd.max_events != 0 || !wd.max_sim_time.is_zero()) {
-    sim.set_watchdog(wd, [&net, &injector] {
-      std::string out =
-          injector ? injector->diagnose() : std::string("fault state: none\n");
-      out += "  active flows: " + std::to_string(net.active_flows().size()) +
-             ", parked: " + std::to_string(net.parked_flows().size()) + "\n";
-      return out;
-    });
-  }
-
-  // Single-worker jobs have an empty route, which Network::start_flow
-  // rejects; they were given zero comm bytes above, and TrainingJob skips
-  // flow creation entirely when comm_bytes is zero.
-  for (auto& job : jobs) job->start();
-  if (injector) injector->arm();
-  sim.run_for(config.run_time);
-  net.flush_observers();
-  if (injector) result.faults_applied = injector->applied();
-
-  for (std::size_t j = 0, placed_idx = 0; j < requests.size(); ++j) {
+  for (std::size_t j = 0; j < requests.size(); ++j) {
     JobOutcome out;
     out.name = requests[j].name;
     const Placement& p = result.placement.placements[j];
     out.placed = !p.hosts.empty();
     out.spans_fabric = p.spans_fabric;
     out.solo_ms =
-        requests[j].profile.solo_iteration(nic_goodput).to_millis();
+        requests[j].profile.solo_iteration(core.nic_goodput()).to_millis();
     if (out.placed) {
-      const TrainingJob& job = *jobs[placed_idx++];
-      const auto& iters = job.iteration_times();
-      // Drop warmup iterations (phase sliding converges within a few).
-      const std::size_t skip = std::min<std::size_t>(iters.size() / 5, 10);
-      Cdf cdf;
-      for (std::size_t i = skip; i < iters.size(); ++i) {
-        cdf.add(iters[i].to_millis());
-      }
+      const auto& iters = jobs[j]->iteration_times();
+      const Cdf cdf = post_warmup_cdf(iters, cluster_warmup(iters.size()));
       out.iterations = iters.size();
       if (!cdf.empty()) {
         out.mean_ms = cdf.mean();

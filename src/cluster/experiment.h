@@ -4,46 +4,26 @@
 // benches and the cluster examples.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "cc/factory.h"
-#include "cluster/placement.h"
-#include "core/schedule.h"
-#include "core/solver.h"
-#include "faults/fault_plan.h"
-#include "net/network.h"
-#include "sim/simulator.h"
+#include "cluster/run_core.h"
 
 namespace ccml {
 
-struct ExperimentConfig {
-  PolicyKind policy = PolicyKind::kDcqcn;
-  /// Tunables for every transport family (cc/factory.h); make_policy picks
-  /// the member matching `policy`.
-  TransportConfig transports;
+/// Fault plans address jobs by request index; link failures reroute flows
+/// (ECMP) or park them until restoration.  Watchdog defaults apply only to
+/// fault runs.
+struct ExperimentConfig : RunOptions {
   NetworkConfig net;
   Duration run_time = Duration::seconds(20);
   /// Assign each job a unique strict priority (paper §4, direction (ii)).
   bool unique_priorities = false;
   /// Gate communication phases with solver time-shifts (§4, direction (iii)).
   /// Jobs sharing any link are grouped transitively (§5 cluster-level
-  /// compatibility) and each group is solved on one unified circle.
+  /// compatibility); each group is solved on one unified circle, and again
+  /// whenever a fault changes the topology or job set.
   bool flow_schedule = false;
-  SolverOptions solver;
-  /// Scripted faults (src/faults).  JobIds in the plan are request indices.
-  /// Link failures reroute flows over the surviving fabric (ECMP) or park
-  /// them until restoration; with `flow_schedule` set, gates are re-solved
-  /// whenever the topology or job set changes.
-  FaultPlan faults;
-  /// Abort-wedged-run guards; zero fields get defaults scaled to `run_time`
-  /// whenever a fault plan is present.
-  WatchdogConfig watchdog;
-  /// Optional observability bus (src/obs); same contract as
-  /// ScenarioConfig::trace — when set, the run publishes the full TraceEvent
-  /// stream to the bus's sinks and registers request names for display.
-  TraceBus* trace = nullptr;
 };
 
 struct JobOutcome {

@@ -3,17 +3,13 @@
 #include <memory>
 #include <stdexcept>
 
-#include "ckpt/checkpoint.h"
 #include "ckpt/snapshot.h"
-#include "core/schedule.h"
-#include "faults/injector.h"
-#include "net/routing.h"
-#include "obs/trace_bus.h"
-#include "sim/simulator.h"
-#include "telemetry/recorders.h"
 #include "workload/profiler.h"
 
 namespace ccml {
+
+/// Relative slack on iteration time for recovery convergence checks.
+constexpr double kRecoveryTolerance = 0.08;
 
 Aggressiveness aggressive_knobs() {
   return {Duration::micros(55), Rate::mbps(80)};
@@ -73,10 +69,6 @@ void validate_scenario(const std::vector<ScenarioJob>& jobs,
   if (config.goodput_factor <= 0.0 || config.goodput_factor > 1.0) {
     throw std::invalid_argument("scenario: goodput factor must be in (0,1]");
   }
-  if (config.fault_tolerance < 0.0) {
-    throw std::invalid_argument(
-        "scenario: fault tolerance must be non-negative");
-  }
 }
 
 std::size_t ScenarioJobStats::converged_after(double target_ms,
@@ -96,34 +88,37 @@ ScenarioResult run_dumbbell_scenario(const std::vector<ScenarioJob>& setups,
                                      const ScenarioConfig& config) {
   validate_scenario(setups, config);
 
-  Simulator sim;
   const Topology topo = Topology::dumbbell(static_cast<int>(setups.size()),
                                            config.nic, config.bottleneck);
-  NetworkConfig ncfg;
-  ncfg.goodput_factor = config.goodput_factor;
-  Network net(topo, make_policy(config.policy, config.transports), ncfg);
-  net.attach(sim);
-  std::unique_ptr<TraceThroughputSampler> sampler;
-  if (config.trace != nullptr) {
-    for (std::size_t i = 0; i < setups.size(); ++i) {
-      const JobId id{static_cast<std::int32_t>(i)};
-      config.trace->register_job(id, setups[i].name);
-      // Dedicated-network baseline into the stream, so the trace alone is
-      // enough for slowdown-vs-dedicated analytics (online or replayed).
-      TraceEvent ev;
-      ev.time = sim.now();
-      ev.kind = TraceEventKind::kSoloBaseline;
-      ev.job = id;
-      ev.value =
-          setups[i].profile.solo_iteration(scenario_goodput(config)).to_millis();
-      config.trace->emit(ev);
-    }
-    sampler = bind_trace_bus(*config.trace, net);
+  RunCore core(topo, config, {.goodput_factor = config.goodput_factor},
+               config.duration);
+  for (std::size_t i = 0; i < setups.size(); ++i) {
+    core.trace_job(i, setups[i].name, &setups[i].profile);
   }
-  if (config.instrument) config.instrument(net);
+
+  // Every job crosses the one bottleneck, so the live jobs form one group:
+  // gated from the first iteration by a CASSINI-style flow schedule, and
+  // re-solved when a fault makes a gated scenario's time-shifts stale.
+  std::vector<CommProfile> profiles;
+  for (const ScenarioJob& s : setups) {
+    profiles.push_back(analytic_profile(s.profile, core.nic_goodput()));
+  }
+  std::vector<bool> departed(setups.size(), false);
+  const auto solve_gates = [&] {
+    RunCore::Gates gates(setups.size());
+    std::vector<std::size_t> members;
+    for (std::size_t i = 0; i < setups.size(); ++i) {
+      if (!departed[i]) members.push_back(i);
+    }
+    core.gate_group(CompatibilitySolver(config.solver), members, profiles,
+                    gates);
+    return gates;
+  };
+  const RunCore::Gates scheduled =
+      config.flow_schedule ? solve_gates() : RunCore::Gates();
+
   const Router router(topo);
   const auto hosts = topo.hosts();
-
   std::vector<std::unique_ptr<TrainingJob>> jobs;
   for (std::size_t i = 0; i < setups.size(); ++i) {
     JobSpec spec;
@@ -136,149 +131,27 @@ ScenarioResult run_dumbbell_scenario(const std::vector<ScenarioJob>& setups,
     spec.cc_rai = setups[i].cc_rai;
     spec.priority = setups[i].priority;
     spec.weight = setups[i].weight;
-    spec.gate = setups[i].gate;
+    spec.gate = config.flow_schedule ? scheduled[i] : setups[i].gate;
     spec.compute_jitter = setups[i].compute_jitter;
     spec.jitter_seed = 0x9E37u * (i + 1);
     spec.start = TimePoint::origin() + setups[i].start_offset;
-    jobs.push_back(std::make_unique<TrainingJob>(sim, net, std::move(spec)));
+    jobs.push_back(
+        std::make_unique<TrainingJob>(core.sim, core.net, std::move(spec)));
   }
-
-  // --- Fault injection -----------------------------------------------------
-  const bool faulty = !config.faults.empty();
-  std::unique_ptr<FaultInjector> injector;
-  std::vector<bool> departed(setups.size(), false);
-  if (faulty) {
-    injector = std::make_unique<FaultInjector>(sim, net, config.faults);
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      injector->bind_job(jobs[i]->id(), *jobs[i]);
-    }
-  }
-
-  // Mid-run gate re-solve: when a fault perturbs a *gated* scenario, the old
-  // time-shifts are stale (severed links stall phases; a changed job set has
-  // a different unified circle).  Drop gates while a link is down and
-  // re-solve a fresh schedule, epoch'd at the current instant, on every
-  // restoration or job-set change.
-  bool any_gated = false;
+  bool any_gated = config.flow_schedule;
   for (const ScenarioJob& s : setups) any_gated |= s.gate.has_value();
-  any_gated |= config.flow_schedule;
-  const auto resolve_gates = [&] {
-    std::vector<std::size_t> members;
-    std::vector<CommProfile> profiles;
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      if (departed[i]) continue;
-      members.push_back(i);
-      profiles.push_back(
-          analytic_profile(setups[i].profile, scenario_goodput(config)));
-    }
-    const auto clear_all = [&] {
-      for (const std::size_t i : members) jobs[i]->set_gate(std::nullopt);
-    };
-    if (members.size() < 2) {
-      clear_all();
-      return;
-    }
-    CompatibilitySolver solver(config.solver);
-    const SolverResult sr = solver.solve(profiles);
-    if (config.trace != nullptr) {
-      TraceEvent ev;
-      ev.time = sim.now();
-      ev.kind = TraceEventKind::kSolve;
-      ev.value = sr.compatible ? 1.0 : 0.0;
-      ev.value2 = sr.violation_fraction;
-      config.trace->emit(ev);
-      config.trace->counter("solver.solves").add();
-    }
-    if (!sr.compatible) {
-      clear_all();
-      return;
-    }
-    const FlowSchedule fs =
-        make_flow_schedule(profiles, sr.rotations, sim.now());
-    for (std::size_t k = 0; k < members.size(); ++k) {
-      jobs[members[k]]->set_gate(CommGate{fs.epoch, fs.slots[k].start_offset,
-                                          fs.slots[k].period,
-                                          fs.slots[k].phase_offsets,
-                                          fs.slots[k].window});
-    }
-  };
-  if (injector) {
-    injector->on_topology_change = [&](const FaultEvent& ev) {
-      if (!any_gated || !config.resolve_gates_on_fault) return;
-      if (ev.factor <= 0.0) {
-        // Outage: a schedule solved for the healthy topology only hurts now.
-        for (std::size_t i = 0; i < jobs.size(); ++i) {
-          if (!departed[i]) jobs[i]->set_gate(std::nullopt);
-        }
-      } else {
-        resolve_gates();
-      }
-    };
-    injector->on_jobset_change = [&](const FaultEvent& ev) {
-      if (ev.kind == FaultKind::kJobDepart) {
-        departed[static_cast<std::size_t>(ev.job.value)] = true;
-      }
-      if (!any_gated || !config.resolve_gates_on_fault) return;
-      if (ev.kind == FaultKind::kJobDepart ||
-          ev.kind == FaultKind::kJobArrive) {
-        resolve_gates();
-      }
-    };
-  }
-
-  // --- Watchdog ------------------------------------------------------------
-  WatchdogConfig wd = config.watchdog;
-  if (faulty) {
-    if (wd.max_events == 0) wd.max_events = 20'000'000;
-    if (wd.max_sim_time.is_zero()) wd.max_sim_time = config.duration * 4;
-  }
-  if (wd.max_events != 0 || !wd.max_sim_time.is_zero()) {
-    sim.set_watchdog(wd, [&net, &injector] {
-      std::string out =
-          injector ? injector->diagnose() : std::string("fault state: none\n");
-      out += "  active flows: " + std::to_string(net.active_flows().size()) +
-             ", parked: " + std::to_string(net.parked_flows().size()) + "\n";
-      return out;
-    });
-  }
-
-  // CASSINI-style start-of-run flow schedule: solve once for the full job
-  // set and gate everyone before the first iteration.
-  if (config.flow_schedule) resolve_gates();
-  for (auto& j : jobs) j->start();
-  if (injector) injector->arm();
-
-  // --- Checkpointing -------------------------------------------------------
-  // Registered at a fixed point (after arming, before the run) so record and
-  // replay schedule the first tick from identical event-queue states.  The
-  // provider lambdas capture run-local state by reference; the coordinator
-  // must not tick after this function returns.
-  if (config.checkpoint != nullptr) {
-    CheckpointCoordinator& ck = *config.checkpoint;
-    ck.add_provider("sim", [&sim] {
-      StateBuf b;
-      b.put_u64(sim.pending_events());
-      return b.take();
-    });
-    ck.add_provider("net", [&net] { return net.serialize_state(); });
-    ck.add_provider("cc", [&net] { return net.policy().serialize_state(); });
-    ck.add_provider("jobs", [&jobs] {
-      StateBuf b;
-      b.put_u64(jobs.size());
-      for (const auto& j : jobs) b.put_bytes(j->serialize_state());
-      return b.take();
-    });
-    ck.add_provider("faults", [&injector] {
-      return injector ? injector->serialize_state() : std::string();
-    });
-    if (config.on_cursor) {
-      ck.on_cursor = [&sim, &net, &config] { config.on_cursor(sim, net); };
-    }
-    ck.install(sim, config.trace);
-  }
-
-  sim.run_for(config.duration);
-  net.flush_observers();
+  core.start_static_jobs(jobs, departed, any_gated, solve_gates);
+  core.run(config.checkpoint,
+           {{"jobs",
+             [&jobs] {
+               StateBuf b;
+               b.put_u64(jobs.size());
+               for (const auto& j : jobs) b.put_bytes(j->serialize_state());
+               return b.take();
+             }}},
+           [&] {
+             if (config.on_cursor) config.on_cursor(core.sim, core.net);
+           });
 
   ScenarioResult result;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -288,9 +161,7 @@ ScenarioResult run_dumbbell_scenario(const std::vector<ScenarioJob>& setups,
     stats.iterations = iters.size();
     stats.iteration_ms.reserve(iters.size());
     for (const Duration d : iters) stats.iteration_ms.push_back(d.to_millis());
-    for (std::size_t k = config.warmup_iterations; k < iters.size(); ++k) {
-      stats.cdf.add(iters[k].to_millis());
-    }
+    stats.cdf = post_warmup_cdf(iters, config.warmup_iterations);
     if (!stats.cdf.empty()) {
       stats.mean_ms = stats.cdf.mean();
       stats.median_ms = stats.cdf.median();
@@ -298,8 +169,8 @@ ScenarioResult run_dumbbell_scenario(const std::vector<ScenarioJob>& setups,
     }
     result.jobs.push_back(std::move(stats));
   }
-  if (injector) {
-    result.faults_applied = injector->applied();
+  if (core.injector) {
+    result.faults_applied = core.injector->applied();
     std::vector<JobTrace> traces;
     traces.reserve(jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -313,7 +184,7 @@ ScenarioResult run_dumbbell_scenario(const std::vector<ScenarioJob>& setups,
       traces.push_back(std::move(t));
     }
     result.recovery =
-        compute_recovery(config.faults, traces, config.fault_tolerance);
+        compute_recovery(config.faults, traces, kRecoveryTolerance);
   }
   return result;
 }

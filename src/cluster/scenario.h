@@ -13,19 +13,10 @@
 #include <string>
 #include <vector>
 
-#include "cc/factory.h"
-#include "core/solver.h"
-#include "faults/fault_plan.h"
+#include "cluster/run_core.h"
 #include "faults/recovery.h"
-#include "net/network.h"
-#include "sim/simulator.h"
-#include "util/stats.h"
-#include "workload/job.h"
-#include "workload/model_zoo.h"
 
 namespace ccml {
-
-class CheckpointCoordinator;
 
 struct ScenarioJob {
   std::string name;
@@ -42,55 +33,26 @@ struct ScenarioJob {
   Duration start_offset = Duration::zero();
 };
 
-struct ScenarioConfig {
-  PolicyKind policy = PolicyKind::kDcqcn;
-  /// Tunables for every transport family; make_policy picks the member
-  /// matching `policy` (transports.dcqcn for the DCQCN variants, .timely,
-  /// .swift, .bbr, .table — see cc/factory.h).
-  TransportConfig transports;
+/// Fault plans call the §2 bottleneck cable "swL->swR"; gated jobs are
+/// re-solved after faults.  Watchdog defaults apply only to fault runs.
+struct ScenarioConfig : RunOptions {
   Duration duration = Duration::seconds(20);
   std::size_t warmup_iterations = 5;
   Rate nic = Rate::gbps(50);
   Rate bottleneck = Rate::gbps(50);
   double goodput_factor = 0.85;
-  /// Optional observer attached to the network before the run (ad-hoc
-  /// telemetry probes; see also `trace` for the structured path).
-  std::function<void(Network&)> instrument;
 
-  /// Optional observability bus (src/obs).  When set, the run publishes the
-  /// full TraceEvent stream — flow lifecycles, DCQCN rate events, job
-  /// phases/iterations, faults, solver runs — to the bus's sinks, registers
-  /// job names for display, attaches a throughput sampler when any sink
-  /// declares a sample cadence, and flushes trailing samples at run end.
-  /// Quiescence-compatible sinks keep the kernel's idle fast-forward.
-  TraceBus* trace = nullptr;
-
-  /// Scripted faults to inject; empty = fault-free run.  The §2 bottleneck
-  /// cable is named "swL->swR" in the dumbbell topology.
-  FaultPlan faults;
-  /// Abort-wedged-run guards.  Zero fields are filled with defaults scaled
-  /// to `duration` whenever a fault plan is present.
-  WatchdogConfig watchdog;
-  /// Re-solve communication gates when a fault changes the topology or job
-  /// set (only takes effect when at least one job is gated).
-  bool resolve_gates_on_fault = true;
   /// Solve a compatibility-based flow schedule at run start and gate every
   /// job with it (the CASSINI-style interleaved mode), instead of requiring
   /// callers to pre-compute per-job gates.  Emits a kSolve event when a
   /// trace bus is bound, so measured interleaving can be compared against
   /// the solver's prediction.
   bool flow_schedule = false;
-  /// Solver options used for mid-run gate re-solves.
-  SolverOptions solver;
-  /// Relative slack on iteration time for recovery convergence checks.
-  double fault_tolerance = 0.08;
 
-  /// Optional checkpoint/restore coordinator (src/ckpt).  The scenario
-  /// registers its state-capture providers (sim, net, cc, jobs, faults) and
-  /// installs the periodic ticks just before the run; the coordinator's
-  /// mode decides whether snapshots are written (record), verified against
-  /// a loaded one (resume), or captured only (branch).  Must outlive the
-  /// run; its providers dangle afterwards — one coordinator per run.
+  /// Optional checkpoint/restore coordinator (src/ckpt), installed by
+  /// RunCore::run with a "jobs" section; its mode decides whether snapshots
+  /// are written (record), verified against a loaded one (resume), or
+  /// captured only (branch).  Must outlive the run; one per run.
   CheckpointCoordinator* checkpoint = nullptr;
   /// Replay modes: fired at the snapshot cursor, after state verification
   /// succeeded — the what-if variation hook (swap the transport, script

@@ -6,10 +6,10 @@
 #include <cstdio>
 #include <deque>
 #include <map>
-#include <numeric>
 
 #include "util/circular.h"
 #include "util/rng.h"
+#include "util/union_find.h"
 
 namespace ccml {
 
@@ -36,24 +36,6 @@ struct SharedLink {
   std::vector<CommProfile> profiles;  // parallel to jobs
   UnifiedCircle circle;
   SolverResult local;                 // the link's independent solve
-};
-
-class UnionFind {
- public:
-  explicit UnionFind(std::size_t n) : parent_(n) {
-    std::iota(parent_.begin(), parent_.end(), 0);
-  }
-  std::size_t find(std::size_t x) {
-    while (parent_[x] != x) {
-      parent_[x] = parent_[parent_[x]];
-      x = parent_[x];
-    }
-    return x;
-  }
-  void unite(std::size_t a, std::size_t b) { parent_[find(a)] = find(b); }
-
- private:
-  std::vector<std::size_t> parent_;
 };
 
 std::map<std::int32_t, std::vector<std::size_t>> link_members(

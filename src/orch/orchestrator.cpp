@@ -4,43 +4,19 @@
 #include <cstdio>
 #include <deque>
 #include <map>
-#include <numeric>
 #include <optional>
 #include <stdexcept>
 
 #include "cc/policy/registry.h"
-#include "ckpt/checkpoint.h"
 #include "ckpt/snapshot.h"
-#include "core/schedule.h"
-#include "faults/injector.h"
-#include "obs/trace_bus.h"
-#include "telemetry/recorders.h"
-#include "util/stats.h"
-#include "workload/job.h"
+#include "util/union_find.h"
 
 namespace ccml {
 
 namespace {
 
-/// Union-find over arrival indices: jobs sharing any fabric link end up in
-/// one solve group (paper §5 cluster-level compatibility domains).
-class UnionFind {
- public:
-  explicit UnionFind(std::size_t n) : parent_(n) {
-    std::iota(parent_.begin(), parent_.end(), 0);
-  }
-  std::size_t find(std::size_t x) {
-    while (parent_[x] != x) {
-      parent_[x] = parent_[parent_[x]];
-      x = parent_[x];
-    }
-    return x;
-  }
-  void unite(std::size_t a, std::size_t b) { parent_[find(a)] = find(b); }
-
- private:
-  std::vector<std::size_t> parent_;
-};
+/// Watchdog event budget: unlike static job sets, every churn run is guarded.
+constexpr std::uint64_t kChurnRunMaxEvents = 50'000'000;
 
 char* append(char* p, char* end, const char* fmt, auto... args) {
   const int n = std::snprintf(p, static_cast<std::size_t>(end - p), fmt,
@@ -150,18 +126,8 @@ ClusterRunReport Orchestrator::run() {
   ClusterRunReport report;
   report.jobs.resize(n);
 
-  Simulator sim;
-  Network net(topo_, make_policy(config_.policy, config_.transports), config_.net);
-  net.attach(sim);
-  std::unique_ptr<TraceThroughputSampler> sampler;
-  TraceBus* trace = config_.trace;
-  if (trace != nullptr) {
-    for (std::size_t j = 0; j < n; ++j) {
-      trace->register_job(JobId{static_cast<std::int32_t>(j)},
-                          schedule_.jobs[j].request.name);
-    }
-    sampler = bind_trace_bus(*trace, net);
-  }
+  RunCore core(topo_, config_, config_.net, config_.horizon);
+  Simulator& sim = core.sim;
   const Router router(topo_);
   IncrementalResolver resolver(config_.solver);
   AdmissionConfig admission_cfg = config_.admission;
@@ -180,24 +146,11 @@ ClusterRunReport Orchestrator::run() {
       config_.net.goodput_factor * transport_goodput_derating(config_.policy);
   AdmissionController admission(topo_, router, admission_cfg, resolver);
 
-  Rate nic_goodput = Rate::zero();
-  for (const NodeId host : topo_.hosts()) {
-    nic_goodput = net.effective_capacity(topo_.links_from(host).front());
-    break;
-  }
-  if (trace != nullptr) {
-    // Dedicated-network baselines into the stream — the same solo iteration
-    // times the cluster report prints — so run-health analytics (live or
-    // replayed from the serialized trace) measure slowdown-vs-dedicated.
-    for (std::size_t j = 0; j < n; ++j) {
-      TraceEvent ev;
-      ev.time = sim.now();
-      ev.kind = TraceEventKind::kSoloBaseline;
-      ev.job = JobId{static_cast<std::int32_t>(j)};
-      ev.value = schedule_.jobs[j].request.profile.solo_iteration(nic_goodput)
-                     .to_millis();
-      trace->emit(ev);
-    }
+  // Dedicated-network baselines into the stream — the same solo iteration
+  // times the cluster report prints.
+  for (std::size_t j = 0; j < n; ++j) {
+    const JobRequest& request = schedule_.jobs[j].request;
+    core.trace_job(j, request.name, &request.profile);
   }
 
   // --- Per-arrival live state ----------------------------------------------
@@ -214,25 +167,9 @@ ClusterRunReport Orchestrator::run() {
   std::deque<std::size_t> queue;  // deferred arrivals, FIFO
   bool fabric_degraded = false;   // some link is down: gates are stale
 
-  const auto emit = [&](TraceEventKind kind, std::size_t j, double value,
-                        double value2 = 0.0, const char* detail = nullptr) {
-    if (trace == nullptr) return;
-    TraceEvent ev;
-    ev.time = sim.now();
-    ev.kind = kind;
-    ev.job = JobId{static_cast<std::int32_t>(j)};
-    ev.value = value;
-    ev.value2 = value2;
-    ev.detail = detail;
-    trace->emit(ev);
-  };
-
   // --- Gate re-derivation (incremental re-solve) ---------------------------
   const auto resolve_gates = [&] {
     if (!config_.flow_schedule) return;
-    // While some link is down every schedule is stale; jobs run ungated
-    // until the fabric heals (on_topology_change re-solves then).
-    if (fabric_degraded) return;
     // Group running jobs that transitively share links.
     std::vector<std::size_t> running;
     for (std::size_t j = 0; j < n; ++j) {
@@ -246,10 +183,8 @@ ClusterRunReport Orchestrator::run() {
     // is empty and every job runs ungated — the paper's regime falls out
     // as the special case.
     std::vector<GraphJob> contended(running.size());
-    std::vector<std::size_t> pos(n, 0);  // job index -> running[] position
     for (std::size_t k = 0; k < running.size(); ++k) {
       const std::size_t j = running[k];
-      pos[j] = k;
       contended[k].profile = schedule_.jobs[j].request.comm_profile;
       contended[k].links.reserve(state[j].links.size());
       for (const LinkId lid : state[j].links) {
@@ -267,102 +202,58 @@ ClusterRunReport Orchestrator::run() {
         if (!fresh) uf.unite(it->second, k);
       }
     }
-    std::map<std::size_t, std::vector<std::size_t>> groups;  // root -> members
+    // root -> members, as running[] positions.  While some link is down
+    // every schedule is stale: each job forms its own group and runs ungated
+    // until the restoration re-solves.
+    std::map<std::size_t, std::vector<std::size_t>> groups;
     for (std::size_t k = 0; k < running.size(); ++k) {
-      groups[uf.find(k)].push_back(running[k]);
+      groups[fabric_degraded ? k : uf.find(k)].push_back(k);
     }
     for (const auto& [root, members] : groups) {
-      if (members.size() < 2) {
-        auto& s = state[members.front()];
-        s.job->set_gate(std::nullopt);
-        s.rotation.reset();
-        continue;
-      }
-      std::vector<CommProfile> profiles;
-      std::vector<Duration> warm;
-      bool warm_ok = true;
-      for (const std::size_t j : members) {
-        profiles.push_back(schedule_.jobs[j].request.comm_profile);
-        if (state[j].rotation) {
-          warm.push_back(*state[j].rotation);
+      // Lone jobs and incompatible groups run ungated (see
+      // RunCore::gate_group).
+      std::optional<FlowSchedule> fs;
+      std::vector<Duration> rotations;
+      if (members.size() >= 2) {
+        std::vector<GraphJob> gjobs;
+        std::vector<CommProfile> profiles;
+        std::vector<Duration> warm;
+        for (const std::size_t k : members) {
+          gjobs.push_back(contended[k]);
+          profiles.push_back(gjobs.back().profile);
+          if (const auto& r = state[running[k]].rotation) warm.push_back(*r);
+        }
+        if (warm.size() < members.size()) warm.clear();
+        const auto verdict = [&](bool compatible, double violation,
+                                 bool cache_hit) {
+          core.emit_solve(
+              cache_hit ? "orch.resolve.cache-hits" : "orch.resolve.solves",
+              compatible, violation, cache_hit ? "cached" : nullptr);
+          return compatible;
+        };
+        if (config_.circle == OrchestratorConfig::CircleMode::kSingleCircle) {
+          const auto answer = resolver.solve_group(profiles, std::move(warm));
+          const SolverResult& sr = *answer.result;
+          if (verdict(sr.compatible, sr.violation_fraction, answer.cache_hit)) {
+            fs = make_flow_schedule(profiles, sr.rotations, sim.now());
+            rotations = sr.rotations;
+          }
         } else {
-          warm_ok = false;
+          // Graph mode: per-link circles with one rotation per job,
+          // consistent across every link it crosses.  A chain A-L1-B-L2-C
+          // that is unsatisfiable on one shared circle can still be gated.
+          const auto answer = resolver.solve_component(gjobs, std::move(warm));
+          const GraphResult& gr = *answer.result;
+          if (verdict(gr.compatible, gr.worst_violation, answer.cache_hit)) {
+            fs = make_graph_flow_schedule(gjobs, gr, sim.now());
+            rotations = gr.rotations;
+          }
         }
       }
-      if (!warm_ok) warm.clear();
-
-      const auto emit_solve = [&](bool compatible, double violation,
-                                  bool cache_hit) {
-        if (trace == nullptr) return;
-        TraceEvent ev;
-        ev.time = sim.now();
-        ev.kind = TraceEventKind::kSolve;
-        ev.value = compatible ? 1.0 : 0.0;
-        ev.value2 = violation;
-        if (cache_hit) ev.detail = "cached";
-        trace->emit(ev);
-        trace->counter(cache_hit ? "orch.resolve.cache-hits"
-                                 : "orch.resolve.solves")
-            .add();
-      };
-      const auto ungate = [&] {
-        // Gating an incompatible group is actively harmful (see
-        // cluster/experiment.cpp): fall back to ungated transport.
-        for (const std::size_t j : members) {
-          state[j].job->set_gate(std::nullopt);
-          state[j].rotation.reset();
-        }
-      };
-      const auto apply_schedule = [&](const FlowSchedule& fs,
-                                      std::span<const Duration> rotations) {
-        for (std::size_t k = 0; k < members.size(); ++k) {
-          const std::size_t j = members[k];
-          state[j].job->set_gate(CommGate{fs.epoch, fs.slots[k].start_offset,
-                                          fs.slots[k].period,
-                                          fs.slots[k].phase_offsets,
-                                          fs.slots[k].window});
-          state[j].rotation = rotations[k];
-        }
-      };
-
-      if (config_.circle == OrchestratorConfig::CircleMode::kSingleCircle) {
-        const auto answer = resolver.solve_group(profiles, std::move(warm));
-        const SolverResult& sr = *answer.result;
-        emit_solve(sr.compatible, sr.violation_fraction, answer.cache_hit);
-        if (!sr.compatible) {
-          ungate();
-          continue;
-        }
-        apply_schedule(make_flow_schedule(profiles, sr.rotations, sim.now()),
-                       sr.rotations);
-        continue;
-      }
-
-      // Graph mode: per-link circles with one rotation per job, consistent
-      // across every link it crosses.  A chain A-L1-B-L2-C that is
-      // unsatisfiable on one shared circle can still be gated here.
-      std::vector<GraphJob> gjobs;
-      gjobs.reserve(members.size());
-      for (const std::size_t j : members) {
-        gjobs.push_back(contended[pos[j]]);
-      }
-      const auto answer = resolver.solve_component(gjobs, std::move(warm));
-      const GraphResult& gr = *answer.result;
-      emit_solve(gr.compatible, gr.worst_violation, answer.cache_hit);
-      if (!gr.compatible) {
-        ungate();
-        continue;
-      }
-      apply_schedule(make_graph_flow_schedule(gjobs, gr, sim.now()),
-                     gr.rotations);
-    }
-  };
-
-  const auto clear_gates = [&] {
-    for (std::size_t j = 0; j < n; ++j) {
-      if (state[j].state == ClusterJobOutcome::State::kRunning) {
-        state[j].job->set_gate(std::nullopt);
-        state[j].rotation.reset();
+      for (std::size_t i = 0; i < members.size(); ++i) {
+        JobState& s = state[running[members[i]]];
+        s.job->set_gate(fs ? std::optional(slot_gate(*fs, i)) : std::nullopt);
+        s.rotation = fs ? std::optional(rotations[i]) : std::nullopt;
       }
     }
   };
@@ -373,8 +264,7 @@ ClusterRunReport Orchestrator::run() {
   const auto reject = [&](std::size_t j, const char* why) {
     state[j].state = ClusterJobOutcome::State::kRejected;
     ++report.rejected;
-    emit(TraceEventKind::kJobReject, j, 0.0, 0.0, why);
-    if (trace != nullptr) trace->counter("orch.rejected").add();
+    core.emit("orch.rejected", TraceEventKind::kJobReject, j, 0.0, 0.0, why);
   };
 
   /// Attempts to admit arrival j right now; true on success.
@@ -397,28 +287,17 @@ ClusterRunReport Orchestrator::run() {
     s.admitted_at = sim.now();
     const Duration delay = sim.now() - arr.at;
     ++report.admitted;
-    emit(TraceEventKind::kJobAdmit, j, delay.to_millis(),
-         s.placement.spans_fabric ? 1.0 : 0.0);
-    if (trace != nullptr) trace->counter("orch.admitted").add();
+    core.emit("orch.admitted", TraceEventKind::kJobAdmit, j, delay.to_millis(),
+              s.placement.spans_fabric ? 1.0 : 0.0);
 
-    JobSpec spec;
-    spec.id = JobId{static_cast<std::int32_t>(j)};
-    spec.name = arr.request.name;
-    spec.profile = arr.request.profile;
-    spec.paths = ring_paths(topo_, router, s.placement.hosts, j);
-    spec.split_bytes = false;  // ring: full wire bytes per worker path
+    JobSpec spec =
+        ring_job_spec(topo_, router, j, arr.request, s.placement.hosts);
     spec.start = sim.now();
     spec.compute_jitter = config_.compute_jitter;
     // Same derivation as the scenario runner: decorrelated across jobs,
     // reproducible across runs (and across policies replaying one trace).
     spec.jitter_seed = 0x9E37u * (j + 1);
-    if (spec.paths.empty()) {
-      // Single-worker job: no network phase.
-      spec.profile.comm_bytes = Bytes::zero();
-      spec.paths = {JobPath{s.placement.hosts[0], s.placement.hosts[0],
-                            Route{}}};
-    }
-    s.job = std::make_unique<TrainingJob>(sim, net, std::move(spec));
+    s.job = std::make_unique<TrainingJob>(sim, core.net, std::move(spec));
     s.job->start();
     sim.schedule_at(sim.now() + arr.service, [&, j] { on_depart(j); });
     resolve_gates();
@@ -440,8 +319,8 @@ ClusterRunReport Orchestrator::run() {
     JobState& s = state[j];
     s.state = ClusterJobOutcome::State::kFinished;
     ++report.finished;
-    emit(TraceEventKind::kJobDepart, j, (sim.now() - s.admitted_at).to_millis());
-    if (trace != nullptr) trace->counter("orch.departed").add();
+    core.emit("orch.departed", TraceEventKind::kJobDepart, j,
+              (sim.now() - s.admitted_at).to_millis());
     s.job->stop();
     admission.release(s.placement.hosts);
     resolve_gates();
@@ -452,16 +331,15 @@ ClusterRunReport Orchestrator::run() {
     const JobArrival& arr = schedule_.jobs[j];
     state[j].submitted = true;
     ++report.submitted;
-    emit(TraceEventKind::kJobSubmit, j,
-         static_cast<double>(arr.request.workers));
-    if (trace != nullptr) trace->counter("orch.submitted").add();
+    core.emit("orch.submitted", TraceEventKind::kJobSubmit, j,
+              static_cast<double>(arr.request.workers));
     if (try_admit(j)) return;
     if (static_cast<int>(queue.size()) >= config_.admission.queue_capacity) {
       reject(j, "queue-full");
       return;
     }
     queue.push_back(j);
-    if (trace != nullptr) trace->counter("orch.queued").add();
+    if (config_.trace != nullptr) config_.trace->counter("orch.queued").add();
     // Deadline: a job still waiting this long after arrival gives up.
     sim.schedule_at(arr.at + config_.admission.queue_timeout, [&, j] {
       const auto it = std::find(queue.begin(), queue.end(), j);
@@ -476,110 +354,73 @@ ClusterRunReport Orchestrator::run() {
   }
 
   // --- Fault injection ------------------------------------------------------
-  std::unique_ptr<FaultInjector> injector;
-  if (!config_.faults.empty()) {
-    injector = std::make_unique<FaultInjector>(sim, net, config_.faults);
-    injector->on_topology_change = [&](const FaultEvent& ev) {
-      if (ev.factor <= 0.0) {
-        // Outage: schedules solved for the healthy fabric are stale.  New
-        // groups formed while degraded run ungated too.
-        fabric_degraded = true;
-        clear_gates();
-      } else {
-        fabric_degraded = false;
-        resolve_gates();
-      }
+  if (core.injector) {
+    core.injector->on_topology_change = [&](const FaultEvent& ev) {
+      fabric_degraded = ev.factor <= 0.0;
+      resolve_gates();
     };
-    injector->arm();
   }
-  WatchdogConfig wd = config_.watchdog;
-  if (wd.max_events == 0) wd.max_events = 50'000'000;
-  if (wd.max_sim_time.is_zero()) wd.max_sim_time = config_.horizon * 4;
-  sim.set_watchdog(wd, [&net, &injector] {
-    std::string out =
-        injector ? injector->diagnose() : std::string("fault state: none\n");
-    out += "  active flows: " + std::to_string(net.active_flows().size()) +
-           ", parked: " + std::to_string(net.parked_flows().size()) + "\n";
-    return out;
-  });
+  core.arm_watchdog(kChurnRunMaxEvents);
 
   // --- Checkpointing --------------------------------------------------------
-  // Registered at a fixed point (after fault arming and the watchdog, before
-  // the event loop) so record and replay schedule the first checkpoint tick
-  // from identical event-queue states.  Providers capture run-locals by
-  // reference: the coordinator must not tick after run() returns.
-  OrchestratorCursorContext cursor_ctx{sim, net, admission, drain_queue};
-  if (config_.checkpoint != nullptr) {
-    CheckpointCoordinator& ck = *config_.checkpoint;
-    ck.add_provider("sim", [&sim] {
-      StateBuf b;
-      b.put_u64(sim.pending_events());
-      return b.take();
-    });
-    ck.add_provider("net", [&net] { return net.serialize_state(); });
-    ck.add_provider("cc", [&net] { return net.policy().serialize_state(); });
-    ck.add_provider("orch", [&] {
-      StateBuf b;
-      b.put_u64(n);
-      for (std::size_t j = 0; j < n; ++j) {
-        const JobState& s = state[j];
-        b.put_u8(static_cast<std::uint8_t>(s.state));
-        b.put_u8(s.submitted ? 1 : 0);
-        b.put_i64(s.admitted_at.since_origin().ns());
-        b.put_u64(s.links.size());
-        for (const LinkId lid : s.links) b.put_i64(lid.value);
-        b.put_u8(s.rotation ? 1 : 0);
-        b.put_i64(s.rotation ? s.rotation->ns() : 0);
-        b.put_u8(s.job ? 1 : 0);
-        if (s.job) b.put_bytes(s.job->serialize_state());
-      }
-      b.put_u64(queue.size());
-      for (const std::size_t j : queue) b.put_u64(j);
-      b.put_u8(fabric_degraded ? 1 : 0);
-      // Resolver progress: counters (minus nondeterministic wall-clock) and
-      // the cache signature set, so a resumed run provably reuses the same
-      // warm cache it would have had.
-      const ResolveStats& rs = resolver.stats();
-      b.put_u64(rs.solves);
-      b.put_u64(rs.cache_hits);
-      b.put_u64(rs.warm_start_hits);
-      b.put_u64(rs.nodes_explored);
-      const std::vector<std::string> keys = resolver.cache_keys();
-      b.put_u64(keys.size());
-      for (const std::string& k : keys) b.put_bytes(k);
-      b.put_i64(admission.free_host_count());
-      return b.take();
-    });
-    // Interference-graph state: the component-level verdict cache and its
-    // counters.  A resumed run must rebuild the same component cache so the
-    // graph-mode solve/cached stream (and thus the trace) stays
-    // byte-identical; divergence here names this section.
-    ck.add_provider("igraph", [&] {
-      StateBuf b;
-      b.put_u8(static_cast<std::uint8_t>(config_.circle));
-      const ResolveStats& rs = resolver.stats();
-      b.put_u64(rs.component_solves);
-      b.put_u64(rs.component_cache_hits);
-      const std::vector<std::string> keys = resolver.component_cache_keys();
-      b.put_u64(keys.size());
-      for (const std::string& k : keys) b.put_bytes(k);
-      return b.take();
-    });
-    ck.add_provider("faults", [&injector] {
-      return injector ? injector->serialize_state() : std::string();
-    });
-    if (config_.on_cursor) {
-      ck.on_cursor = [this, &cursor_ctx] { config_.on_cursor(cursor_ctx); };
+  // Providers capture run-locals by reference: the coordinator must not tick
+  // after run() returns.
+  OrchestratorCursorContext cursor_ctx{sim, core.net, admission, drain_queue};
+  const auto orch_state = [&] {
+    StateBuf b;
+    b.put_u64(n);
+    for (std::size_t j = 0; j < n; ++j) {
+      const JobState& s = state[j];
+      b.put_u8(static_cast<std::uint8_t>(s.state));
+      b.put_u8(s.submitted ? 1 : 0);
+      b.put_i64(s.admitted_at.since_origin().ns());
+      b.put_u64(s.links.size());
+      for (const LinkId lid : s.links) b.put_i64(lid.value);
+      b.put_u8(s.rotation ? 1 : 0);
+      b.put_i64(s.rotation ? s.rotation->ns() : 0);
+      b.put_u8(s.job ? 1 : 0);
+      if (s.job) b.put_bytes(s.job->serialize_state());
     }
-    ck.install(sim, trace);
-  }
-
-  sim.run_until(TimePoint::origin() + config_.horizon);
-  net.flush_observers();
+    b.put_u64(queue.size());
+    for (const std::size_t j : queue) b.put_u64(j);
+    b.put_u8(fabric_degraded ? 1 : 0);
+    // Resolver progress: counters (minus nondeterministic wall-clock) and
+    // the cache signature set, so a resumed run provably reuses the same
+    // warm cache it would have had.
+    const ResolveStats& rs = resolver.stats();
+    b.put_u64(rs.solves);
+    b.put_u64(rs.cache_hits);
+    b.put_u64(rs.warm_start_hits);
+    b.put_u64(rs.nodes_explored);
+    const std::vector<std::string> keys = resolver.cache_keys();
+    b.put_u64(keys.size());
+    for (const std::string& k : keys) b.put_bytes(k);
+    b.put_i64(admission.free_host_count());
+    return b.take();
+  };
+  // Interference-graph state: the component-level verdict cache and its
+  // counters.  A resumed run must rebuild the same component cache so the
+  // graph-mode solve/cached stream (and thus the trace) stays
+  // byte-identical; divergence here names this section.
+  const auto igraph_state = [&] {
+    StateBuf b;
+    b.put_u8(static_cast<std::uint8_t>(config_.circle));
+    const ResolveStats& rs = resolver.stats();
+    b.put_u64(rs.component_solves);
+    b.put_u64(rs.component_cache_hits);
+    const std::vector<std::string> keys = resolver.component_cache_keys();
+    b.put_u64(keys.size());
+    for (const std::string& k : keys) b.put_bytes(k);
+    return b.take();
+  };
+  core.run(config_.checkpoint, {{"orch", orch_state}, {"igraph", igraph_state}},
+           [this, &cursor_ctx] {
+             if (config_.on_cursor) config_.on_cursor(cursor_ctx);
+           });
 
   // --- Outcomes -------------------------------------------------------------
   report.resolve = resolver.stats();
-  report.faults_applied = injector ? injector->applied().size() : 0;
+  report.faults_applied = core.injector ? core.injector->applied().size() : 0;
   for (std::size_t j = 0; j < n; ++j) {
     const JobState& s = state[j];
     const JobArrival& arr = schedule_.jobs[j];
@@ -591,16 +432,13 @@ ClusterRunReport Orchestrator::run() {
       // Arrival at/after the horizon: never offered.
       out.state = ClusterJobOutcome::State::kQueued;
     }
-    out.solo_ms = arr.request.profile.solo_iteration(nic_goodput).to_millis();
+    out.solo_ms =
+        arr.request.profile.solo_iteration(core.nic_goodput()).to_millis();
     if (s.job) {
       out.queue_delay = s.admitted_at - arr.at;
       out.spans_fabric = s.placement.spans_fabric;
       const auto& iters = s.job->iteration_times();
-      const std::size_t skip = std::min<std::size_t>(iters.size() / 5, 10);
-      Cdf cdf;
-      for (std::size_t i = skip; i < iters.size(); ++i) {
-        cdf.add(iters[i].to_millis());
-      }
+      const Cdf cdf = post_warmup_cdf(iters, cluster_warmup(iters.size()));
       out.iterations = iters.size();
       if (!cdf.empty()) {
         out.mean_ms = cdf.mean();

@@ -19,21 +19,15 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "cc/factory.h"
-#include "faults/fault_plan.h"
-#include "net/network.h"
+#include "cluster/run_core.h"
 #include "orch/admission.h"
 #include "orch/arrivals.h"
 #include "orch/resolve.h"
-#include "sim/simulator.h"
 
 namespace ccml {
-
-class CheckpointCoordinator;
 
 /// Live handles handed to OrchestratorConfig::on_cursor when a resumed or
 /// branched run reaches its snapshot cursor: enough to swap the transport,
@@ -49,14 +43,12 @@ struct OrchestratorCursorContext {
   std::function<void()> drain_queue;
 };
 
-struct OrchestratorConfig {
-  PolicyKind policy = PolicyKind::kDcqcn;
-  /// Tunables for every transport family (cc/factory.h); make_policy picks
-  /// the member matching `policy`.
-  TransportConfig transports;
+/// Faults are link events only (churn is the arrival schedule's business;
+/// the constructor throws on job events).  The watchdog is always armed; the
+/// trace also carries arrivals, admissions, rejections and departures.
+struct OrchestratorConfig : RunOptions {
   NetworkConfig net;
   AdmissionConfig admission;
-  SolverOptions solver;
 
   /// Derive communication gates for compatible sharing groups (paper §4,
   /// direction (iii)); incompatible groups run ungated.
@@ -91,22 +83,8 @@ struct OrchestratorConfig {
   /// reported in their end-of-run state.
   Duration horizon = Duration::seconds(60);
 
-  /// Scripted fabric faults on the same timeline as the job churn.  Link
-  /// events only — job churn is the arrival schedule's business; the
-  /// constructor throws on job events in the plan.
-  FaultPlan faults;
-
-  /// Wedge guards; zero fields get defaults scaled to `horizon`.
-  WatchdogConfig watchdog;
-
-  /// Optional observability bus: arrivals/admissions/rejections/departures,
-  /// solver runs and the usual flow/job/fault events are published to its
-  /// sinks.
-  TraceBus* trace = nullptr;
-
-  /// Optional checkpoint/restore coordinator (src/ckpt).  The run registers
-  /// its state-capture providers (sim, net, cc, orch, faults) and installs
-  /// the periodic ticks just before the event loop.  Must outlive run();
+  /// Optional checkpoint/restore coordinator (src/ckpt), installed by
+  /// RunCore::run with "orch" and "igraph" sections.  Must outlive run();
   /// one coordinator per run.
   CheckpointCoordinator* checkpoint = nullptr;
   /// Replay modes: fired at the snapshot cursor after verification — the

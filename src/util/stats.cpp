@@ -135,4 +135,13 @@ std::string Histogram::render(std::size_t width) const {
   return out;
 }
 
+Cdf post_warmup_cdf(const std::vector<Duration>& iterations,
+                    std::size_t warmup) {
+  Cdf cdf;
+  for (std::size_t k = warmup; k < iterations.size(); ++k) {
+    cdf.add(iterations[k].to_millis());
+  }
+  return cdf;
+}
+
 }  // namespace ccml

@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "util/time.h"
+
 namespace ccml {
 
 /// Online accumulator for min / max / mean / variance (Welford).
@@ -57,6 +59,10 @@ class Cdf {
   mutable std::vector<double> samples_;
   mutable bool sorted_ = true;
 };
+
+/// Iteration times from index `warmup` on, in milliseconds.
+Cdf post_warmup_cdf(const std::vector<Duration>& iterations,
+                    std::size_t warmup);
 
 /// Fixed-width histogram over [lo, hi); values outside are clamped to the
 /// edge buckets.

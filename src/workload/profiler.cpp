@@ -71,10 +71,9 @@ MeasuredProfile measure_profile(const JobProfile& job,
   assert(done && "profiling run did not finish; raise the deadline");
 
   const auto& iters = tj.iteration_times();
-  Cdf cdf;
+  const Cdf cdf = post_warmup_cdf(iters, opts.warmup);
   Summary comm_rate;
   for (std::size_t i = opts.warmup; i < iters.size(); ++i) {
-    cdf.add(iters[i].to_millis());
     const Duration comm = iters[i] - job.total_compute();
     if (comm.is_positive() && total_bytes.is_positive()) {
       comm_rate.add(total_bytes.bits() / comm.to_seconds());

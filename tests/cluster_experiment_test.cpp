@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/trace_bus.h"
+
 namespace ccml {
 namespace {
 
@@ -78,6 +80,54 @@ TEST(ClusterExperiment, FlowScheduleRemovesContention) {
     ASSERT_TRUE(o.placed);
     EXPECT_GT(o.iterations, 10u);
     EXPECT_LT(o.slowdown, 1.12) << o.name;
+  }
+}
+
+TEST(ClusterExperiment, BrownoutReSolvesGatesAfterRestoration) {
+  // The flow-scheduled contended setup above, with a brownout on a fabric
+  // link both rings cross.  The solve counter is read as each fault event
+  // is published, before the injector's gate hook runs.
+  struct SolveProbe : TraceSink {
+    TraceBus* bus = nullptr;
+    std::int64_t at_apply = -1;
+    std::int64_t at_restore = -1;
+    void attached(TraceBus& b) override { bus = &b; }
+    void on_event(const TraceEvent& ev) override {
+      const std::int64_t solves = bus->counter("solver.solves").value();
+      if (ev.kind == TraceEventKind::kFaultApply) at_apply = solves;
+      if (ev.kind == TraceEventKind::kFaultRecover) at_restore = solves;
+    }
+  } probe;
+  TraceBus bus;
+  bus.add_sink(probe);
+
+  const Topology topo =
+      Topology::leaf_spine(3, 4, 1, Rate::gbps(50), Rate::gbps(50));
+  LocalityPlacement placement;
+  ExperimentConfig cfg;
+  cfg.policy = PolicyKind::kMaxMinFair;
+  cfg.run_time = Duration::seconds(3);
+  cfg.flow_schedule = true;
+  cfg.trace = &bus;
+  cfg.faults.brownout(TimePoint::origin() + Duration::millis(1000),
+                      Duration::millis(500), "tor1->spine0", 0.5);
+  const auto result = run_cluster_experiment(
+      topo, {request("a", 5, 100, 70), request("b", 5, 100, 70)}, placement,
+      cfg);
+
+  ASSERT_EQ(result.faults_applied.size(), 2u);
+  EXPECT_EQ(result.faults_applied[0].kind, FaultKind::kLinkDegrade);
+  EXPECT_EQ(result.faults_applied[0].link_name, "tor1->spine0");
+  EXPECT_DOUBLE_EQ(result.faults_applied[0].factor, 0.5);
+  EXPECT_EQ(result.faults_applied[1].kind, FaultKind::kLinkUp);
+  // The start-of-run schedule solved the shared group once; the brownout
+  // and the restoration each re-solve it.
+  EXPECT_EQ(probe.at_apply, 1);
+  EXPECT_GT(probe.at_restore, probe.at_apply);
+  EXPECT_GT(bus.counter("solver.solves").value(), probe.at_restore);
+  for (const auto& o : result.outcomes) {
+    ASSERT_TRUE(o.placed);
+    EXPECT_GT(o.iterations, 10u) << o.name;
   }
 }
 

@@ -30,16 +30,6 @@ TEST(Scenario, WarmupIterationsExcluded) {
   EXPECT_EQ(r.jobs[0].iteration_ms.size(), r.jobs[0].iterations);
 }
 
-TEST(Scenario, InstrumentHookRuns) {
-  ScenarioConfig cfg;
-  cfg.policy = PolicyKind::kMaxMinFair;
-  cfg.duration = Duration::millis(100);
-  bool called = false;
-  cfg.instrument = [&](Network&) { called = true; };
-  run_dumbbell_scenario({{"j", toy(10, 5)}}, cfg);
-  EXPECT_TRUE(called);
-}
-
 TEST(Scenario, GoodputMatchesConfig) {
   ScenarioConfig cfg;
   cfg.nic = Rate::gbps(100);

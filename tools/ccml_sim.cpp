@@ -80,7 +80,7 @@ commands:
        run start and gates every job with it (emits a solve event so the
        measured interleaving can be compared with the prediction)
   sweep --job K=V[,K=V...] [--job ...] --param P --values V1,V2,...
-        [--policy P] [--seconds S] [--threads N]
+        [--policy P] [--seconds S] [--flow-schedule 0|1] [--threads N]
                               run the scenario once per grid value, fanned
                               across threads; results print in grid order
        params: timer_us | rai_mbps | start_ms (applied to the first job)
@@ -791,8 +791,8 @@ std::vector<ScenarioJob> parse_scenario_jobs(
   return jobs;
 }
 
-/// The --policy / --seconds / --flow-schedule trio shared by scenario,
-/// faults, and branch replays of either.
+/// The --policy / --cc-policy-table / --seconds / --flow-schedule options
+/// shared by scenario, faults, sweep, and branch replays.
 void apply_scenario_opts(ScenarioConfig& cfg,
                          const std::map<std::string, std::string>& opts) {
   if (opts.contains("policy")) {
@@ -809,6 +809,12 @@ void apply_scenario_opts(ScenarioConfig& cfg,
   if (opts.contains("flow-schedule")) {
     cfg.flow_schedule = std::atoi(opts.at("flow-schedule").c_str()) != 0;
   }
+}
+
+/// A post-warmup statistic in ms, or "n/a" when every iteration of the job
+/// fell inside the warmup and the sample is empty.
+std::string post_warmup_ms(const ScenarioJobStats& j, double ms) {
+  return j.cdf.empty() ? "n/a" : TextTable::num(ms, 1);
 }
 
 int cmd_scenario(const std::vector<std::string>& job_args,
@@ -837,8 +843,8 @@ int cmd_scenario(const std::vector<std::string>& job_args,
   for (std::size_t i = 0; i < result.jobs.size(); ++i) {
     const auto& j = result.jobs[i];
     table.add_row({j.name, std::to_string(j.iterations),
-                   TextTable::num(j.mean_ms, 1), TextTable::num(j.median_ms, 1),
-                   TextTable::num(j.p95_ms, 1),
+                   post_warmup_ms(j, j.mean_ms), post_warmup_ms(j, j.median_ms),
+                   post_warmup_ms(j, j.p95_ms),
                    TextTable::num(
                        jobs[i].profile.solo_iteration(goodput).to_millis(),
                        1)});
@@ -920,8 +926,8 @@ int cmd_faults(
   TextTable table({"job", "iterations", "mean ms", "median ms", "p95 ms"});
   for (const auto& j : result.jobs) {
     table.add_row({j.name, std::to_string(j.iterations),
-                   TextTable::num(j.mean_ms, 1), TextTable::num(j.median_ms, 1),
-                   TextTable::num(j.p95_ms, 1)});
+                   post_warmup_ms(j, j.mean_ms), post_warmup_ms(j, j.median_ms),
+                   post_warmup_ms(j, j.p95_ms)});
   }
   std::printf("%s\n", table.render().c_str());
 
@@ -963,13 +969,7 @@ int cmd_sweep(const std::vector<std::string>& job_args,
 
   const std::vector<ScenarioJob> base_jobs = parse_scenario_jobs(job_args);
   ScenarioConfig base_cfg;
-  if (opts.contains("policy")) {
-    base_cfg.policy = parse_policy_kind(opts.at("policy"));
-  }
-  base_cfg.duration =
-      Duration::seconds(opts.contains("seconds")
-                            ? std::atoi(opts.at("seconds").c_str())
-                            : 20);
+  apply_scenario_opts(base_cfg, opts);
 
   SweepOptions sw;
   if (opts.contains("threads")) {
@@ -1002,7 +1002,9 @@ int cmd_sweep(const std::vector<std::string>& job_args,
   TextTable table(headers);
   for (std::size_t i = 0; i < values.size(); ++i) {
     std::vector<std::string> row = {TextTable::num(values[i], 1)};
-    for (const auto& j : results[i].jobs) row.push_back(TextTable::num(j.mean_ms, 1));
+    for (const auto& j : results[i].jobs) {
+      row.push_back(post_warmup_ms(j, j.mean_ms));
+    }
     table.add_row(row);
   }
   std::printf("%s", table.render().c_str());
@@ -1249,10 +1251,9 @@ BranchOutcome run_scenario_branch(const RunSpec& rs, const Snapshot& target,
   out.jsonl = trace.oss.str();
   for (const auto& j : result.jobs) {
     if (!out.summary.empty()) out.summary += " | ";
-    char buf[128];
-    std::snprintf(buf, sizeof(buf), "%s: %zu iters, mean %.1f ms",
-                  j.name.c_str(), j.iterations, j.mean_ms);
-    out.summary += buf;
+    out.summary += j.name + ": " + std::to_string(j.iterations) +
+                   " iters, mean " + post_warmup_ms(j, j.mean_ms);
+    if (!j.cdf.empty()) out.summary += " ms";
   }
   return out;
 }
