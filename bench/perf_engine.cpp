@@ -313,10 +313,11 @@ int run_json_mode(const std::string& path, double baseline_ms,
   std::fprintf(f, "    \"speedup\": %.2f,\n", serial_ms / pool_ms);
   std::fprintf(f, "    \"bit_identical\": %s", identical ? "true" : "false");
   // Only when the host genuinely cannot show pool speedup: fewer hardware
-  // threads than pool workers means the pool time is core-bound, not a
-  // regression worth chasing.
+  // threads than sweep threads (thread_count() already counts the calling
+  // thread) means the pool time is core-bound, not a regression worth
+  // chasing.
   const unsigned hw = std::thread::hardware_concurrency();
-  if (hw != 0 && hw < pool.thread_count() + 1) {
+  if (hw != 0 && hw < pool.thread_count()) {
     std::fprintf(f, ",\n    \"note\": \"pool speedup is bounded by available "
                     "cores (%u hardware threads for %u workers); on a "
                     "single-CPU host it cannot exceed 1.0\"\n", hw,

@@ -5,6 +5,8 @@
 #include <benchmark/benchmark.h>
 
 #include "core/solver.h"
+#include "workload/model_zoo.h"
+#include "workload/profiler.h"
 
 using namespace ccml;
 
@@ -81,5 +83,50 @@ void BM_UnifiedCircleOverlap(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_UnifiedCircleOverlap);
+
+// The s6 multi-bottleneck mix at 4:1 oversubscription: three VGG19(1200)
+// and one BERT(16) at the fabric-bound profile rate.  Their LCM exceeds the
+// 30 s cap, so the circle is clamped and every job repeats many times.
+std::vector<CommProfile> s6_mix() {
+  const auto profile = [](const char* model, int batch) {
+    const auto calibrated = ModelZoo::calibrated(model, batch);
+    return analytic_profile(
+        calibrated ? *calibrated : ModelZoo::analytic(model, batch, 4),
+        Rate::gbps(0.85 * 37.5));
+  };
+  return {profile("VGG19", 1200), profile("VGG19", 1200),
+          profile("VGG19", 1200), profile("BERT", 16)};
+}
+
+// Full re-score: rotate every job and sweep them all.
+void BM_CircleFullSweep(benchmark::State& state) {
+  const std::vector<CommProfile> jobs = s6_mix();
+  const UnifiedCircle circle(jobs);
+  std::vector<Duration> rot = {Duration::zero(), Duration::millis(300),
+                               Duration::millis(700), Duration::millis(150)};
+  std::int64_t step = 0;
+  for (auto _ : state) {
+    rot[1] = Duration::millis(step++ % 997);
+    benchmark::DoNotOptimize(circle.sweep(rot));
+  }
+  state.counters["clamped"] = circle.exact() ? 0 : 1;
+}
+BENCHMARK(BM_CircleFullSweep);
+
+// One-job re-score, as in an annealing step whose moves are rejected: the
+// others' depth profile is built once and job 1 is scored against it.
+void BM_CircleOneJobRescore(benchmark::State& state) {
+  const std::vector<CommProfile> jobs = s6_mix();
+  const UnifiedCircle circle(jobs);
+  CircleScorer scorer(circle, CircleLimit{});
+  std::vector<Duration> rot = {Duration::zero(), Duration::millis(300),
+                               Duration::millis(700), Duration::millis(150)};
+  std::int64_t step = 0;
+  for (auto _ : state) {
+    rot[1] = Duration::millis(step++ % 997);
+    benchmark::DoNotOptimize(scorer.violated_ns(rot, 1));
+  }
+}
+BENCHMARK(BM_CircleOneJobRescore);
 
 }  // namespace

@@ -23,9 +23,10 @@
 // both baselines.
 //
 // --json FILE additionally records the bench's own engine throughput
-// (simulated seconds per wall second over all runs) and a determinism
-// probe (same seed twice must give byte-identical reports); CI gates both
-// via tools/check_perf.py --section multi_bottleneck.
+// (simulated seconds per wall second over all runs), a determinism probe
+// (same seed twice must give byte-identical reports) and the solver's work:
+// rotation assignments scored and wall ns per scoring.  CI gates all but
+// the ns via tools/check_perf.py --section multi_bottleneck.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -172,6 +173,10 @@ int main(int argc, char** argv) {
                    "worst job", "mean queue ms", "solves"});
   double sum[3] = {0.0, 0.0, 0.0};
   int runs = 0;
+  // Solver work over every run: rotation assignments scored (deterministic)
+  // and the wall time spent solving.
+  std::uint64_t evaluations = 0;
+  std::uint64_t solver_micros = 0;
   const auto t0 = std::chrono::steady_clock::now();
   for (const Point& pt : sweep) {
     const Topology topo = Topology::leaf_spine(
@@ -201,6 +206,9 @@ int main(int argc, char** argv) {
         admitted[p] += r.admitted;
         rejected[p] += r.rejected;
         solves[p] += r.resolve.component_solves;
+        evaluations += r.resolve.evaluations;
+        solver_micros +=
+            r.resolve.wall_micros + r.resolve.component_wall_micros;
         ++runs;
       }
     }
@@ -268,8 +276,14 @@ int main(int argc, char** argv) {
     std::fprintf(f, "    },\n");
     std::fprintf(f, "    \"graph_wins\": %s,\n",
                  graph_wins ? "true" : "false");
-    std::fprintf(f, "    \"deterministic\": %s\n",
+    std::fprintf(f, "    \"deterministic\": %s,\n",
                  deterministic ? "true" : "false");
+    std::fprintf(f, "    \"solver\": {\n");
+    std::fprintf(f, "      \"evaluations\": %llu,\n",
+                 static_cast<unsigned long long>(evaluations));
+    std::fprintf(f, "      \"ns_per_evaluation\": %.0f\n",
+                 evaluations > 0 ? solver_micros * 1e3 / evaluations : 0.0);
+    std::fprintf(f, "    }\n");
     std::fprintf(f, "  }\n");
     std::fprintf(f, "}\n");
     std::fclose(f);

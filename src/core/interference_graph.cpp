@@ -148,15 +148,25 @@ GraphResult InterferenceGraph::solve(std::span<const GraphJob> jobs,
                                 std::move(circle), SolverResult{}});
   }
 
-  const auto evaluate_link = [&](const SharedLink& sl,
-                                 std::span<const Duration> global) {
-    std::vector<Duration> rots;
-    rots.reserve(sl.jobs.size());
+  // Per-link scoring: the link's members' global rotations wrapped onto
+  // their own periods, scored on the link's circle.
+  const CircleLimit limit = violation_limit(options_.solver);
+  std::vector<Duration> rots;
+  const auto link_rotations = [&](const SharedLink& sl,
+                                  std::span<const Duration> global) {
+    rots.clear();
     for (std::size_t k = 0; k < sl.jobs.size(); ++k) {
       rots.push_back(
           wrap_to_circle(global[sl.jobs[k]], sl.profiles[k].period));
     }
-    return circle_violation_fraction(sl.circle, rots, options_.solver);
+    return std::span<const Duration>(rots);
+  };
+  const auto evaluate_link = [&](const SharedLink& sl,
+                                 std::span<const Duration> global) {
+    ++out.evaluations;
+    return static_cast<double>(
+               sl.circle.sweep(link_rotations(sl, global), limit).violated_ns) /
+           static_cast<double>(sl.circle.perimeter().ns());
   };
 
   const auto finalize = [&](std::span<const Duration> global) {
@@ -299,6 +309,19 @@ GraphResult InterferenceGraph::solve(std::span<const GraphJob> jobs,
       link_viol[li] = evaluate_link(shared[li], global);
       current += link_viol[li];
     }
+    // A move re-scores only the moved job on each of its links.
+    std::vector<CircleScorer> scorers;
+    scorers.reserve(shared.size());
+    for (const SharedLink& sl : shared) scorers.emplace_back(sl.circle, limit);
+    const auto rescore = [&](std::size_t li, std::size_t job) {
+      const SharedLink& sl = shared[li];
+      const auto k = static_cast<std::size_t>(
+          std::lower_bound(sl.jobs.begin(), sl.jobs.end(), job) -
+          sl.jobs.begin());
+      return static_cast<double>(
+                 scorers[li].violated_ns(link_rotations(sl, global), k)) /
+             static_cast<double>(sl.circle.perimeter().ns());
+    };
     std::vector<Duration> best = global;
     double best_total = current;
     Rng rng(options_.solver.seed);
@@ -315,7 +338,7 @@ GraphResult InterferenceGraph::solve(std::span<const GraphJob> jobs,
       double delta_obj = 0.0;
       std::vector<double> touched(job_shared[j].size());
       for (std::size_t t = 0; t < job_shared[j].size(); ++t) {
-        touched[t] = evaluate_link(shared[job_shared[j][t]], global);
+        touched[t] = rescore(job_shared[j][t], j);
         delta_obj += touched[t] - link_viol[job_shared[j][t]];
       }
       if (delta_obj <= 0.0 ||
@@ -332,6 +355,7 @@ GraphResult InterferenceGraph::solve(std::span<const GraphJob> jobs,
         global[j] = old;
       }
     }
+    for (const CircleScorer& sc : scorers) out.evaluations += sc.evaluations();
     global = std::move(best);
     finalize(global);
   }

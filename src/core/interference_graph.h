@@ -105,6 +105,10 @@ struct GraphResult {
   double total_violation = 0.0;          ///< sum over shared links
   bool circle_exact = true;              ///< no link's circle was clamped
   std::uint64_t link_solves = 0;         ///< per-link solver invocations
+  /// Per-link scorings of a global assignment (warm-start check,
+  /// propagation verdicts and refinement steps); per-link solves count
+  /// their own in SolverResult::evaluations.
+  std::uint64_t evaluations = 0;
 };
 
 class InterferenceGraph {

@@ -7,33 +7,6 @@
 
 namespace ccml {
 
-namespace {
-
-/// Smallest forward gap from any of job j's arc ends to the next arc of any
-/// other job on the unified circle; Duration::max()-like large value when no
-/// other job communicates.
-Duration guard_window(const UnifiedCircle& circle,
-                      std::span<const Duration> rotations, std::size_t j) {
-  const Duration perimeter = circle.perimeter();
-  CircularIntervalSet occupied(perimeter);
-  for (std::size_t k = 0; k < circle.job_count(); ++k) {
-    if (k == j) continue;
-    occupied =
-        CircularIntervalSet::unite(occupied, circle.job_arcs(k, rotations[k]));
-  }
-  const CircularIntervalSet mine = circle.job_arcs(j, rotations[j]);
-  if (occupied.empty() || mine.empty()) return perimeter;
-  Duration guard = perimeter;
-  for (const auto& [mlo, mhi] : mine.segments()) {
-    for (const auto& [olo, ohi] : occupied.segments()) {
-      guard = std::min(guard, wrap_to_circle(olo - mhi, perimeter));
-    }
-  }
-  return guard;
-}
-
-}  // namespace
-
 FlowSchedule make_flow_schedule(std::span<const CommProfile> jobs,
                                 std::span<const Duration> rotations,
                                 TimePoint epoch) {
@@ -56,7 +29,8 @@ FlowSchedule make_flow_schedule(std::span<const CommProfile> jobs,
       slot.phase_offsets.push_back(
           wrap_to_circle(slot.job_start_offset + arc.start, job.period));
     }
-    slot.window = guard_window(circle, rotations, j);
+    // Guard window: the forward gap to the next arc of any other job.
+    slot.window = circle.slide_room(rotations, j).forward;
     schedule.slots.push_back(slot);
   }
   return schedule;
@@ -101,7 +75,8 @@ FlowSchedule make_graph_flow_schedule(std::span<const GraphJob> jobs,
     const UnifiedCircle circle(profiles);
     for (std::size_t k = 0; k < v.jobs.size(); ++k) {
       CommSlot& slot = schedule.slots[v.jobs[k]];
-      slot.window = std::min(slot.window, guard_window(circle, rotations, k));
+      slot.window =
+          std::min(slot.window, circle.slide_room(rotations, k).forward);
     }
   }
   return schedule;

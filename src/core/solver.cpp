@@ -11,49 +11,19 @@
 
 namespace ccml {
 
-namespace {
-
-struct Boundary {
-  std::int64_t pos;
-  int count_delta;
-  double demand_delta;
-};
-
-void collect(const CircularIntervalSet& set, double demand_bps,
-             std::vector<Boundary>& out) {
-  for (const auto& [lo, hi] : set.segments()) {
-    out.push_back({lo.ns(), +1, demand_bps});
-    out.push_back({hi.ns(), -1, -demand_bps});
-  }
+CircleLimit violation_limit(const SolverOptions& opts) {
+  CircleLimit limit;
+  limit.max_count = opts.max_concurrent;
+  limit.bandwidth = opts.mode == SolverOptions::Mode::kBandwidth;
+  limit.max_demand_bps = opts.link_capacity.bits_per_sec() * (1.0 + 1e-9);
+  return limit;
 }
-
-}  // namespace
 
 double circle_violation_fraction(const UnifiedCircle& circle,
                                  std::span<const Duration> rotations,
                                  const SolverOptions& opts) {
-  std::vector<Boundary> bounds;
-  for (std::size_t j = 0; j < circle.job_count(); ++j) {
-    collect(circle.job_arcs(j, rotations[j]),
-            circle.job(j).demand.bits_per_sec(), bounds);
-  }
-  std::sort(bounds.begin(), bounds.end(),
-            [](const Boundary& a, const Boundary& b) { return a.pos < b.pos; });
-  std::int64_t violated = 0;
-  int depth = 0;
-  double demand = 0.0;
-  std::int64_t prev = 0;
-  const double cap_bps = opts.link_capacity.bits_per_sec() * (1.0 + 1e-9);
-  for (const Boundary& b : bounds) {
-    const bool bad = opts.mode == SolverOptions::Mode::kCount
-                         ? depth > opts.max_concurrent
-                         : demand > cap_bps;
-    if (bad) violated += b.pos - prev;
-    depth += b.count_delta;
-    demand += b.demand_delta;
-    prev = b.pos;
-  }
-  return static_cast<double>(violated) /
+  return static_cast<double>(
+             circle.sweep(rotations, violation_limit(opts)).violated_ns) /
          static_cast<double>(circle.perimeter().ns());
 }
 
@@ -106,34 +76,12 @@ std::vector<Duration> spread_slack_rotations(const UnifiedCircle& circle,
                                              int rounds) {
   const std::size_t n = circle.job_count();
   if (n < 2) return rotations;
-  const Duration perimeter = circle.perimeter();
   for (int round = 0; round < rounds; ++round) {
     for (std::size_t j = 0; j < n; ++j) {
-      // Occupied arcs of everyone else.
-      CircularIntervalSet occupied(perimeter);
-      for (std::size_t k = 0; k < n; ++k) {
-        if (k == j) continue;
-        occupied = CircularIntervalSet::unite(
-            occupied, circle.job_arcs(k, rotations[k]));
-      }
-      if (occupied.empty()) continue;
-      const CircularIntervalSet mine = circle.job_arcs(j, rotations[j]);
-      if (mine.empty()) continue;
-      // Forward slide distance: min over my segment-ends of the cyclic gap
-      // to the next occupied segment-start.  Backward: symmetric.
-      Duration fwd = perimeter;
-      Duration bwd = perimeter;
-      for (const auto& [mlo, mhi] : mine.segments()) {
-        Duration best_fwd = perimeter;
-        Duration best_bwd = perimeter;
-        for (const auto& [olo, ohi] : occupied.segments()) {
-          best_fwd = std::min(best_fwd, wrap_to_circle(olo - mhi, perimeter));
-          best_bwd = std::min(best_bwd, wrap_to_circle(mlo - ohi, perimeter));
-        }
-        fwd = std::min(fwd, best_fwd);
-        bwd = std::min(bwd, best_bwd);
-      }
-      const Duration shift = (fwd - bwd) / 2;
+      // Equal room on both sides once shifted by half the difference (zero
+      // when either side has no arcs).
+      const SlideRoom room = circle.slide_room(rotations, j);
+      const Duration shift = (room.forward - room.backward) / 2;
       if (shift.ns() != 0) {
         rotations[j] =
             wrap_to_circle(rotations[j] + shift, circle.job(j).period);
@@ -141,6 +89,29 @@ std::vector<Duration> spread_slack_rotations(const UnifiedCircle& circle,
     }
   }
   return rotations;
+}
+
+/// CompatibilitySolver::necessary_condition on an already built circle.
+bool passes_necessary_condition(const UnifiedCircle& circle,
+                                const SolverOptions& options) {
+  const double L = static_cast<double>(circle.perimeter().ns());
+  if (options.mode == SolverOptions::Mode::kCount) {
+    double total = 0.0;
+    for (std::size_t j = 0; j < circle.job_count(); ++j) {
+      total += static_cast<double>(circle.job(j).comm_time().ns()) *
+               static_cast<double>(circle.repetitions(j));
+    }
+    return total <= L * options.max_concurrent * (1.0 + 1e-9);
+  }
+  double bit_budget = options.link_capacity.bits_per_sec() * L * 1e-9;
+  double demand_bits = 0.0;
+  for (std::size_t j = 0; j < circle.job_count(); ++j) {
+    const CommProfile& job = circle.job(j);
+    demand_bits += job.demand.bits_per_sec() *
+                   static_cast<double>(job.comm_time().ns()) * 1e-9 *
+                   static_cast<double>(circle.repetitions(j));
+  }
+  return demand_bits <= bit_budget * (1.0 + 1e-9);
 }
 
 /// Candidate rotations for job j: multiples of the sector length within the
@@ -169,24 +140,8 @@ CompatibilitySolver::CompatibilitySolver(SolverOptions options)
 
 bool CompatibilitySolver::necessary_condition(
     std::span<const CommProfile> jobs) const {
-  const UnifiedCircle circle(jobs, options_.circle);
-  const double L = static_cast<double>(circle.perimeter().ns());
-  if (options_.mode == SolverOptions::Mode::kCount) {
-    double total = 0.0;
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-      total += static_cast<double>(jobs[j].comm_time().ns()) *
-               static_cast<double>(circle.repetitions(j));
-    }
-    return total <= L * options_.max_concurrent * (1.0 + 1e-9);
-  }
-  double bit_budget = options_.link_capacity.bits_per_sec() * L * 1e-9;
-  double demand_bits = 0.0;
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    demand_bits += jobs[j].demand.bits_per_sec() *
-                   static_cast<double>(jobs[j].comm_time().ns()) * 1e-9 *
-                   static_cast<double>(circle.repetitions(j));
-  }
-  return demand_bits <= bit_budget * (1.0 + 1e-9);
+  return passes_necessary_condition(UnifiedCircle(jobs, options_.circle),
+                                    options_);
 }
 
 SolverResult CompatibilitySolver::solve(
@@ -197,11 +152,19 @@ SolverResult CompatibilitySolver::solve(
   const std::size_t n = jobs.size();
   result.rotations.assign(n, Duration::zero());
   result.circle_exact = circle.exact();
+  CircleScorer scorer(circle, violation_limit(options_));
   // On a clamped (inexact) circle the jobs do not truly repeat, so no
   // verdict derived from it is a proof; downgrade at every exit.
   const auto finalize = [&](SolverResult& r) -> SolverResult& {
     if (!r.circle_exact) r.proven = false;
+    r.evaluations = scorer.evaluations();
     return r;
+  };
+  // Circle violation (as a fraction) plus the GPU multi-tenancy term.
+  const double perimeter_ns = static_cast<double>(circle.perimeter().ns());
+  const auto total_violation = [&](std::span<const Duration> r) {
+    return static_cast<double>(scorer.violated_ns(r)) / perimeter_ns +
+           gpu_violation_fraction(circle, r, options_.gpu_groups);
   };
 
   if (n == 1) {
@@ -220,10 +183,7 @@ SolverResult CompatibilitySolver::solve(
     for (std::size_t j = 0; j < n; ++j) {
       warm[j] = wrap_to_circle(options_.warm_start[j], jobs[j].period);
     }
-    const double v =
-        circle_violation_fraction(circle, warm, options_) +
-        gpu_violation_fraction(circle, warm, options_.gpu_groups);
-    if (v == 0.0) {
+    if (total_violation(warm) == 0.0) {
       result.compatible = true;
       result.proven = true;
       result.rotations = std::move(warm);
@@ -234,7 +194,7 @@ SolverResult CompatibilitySolver::solve(
   }
 
   // Cheap analytic refutation first.
-  const bool maybe = necessary_condition(jobs);
+  const bool maybe = passes_necessary_condition(circle, options_);
 
   // Search order: heaviest communicators first (fail fast), original index
   // remembered for reporting.
@@ -367,12 +327,13 @@ SolverResult CompatibilitySolver::solve(
     // a job occupies every sector its arcs touch.
     const int S = options_.sectors;
     const std::int64_t L = circle.perimeter().ns();
-    auto sectors_of = [&](const CircularIntervalSet& set) {
+    std::vector<CircleSegment> placed;
+    auto sectors_of = [&](const std::vector<CircleSegment>& segs) {
       std::vector<int> touched;
-      for (const auto& [lo, hi] : set.segments()) {
-        const auto first = static_cast<std::int64_t>(lo.ns()) * S / L;
+      for (const auto& [lo, hi] : segs) {
+        const auto first = lo * S / L;
         // hi is exclusive; the last touched sector contains hi-1.
-        const auto last = (hi.ns() - 1) * S / L;
+        const auto last = (hi - 1) * S / L;
         for (std::int64_t s = first; s <= last && s < S; ++s) {
           touched.push_back(static_cast<int>(s));
         }
@@ -398,7 +359,9 @@ SolverResult CompatibilitySolver::solve(
           budget_exhausted = true;
           return false;
         }
-        const auto touched = sectors_of(circle.job_arcs(j, r));
+        placed.clear();
+        circle.rotated_segments(j, r, placed);
+        const auto touched = sectors_of(placed);
         bool ok = true;
         for (const int s : touched) {
           if (load[s] + unit > cap * (1.0 + 1e-9)) {
@@ -443,10 +406,6 @@ SolverResult CompatibilitySolver::solve(
       rot[j] = wrap_to_circle(options_.warm_start[j], jobs[j].period);
     }
   }
-  auto total_violation = [&](std::span<const Duration> r) {
-    return circle_violation_fraction(circle, r, options_) +
-           gpu_violation_fraction(circle, r, options_.gpu_groups);
-  };
   double best_v = total_violation(rot);
   std::vector<Duration> best = rot;
   if (options_.anneal_fallback && n > 1) {
@@ -465,7 +424,10 @@ SolverResult CompatibilitySolver::solve(
       Duration next = old + Duration::from_seconds_f(rng.gaussian(0.0, sigma));
       next = wrap_to_circle(next, period);
       rot[jj] = next;
-      const double v = total_violation(rot);
+      // Only job jj moved: re-score it against the others' depth profile.
+      const double v =
+          static_cast<double>(scorer.violated_ns(rot, jj)) / perimeter_ns +
+          gpu_violation_fraction(circle, rot, options_.gpu_groups);
       const double delta = v - cur_v;
       if (delta <= 0.0 || rng.chance(std::exp(-delta / std::max(temp, 1e-6)))) {
         cur_v = v;

@@ -85,6 +85,9 @@ struct SolverResult {
   /// Fraction of the circle where >= 2 jobs communicate (diagnostic).
   double overlap_fraction = 1.0;
   std::uint64_t nodes_explored = 0;
+  /// Rotation assignments scored (warm-start check and annealing steps);
+  /// a deterministic work counter.
+  std::uint64_t evaluations = 0;
   /// False when the unified circle clamped its perimeter (the periods' LCM
   /// exceeded the cap): jobs then only approximately repeat around the
   /// circle, so the verdict is best-effort and never reported `proven`.
@@ -121,6 +124,9 @@ class CompatibilitySolver {
  private:
   SolverOptions options_;
 };
+
+/// The sweep limit that scores `opts`'s constraint (count or bandwidth).
+CircleLimit violation_limit(const SolverOptions& opts);
 
 /// Fraction of `circle` where the constraint selected by `opts` (count or
 /// bandwidth) is violated under the given per-job rotations.  Shared by the

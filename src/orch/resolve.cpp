@@ -48,6 +48,7 @@ IncrementalResolver::Answer IncrementalResolver::solve_group(
 
   ++stats_.solves;
   stats_.nodes_explored += result.nodes_explored;
+  stats_.evaluations += result.evaluations;
   stats_.wall_micros += static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0).count());
   // A compatible verdict with zero nodes explored means the warm-start
@@ -80,11 +81,20 @@ IncrementalResolver::ComponentAnswer IncrementalResolver::solve_component(
                                std::vector<Duration> warm) {
     return *solve_group(profiles, std::move(warm)).result;
   });
+  const std::uint64_t link_micros = stats_.wall_micros;
+  const auto t0 = std::chrono::steady_clock::now();
   GraphResult result =
       graph.solve(jobs, warm_start.size() == jobs.size()
                             ? std::span<const Duration>(warm_start)
                             : std::span<const Duration>{});
+  const auto t1 = std::chrono::steady_clock::now();
   ++stats_.component_solves;
+  stats_.evaluations += result.evaluations;
+  const auto micros = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0).count());
+  // The graph's own time: its link solves already went into wall_micros.
+  const std::uint64_t nested = stats_.wall_micros - link_micros;
+  stats_.component_wall_micros += micros > nested ? micros - nested : 0;
 
   auto [it, inserted] = component_cache_.emplace(std::move(sig),
                                                  std::move(result));

@@ -32,14 +32,18 @@ struct ResolveStats {
   std::uint64_t cache_hits = 0;       ///< groups answered from the cache
   std::uint64_t warm_start_hits = 0;  ///< solves certified by the warm start
   std::uint64_t nodes_explored = 0;   ///< total DFS nodes across all solves
+  /// Rotation assignments scored by link solves and graph solves: a
+  /// deterministic work counter, kept out of reports and snapshots.
+  std::uint64_t evaluations = 0;
   /// Interference-graph components (multi-bottleneck sharing groups) sent to
   /// the graph solver / answered from the component cache.
   std::uint64_t component_solves = 0;
   std::uint64_t component_cache_hits = 0;
-  /// Wall-clock spent inside the solver.  Nondeterministic — kept for
-  /// programmatic consumers (benchmarks); never part of a deterministic
-  /// report.
+  /// Wall-clock spent inside link solves, and inside graph solves outside
+  /// their link solves.  Nondeterministic — kept for programmatic consumers
+  /// (benchmarks); never part of a deterministic report.
   std::uint64_t wall_micros = 0;
+  std::uint64_t component_wall_micros = 0;
 
   std::uint64_t lookups() const { return solves + cache_hits; }
   double hit_rate() const {

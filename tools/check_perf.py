@@ -17,7 +17,9 @@ Three sections are understood, chosen with --section:
   multi_bottleneck  — s6_multi_bottleneck --json output; additionally
     requires graph_wins (compat-graph strictly below both baselines on
     mean completion slowdown) and deterministic to be true in the fresh
-    run — the bench's correctness claims are gated alongside its speed.
+    run — the bench's correctness claims are gated alongside its speed —
+    and solver.evaluations (rotation assignments scored, a deterministic
+    work counter) to equal the floor's exactly, whatever the host noise.
   transport_zoo     — s7_transport_zoo --json output; additionally
     requires deterministic (repeated run fingerprints byte-identically)
     and catalogue_complete (every registered transport name round-trips
@@ -93,6 +95,15 @@ def main():
                 fail(f"{args.fresh}: multi_bottleneck.{flag} is "
                      f"{block.get(flag)!r}, not true — the oversubscription "
                      "sweep's correctness claim does not hold")
+        want = floor.get("multi_bottleneck", {}).get("solver", {}) \
+            .get("evaluations")
+        have = block.get("solver", {}).get("evaluations")
+        if not isinstance(want, int):
+            fail(f"{args.floor}: multi_bottleneck.solver.evaluations missing")
+        if have != want:
+            fail(f"{args.fresh}: multi_bottleneck.solver.evaluations is "
+                 f"{have!r}, floor {want} — the solver's work changed; "
+                 "update the floor only with a reason")
     else:
         block = fresh.get("transport_zoo", {})
         for flag in ("deterministic", "catalogue_complete"):
