@@ -12,10 +12,14 @@
 // time per 4 sim-s via --baseline-ms to get a speedup ratio in the file)
 // and (2) an 8-point parameter sweep run serially and with a SweepRunner
 // pool, verifying the results are bit-identical and recording the wall
-// times of both.
+// times of both.  Its "kernels" block also prices the JSONL trace path:
+// exact event and byte counts of one traced run, ns per event, and the
+// traced/untraced wall-time ratio.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <functional>
@@ -24,6 +28,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/cli.h"
 #include "cc/factory.h"
 #include "cc/water_fill.h"
 #include "cluster/scenario.h"
@@ -93,11 +98,17 @@ double waterfill_pass_ms() {
   return best / kPasses;
 }
 
+struct TracedRun {
+  double best_ms = 1e300;
+  std::uint64_t events = 0;  ///< JSONL lines of one run (deterministic)
+  std::uint64_t bytes = 0;   ///< JSONL bytes of one run (deterministic)
+};
+
 /// Best wall time of the engine scenario with a JSONL sink attached: the
 /// delta over the untraced best is the cost of the trace path (event
 /// construction + serialization), which untraced runs skip entirely.
-double traced_best_ms(int reps) {
-  double best = 1e300;
+TracedRun traced_best(int reps) {
+  TracedRun best;
   for (int i = 0; i < reps; ++i) {
     std::ostringstream out;
     TraceBus bus;
@@ -107,8 +118,11 @@ double traced_best_ms(int reps) {
     const double ms =
         wall_ms_of([&] { r = run_dcqcn_dumbbell(kSimSeconds, &bus); });
     benchmark::DoNotOptimize(r.jobs.size());
-    benchmark::DoNotOptimize(out.str().size());
-    if (ms < best) best = ms;
+    const std::string text = out.str();
+    best.bytes = text.size();
+    best.events = static_cast<std::uint64_t>(
+        std::count(text.begin(), text.end(), '\n'));
+    if (ms < best.best_ms) best.best_ms = ms;
   }
   return best;
 }
@@ -240,10 +254,17 @@ int run_json_mode(const std::string& path, double baseline_ms,
   // dominated by it), one waterfill allocation pass, and the trace path's
   // cost over an untraced run.
   const double waterfill_ms = waterfill_pass_ms();
-  const double traced_ms = traced_best_ms(3);
+  const TracedRun traced = traced_best(3);
+  const double traced_ms = traced.best_ms;
+  const double trace_ns_per_event =
+      (traced_ms - best_ms) * 1e6 / static_cast<double>(traced.events);
   std::printf("  kernels: dcqcn %.2f ms/4-sim-s, waterfill %.4f ms/pass, "
-              "trace +%.2f ms when sinked\n",
-              best_ms, waterfill_ms, traced_ms - best_ms);
+              "trace +%.2f ms when sinked (%llu events, %llu bytes, "
+              "%.0f ns/event, %.2fx untraced)\n",
+              best_ms, waterfill_ms, traced_ms - best_ms,
+              static_cast<unsigned long long>(traced.events),
+              static_cast<unsigned long long>(traced.bytes),
+              trace_ns_per_event, traced_ms / best_ms);
 
   // 8-point sweep, serial vs pooled, results must match bit-for-bit.
   const std::vector<double> grid = {55, 80, 100, 125, 160, 200, 250, 300};
@@ -302,7 +323,14 @@ int run_json_mode(const std::string& path, double baseline_ms,
   std::fprintf(f, "    \"dcqcn_wall_ms\": %.3f,\n", best_ms);
   std::fprintf(f, "    \"waterfill_pass_ms\": %.4f,\n", waterfill_ms);
   std::fprintf(f, "    \"traced_wall_ms\": %.3f,\n", traced_ms);
-  std::fprintf(f, "    \"trace_overhead_ms\": %.3f\n", traced_ms - best_ms);
+  std::fprintf(f, "    \"trace_overhead_ms\": %.3f,\n", traced_ms - best_ms);
+  std::fprintf(f, "    \"trace_events\": %llu,\n",
+               static_cast<unsigned long long>(traced.events));
+  std::fprintf(f, "    \"trace_bytes\": %llu,\n",
+               static_cast<unsigned long long>(traced.bytes));
+  std::fprintf(f, "    \"trace_ns_per_event\": %.1f,\n", trace_ns_per_event);
+  std::fprintf(f, "    \"traced_over_untraced\": %.2f\n",
+               traced_ms / best_ms);
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"sweep\": {\n");
   std::fprintf(f, "    \"grid_points\": %zu,\n", grid.size());
@@ -342,9 +370,10 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--baseline-ms") == 0 && i + 1 < argc) {
-      baseline_ms = std::atof(argv[++i]);
+      baseline_ms = bench::positive_number("--baseline-ms", argv[++i]);
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      sweep_threads = static_cast<unsigned>(std::atoi(argv[++i]));
+      sweep_threads = static_cast<unsigned>(
+          bench::positive_count("--threads", argv[++i]));
     }
   }
   if (!json_path.empty()) {

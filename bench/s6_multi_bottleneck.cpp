@@ -34,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/cli.h"
 #include "orch/orchestrator.h"
 #include "telemetry/table.h"
 
@@ -113,7 +114,7 @@ int main(int argc, char** argv) {
   std::string json_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--seconds") == 0 && i + 1 < argc) {
-      seconds = std::atof(argv[++i]);
+      seconds = bench::positive_number("--seconds", argv[++i]);
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     }

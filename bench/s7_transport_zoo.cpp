@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/cli.h"
 #include "cc/policy/registry.h"
 #include "cluster/scenario.h"
 #include "telemetry/table.h"
@@ -118,7 +119,7 @@ int main(int argc, char** argv) {
   std::string json_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--seconds") == 0 && i + 1 < argc) {
-      seconds = std::atof(argv[++i]);
+      seconds = bench::positive_number("--seconds", argv[++i]);
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     }

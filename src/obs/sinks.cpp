@@ -1,6 +1,9 @@
 #include "obs/sinks.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
+#include <cstring>
 #include <string_view>
 
 namespace ccml {
@@ -60,30 +63,121 @@ std::vector<TraceEvent> RingBufferSink::events() const {
 JsonlSink::JsonlSink(std::ostream& out, JsonlSinkOptions opts)
     : out_(out), opts_(opts) {}
 
-void JsonlSink::on_event(const TraceEvent& ev) {
-  char buf[320];
-  int n = std::snprintf(buf, sizeof(buf), "{\"t_us\":%.3f,\"kind\":\"%s\"",
-                        ev.time.since_origin().to_micros(),
-                        to_string(ev.kind));
-  const auto add = [&](const char* fmt, auto v) {
-    n += std::snprintf(buf + n, sizeof(buf) - n, fmt, v);
-  };
-  if (ev.job.valid()) add(",\"job\":%d", ev.job.value);
-  if (ev.flow.valid()) {
-    add(",\"flow\":%lld", static_cast<long long>(ev.flow.value));
+namespace {
+
+using namespace std::string_view_literals;
+
+// Longest to_chars output of each fixed-width field.  t_us is an int64 ns
+// count scaled to µs, so |t_us| < 1e16 ("-9223372036854776.000"); a double
+// in %.17g form is at most "-1.2345678901234567e-308".
+constexpr std::size_t kMaxMicrosChars = 21;
+constexpr std::size_t kMaxDoubleChars = 24;
+constexpr std::size_t kMaxInt32Chars = 11;
+constexpr std::size_t kMaxInt64Chars = 20;
+
+// Every byte of a line except the kind and detail text.
+constexpr std::size_t kMaxFixedChars =
+    "{\"t_us\":"sv.size() + kMaxMicrosChars +
+    ",\"kind\":\"\""sv.size() +
+    ",\"job\":"sv.size() + kMaxInt32Chars +
+    ",\"flow\":"sv.size() + kMaxInt64Chars +
+    ",\"link\":"sv.size() + kMaxInt32Chars +
+    ",\"links\":[]"sv.size() +
+    kTraceMaxContendedLinks * (kMaxInt32Chars + 1) +
+    ",\"value\":"sv.size() + kMaxDoubleChars +
+    ",\"value2\":"sv.size() + kMaxDoubleChars +
+    ",\"detail\":\"\""sv.size() + "}\n"sv.size();
+
+constexpr std::size_t kLineChars = 512;
+// Room left for the kind and detail text; the longest kind name is 27.
+static_assert(kMaxFixedChars + 64 <= kLineChars,
+              "JSONL fixed-width fields must leave room for kind + detail");
+
+/// One JSONL line under construction in a stack buffer.  Numbers are
+/// formatted with std::to_chars, which is specified to match printf in the
+/// C locale byte for byte (%.3f, %.17g, %d, %lld), whatever the global
+/// locale.  Text longer than the room left (only an oversized static
+/// `detail`) is written through to the stream after the bytes before it.
+class JsonlLine {
+ public:
+  explicit JsonlLine(std::ostream& out) : out_(out) {}
+
+  void text(std::string_view s) {
+    if (s.size() > static_cast<std::size_t>(end() - p_)) {
+      flush();
+      out_.write(s.data(), static_cast<std::streamsize>(s.size()));
+      return;
+    }
+    std::memcpy(p_, s.data(), s.size());
+    p_ += s.size();
   }
-  if (ev.link.valid()) add(",\"link\":%d", ev.link.value);
+  void fixed3(double v) {
+    p_ = std::to_chars(p_, end(), v, std::chars_format::fixed, 3).ptr;
+  }
+  void general17(double v) {
+    p_ = std::to_chars(p_, end(), v, std::chars_format::general, 17).ptr;
+  }
+  void integer(std::int64_t v) { p_ = std::to_chars(p_, end(), v).ptr; }
+  void flush() {
+    out_.write(buf_, p_ - buf_);
+    p_ = buf_;
+  }
+
+ private:
+  char* end() { return buf_ + kLineChars; }
+
+  std::ostream& out_;
+  char buf_[kLineChars];
+  char* p_ = buf_;
+};
+
+}  // namespace
+
+void JsonlSink::on_event(const TraceEvent& ev) {
+  JsonlLine line(out_);
+  line.text("{\"t_us\":");
+  line.fixed3(ev.time.since_origin().to_micros());
+  line.text(",\"kind\":\"");
+  line.text(to_string(ev.kind));
+  line.text("\"");
+  if (ev.job.valid()) {
+    line.text(",\"job\":");
+    line.integer(ev.job.value);
+  }
+  if (ev.flow.valid()) {
+    line.text(",\"flow\":");
+    line.integer(ev.flow.value);
+  }
+  if (ev.link.valid()) {
+    line.text(",\"link\":");
+    line.integer(ev.link.value);
+  }
   // The full contended-link set, only when it says more than "link" alone
   // (a single-bottleneck route serializes exactly as before).
   if (ev.link_count > 1) {
-    add(",\"links\":[%d", ev.links[0].value);
-    for (int i = 1; i < ev.link_count; ++i) add(",%d", ev.links[i].value);
-    n += std::snprintf(buf + n, sizeof(buf) - n, "]");
+    line.text(",\"links\":[");
+    const int count = std::min<int>(ev.link_count, kTraceMaxContendedLinks);
+    for (int i = 0; i < count; ++i) {
+      if (i > 0) line.text(",");
+      line.integer(ev.links[i].value);
+    }
+    line.text("]");
   }
-  if (ev.value != 0.0) add(",\"value\":%.17g", ev.value);
-  if (ev.value2 != 0.0) add(",\"value2\":%.17g", ev.value2);
-  if (ev.detail != nullptr) add(",\"detail\":\"%s\"", ev.detail);
-  out_ << buf << "}\n";
+  if (ev.value != 0.0) {
+    line.text(",\"value\":");
+    line.general17(ev.value);
+  }
+  if (ev.value2 != 0.0) {
+    line.text(",\"value2\":");
+    line.general17(ev.value2);
+  }
+  if (ev.detail != nullptr) {
+    line.text(",\"detail\":\"");
+    line.text(ev.detail);
+    line.text("\"");
+  }
+  line.text("}\n");
+  line.flush();
 }
 
 // --- ChromeTraceSink -------------------------------------------------------

@@ -55,7 +55,9 @@ struct JsonlSinkOptions {
   Duration sample_cadence = Duration::zero();
 };
 
-/// Newline-delimited JSON, one event per line, written as events arrive.
+/// Newline-delimited JSON, one event per line, written as events arrive:
+/// each line is formatted in a stack buffer (std::to_chars, C-locale bytes)
+/// and handed to the stream in one write before on_event returns.
 class JsonlSink : public TraceSink {
  public:
   explicit JsonlSink(std::ostream& out, JsonlSinkOptions opts = {});

@@ -22,6 +22,8 @@
 //       --job model=DLRM,batch=2000,timer_us=300,rai_mbps=40
 //   ccml_sim analyze trace.jsonl --health-report health.json
 //       --slo-min-fairness 0.8 --slo-max-anomalies 0
+#include <climits>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -216,6 +218,9 @@ std::map<std::string, std::string> parse_kv(const std::string& arg) {
   return out;
 }
 
+/// The number under `key`, or `fallback` when absent.  The whole value must
+/// parse as a finite number, and a duration key (`*_ms`, `*_us`) must not be
+/// negative; anything else is a usage error naming the key.
 double want_num(const std::map<std::string, std::string>& kv,
                 const std::string& key, std::optional<double> fallback = {}) {
   const auto it = kv.find(key);
@@ -223,7 +228,16 @@ double want_num(const std::map<std::string, std::string>& kv,
     if (fallback) return *fallback;
     usage(("missing job key: " + key).c_str());
   }
-  return std::atof(it->second.c_str());
+  const std::string& text = it->second;
+  char* end = nullptr;
+  const double v = std::strtod(text.c_str(), &end);
+  if (text.empty() || *end != '\0' || !std::isfinite(v)) {
+    usage((key + "=" + text + ": expected a finite number").c_str());
+  }
+  if (v < 0 && (key.ends_with("_ms") || key.ends_with("_us"))) {
+    usage((key + "=" + text + ": a duration must not be negative").c_str());
+  }
+  return v;
 }
 
 std::string want_str(const std::map<std::string, std::string>& kv,
@@ -232,12 +246,23 @@ std::string want_str(const std::map<std::string, std::string>& kv,
   return it == kv.end() ? fallback : it->second;
 }
 
+/// The positive integer under `key` (batch sizes, worker counts).
+int want_count(const std::map<std::string, std::string>& kv,
+               const std::string& key, std::optional<double> fallback = {}) {
+  const double v = want_num(kv, key, fallback);
+  if (v < 1 || v > INT_MAX || v != std::floor(v)) {
+    usage((key + "=" + want_str(kv, key) + ": expected a positive integer")
+              .c_str());
+  }
+  return static_cast<int>(v);
+}
+
 JobProfile job_profile_from(const std::map<std::string, std::string>& kv) {
   const std::string model = want_str(kv, "model");
   if (!model.empty()) {
-    const int batch = static_cast<int>(want_num(kv, "batch", 0.0));
+    const int batch = want_count(kv, "batch");
+    const int workers = want_count(kv, "workers", 2.0);
     if (const auto cal = ModelZoo::calibrated(model, batch)) return *cal;
-    const int workers = static_cast<int>(want_num(kv, "workers", 2.0));
     return ModelZoo::analytic(model, batch, workers);
   }
   const double compute_ms = want_num(kv, "compute_ms");
