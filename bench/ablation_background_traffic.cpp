@@ -5,6 +5,7 @@
 // compatible DLRM jobs under unfair DCQCN.
 #include <cstdio>
 #include <memory>
+#include <string>
 
 #include "bench/cli.h"
 #include "net/routing.h"
@@ -40,7 +41,7 @@ Outcome run(double background_gbps, int seconds, int priority) {
   for (int i = 0; i < 2; ++i) {
     JobSpec spec;
     spec.id = JobId{i};
-    spec.name = i == 0 ? "J1" : "J2";
+    spec.name = i == 0 ? std::string("J1") : std::string("J2");
     spec.profile = dlrm;
     spec.paths = {JobPath{hosts[2 * i], hosts[2 * i + 1],
                           router.pick(hosts[2 * i], hosts[2 * i + 1], 0)}};
@@ -110,7 +111,7 @@ int main(int argc, char** argv) {
     for (int i = 0; i < 2; ++i) {
       JobSpec spec;
       spec.id = JobId{i};
-      spec.name = i == 0 ? "J1" : "J2";
+      spec.name = i == 0 ? std::string("J1") : std::string("J2");
       spec.profile = dlrm;
       spec.priority = i;
       spec.paths = {JobPath{hosts[2 * i], hosts[2 * i + 1],

@@ -14,7 +14,8 @@
 // pool, verifying the results are bit-identical and recording the wall
 // times of both.  Its "kernels" block also prices the JSONL trace path:
 // exact event and byte counts of one traced run, ns per event, and the
-// traced/untraced wall-time ratio.
+// traced/untraced wall-time ratio; and the max-min dumbbell: its throughput
+// and the exact number of allocations one run computes.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -44,12 +45,12 @@ namespace {
 
 constexpr double kSimSeconds = 4.0;
 
-ScenarioResult run_dcqcn_dumbbell(double sim_seconds,
-                                  TraceBus* trace = nullptr) {
+/// Two DLRM(2000) jobs sharing the dumbbell for kSimSeconds under `kind`.
+ScenarioResult run_dlrm_dumbbell(PolicyKind kind, TraceBus* trace = nullptr) {
   const auto dlrm = *ModelZoo::calibrated("DLRM", 2000);
   ScenarioConfig cfg;
-  cfg.policy = PolicyKind::kDcqcn;
-  cfg.duration = Duration::seconds(static_cast<int>(sim_seconds));
+  cfg.policy = kind;
+  cfg.duration = Duration::seconds(static_cast<int>(kSimSeconds));
   cfg.warmup_iterations = 0;
   cfg.trace = trace;
   return run_dumbbell_scenario({{"J1", dlrm}, {"J2", dlrm}}, cfg);
@@ -116,7 +117,7 @@ TracedRun traced_best(int reps) {
     bus.add_sink(sink);
     ScenarioResult r;
     const double ms =
-        wall_ms_of([&] { r = run_dcqcn_dumbbell(kSimSeconds, &bus); });
+        wall_ms_of([&] { r = run_dlrm_dumbbell(PolicyKind::kDcqcn, &bus); });
     benchmark::DoNotOptimize(r.jobs.size());
     const std::string text = out.str();
     best.bytes = text.size();
@@ -127,14 +128,31 @@ TracedRun traced_best(int reps) {
   return best;
 }
 
+struct MaxMinRun {
+  double best_ms = 1e300;
+  std::int64_t allocations = 0;  ///< ideal.allocations of one run (exact)
+};
+
+/// Best untraced wall time of the max-min dumbbell, and the allocations one
+/// run computes, counted on a bus with no sinks.
+MaxMinRun maxmin_best(int reps) {
+  MaxMinRun best;
+  for (int i = 0; i < reps; ++i) {
+    ScenarioResult r;
+    const double ms =
+        wall_ms_of([&] { r = run_dlrm_dumbbell(PolicyKind::kMaxMinFair); });
+    benchmark::DoNotOptimize(r.jobs.size());
+    if (ms < best.best_ms) best.best_ms = ms;
+  }
+  TraceBus bus;
+  run_dlrm_dumbbell(PolicyKind::kMaxMinFair, &bus);
+  best.allocations = bus.counter("ideal.allocations").value();
+  return best;
+}
+
 void run_policy_benchmark(benchmark::State& state, PolicyKind kind) {
-  const auto dlrm = *ModelZoo::calibrated("DLRM", 2000);
   for (auto _ : state) {
-    ScenarioConfig cfg;
-    cfg.policy = kind;
-    cfg.duration = Duration::seconds(static_cast<int>(kSimSeconds));
-    cfg.warmup_iterations = 0;
-    const auto r = run_dumbbell_scenario({{"J1", dlrm}, {"J2", dlrm}}, cfg);
+    const auto r = run_dlrm_dumbbell(kind);
     benchmark::DoNotOptimize(r.jobs[0].iterations);
   }
   state.counters["sim_s_per_iter"] = kSimSeconds;
@@ -241,7 +259,8 @@ int run_json_mode(const std::string& path, double baseline_ms,
   double best_ms = 1e300;
   for (int i = 0; i < kReps; ++i) {
     ScenarioResult r;
-    const double ms = wall_ms_of([&] { r = run_dcqcn_dumbbell(kSimSeconds); });
+    const double ms =
+        wall_ms_of([&] { r = run_dlrm_dumbbell(PolicyKind::kDcqcn); });
     benchmark::DoNotOptimize(r.jobs.size());
     if (ms < best_ms) best_ms = ms;
     std::printf("  rep %d: %.2f ms\n", i + 1, ms);
@@ -251,9 +270,11 @@ int run_json_mode(const std::string& path, double baseline_ms,
               sim_per_wall);
 
   // Per-kernel breakdown: the DCQCN fluid loop (the engine number above is
-  // dominated by it), one waterfill allocation pass, and the trace path's
-  // cost over an untraced run.
+  // dominated by it), one waterfill allocation pass, the max-min dumbbell,
+  // and the trace path's cost over an untraced run.
   const double waterfill_ms = waterfill_pass_ms();
+  const MaxMinRun maxmin = maxmin_best(kReps);
+  const double maxmin_sim_per_wall = kSimSeconds / (maxmin.best_ms / 1000.0);
   const TracedRun traced = traced_best(3);
   const double traced_ms = traced.best_ms;
   const double trace_ns_per_event =
@@ -265,6 +286,10 @@ int run_json_mode(const std::string& path, double baseline_ms,
               static_cast<unsigned long long>(traced.events),
               static_cast<unsigned long long>(traced.bytes),
               trace_ns_per_event, traced_ms / best_ms);
+  std::printf("  maxmin: %.2f ms/4-sim-s (%.0f sim-s per wall-s), %lld "
+              "allocations\n",
+              maxmin.best_ms, maxmin_sim_per_wall,
+              static_cast<long long>(maxmin.allocations));
 
   // 8-point sweep, serial vs pooled, results must match bit-for-bit.
   const std::vector<double> grid = {55, 80, 100, 125, 160, 200, 250, 300};
@@ -329,8 +354,12 @@ int run_json_mode(const std::string& path, double baseline_ms,
   std::fprintf(f, "    \"trace_bytes\": %llu,\n",
                static_cast<unsigned long long>(traced.bytes));
   std::fprintf(f, "    \"trace_ns_per_event\": %.1f,\n", trace_ns_per_event);
-  std::fprintf(f, "    \"traced_over_untraced\": %.2f\n",
+  std::fprintf(f, "    \"traced_over_untraced\": %.2f,\n",
                traced_ms / best_ms);
+  std::fprintf(f, "    \"maxmin_allocations\": %lld,\n",
+               static_cast<long long>(maxmin.allocations));
+  std::fprintf(f, "    \"maxmin_sim_s_per_wall_s\": %.1f\n",
+               maxmin_sim_per_wall);
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"sweep\": {\n");
   std::fprintf(f, "    \"grid_points\": %zu,\n", grid.size());

@@ -4,6 +4,9 @@
 // placement decision, so it must stay in the low milliseconds.
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <utility>
+
 #include "core/solver.h"
 #include "workload/model_zoo.h"
 #include "workload/profiler.h"
@@ -15,7 +18,9 @@ namespace {
 CommProfile job(int i, std::int64_t period_ms, double comm_fraction) {
   const auto comm =
       static_cast<std::int64_t>(static_cast<double>(period_ms) * comm_fraction);
-  return CommProfile::single_phase("j" + std::to_string(i),
+  std::string name = "j";
+  name += std::to_string(i);
+  return CommProfile::single_phase(std::move(name),
                                    Duration::millis(period_ms),
                                    Duration::millis(period_ms - comm),
                                    Rate::gbps(42.5));

@@ -1,17 +1,10 @@
 #include "cc/max_min_fair.h"
 
-#include "cc/water_fill.h"
-
 namespace ccml {
 
-void MaxMinFairPolicy::update_rates(Network& net, TimePoint /*now*/,
-                                    Duration /*dt*/) {
-  const auto slots = net.active_slots();
+void MaxMinFairPolicy::allocate(Network& net) {
   auto residual = full_residual(net);
-  const auto rates = water_fill(net, slots, residual);  // unit weights
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    net.set_rate(slots[i], rates[i]);
-  }
+  fill(net, net.active_slots(), residual, /*weighted=*/false);
 }
 
 }  // namespace ccml

@@ -1,20 +1,21 @@
-// Ideal fair sharing: global max-min fair allocation recomputed each step.
+// Ideal fair sharing: global max-min fair allocation, recomputed whenever a
+// flow starts or ends or a link's capacity changes (see IdealPolicy).
 //
 // This models what a well-tuned fair congestion controller converges to and
 // serves as the paper's "fair sharing" baseline without DCQCN's transient
 // dynamics.
 #pragma once
 
-#include "net/policy.h"
+#include "cc/water_fill.h"
 
 namespace ccml {
 
-class MaxMinFairPolicy final : public BandwidthPolicy {
+class MaxMinFairPolicy : public IdealPolicy {
  public:
   const char* name() const override { return "max-min-fair"; }
-  void update_rates(Network& net, TimePoint now, Duration dt) override;
-  // Allocation is recomputed from scratch each step; nothing decays.
-  bool quiescent() const override { return true; }
+
+ protected:
+  void allocate(Network& net) override;
 };
 
 }  // namespace ccml

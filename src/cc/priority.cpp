@@ -1,31 +1,18 @@
 #include "cc/priority.h"
 
-#include <algorithm>
 #include <map>
 #include <vector>
 
-#include "cc/water_fill.h"
-
 namespace ccml {
 
-void PriorityPolicy::update_rates(Network& net, TimePoint /*now*/,
-                                  Duration /*dt*/) {
-  const auto slots = net.active_slots();
+void PriorityPolicy::allocate(Network& net) {
   std::map<int, std::vector<std::uint32_t>> classes;  // high priority first
-  for (const std::uint32_t slot : slots) {
+  for (const std::uint32_t slot : net.active_slots()) {
     classes[net.flow_at(slot).spec.priority].push_back(slot);
   }
   auto residual = full_residual(net);
-  for (auto& [prio, members] : classes) {
-    std::vector<double> weights;
-    weights.reserve(members.size());
-    for (const std::uint32_t slot : members) {
-      weights.push_back(net.flow_at(slot).spec.weight);
-    }
-    const auto rates = water_fill(net, members, residual, weights);
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      net.set_rate(members[i], rates[i]);
-    }
+  for (const auto& [prio, members] : classes) {
+    fill(net, members, residual, /*weighted=*/true);
   }
 }
 

@@ -5,19 +5,21 @@
 // capacity, the next class fills what remains, and so on.  Jobs sharing a
 // link with unique priorities therefore use the link strictly one-at-a-time
 // whenever the top job can saturate it — mimicking the desirable side effect
-// of unfairness without changing the congestion controller.
+// of unfairness without changing the congestion controller.  Like the other
+// ideal policies it recomputes only when a flow starts or ends or a link's
+// capacity changes (see IdealPolicy).
 #pragma once
 
-#include "net/policy.h"
+#include "cc/water_fill.h"
 
 namespace ccml {
 
-class PriorityPolicy final : public BandwidthPolicy {
+class PriorityPolicy : public IdealPolicy {
  public:
   const char* name() const override { return "strict-priority"; }
-  void update_rates(Network& net, TimePoint now, Duration dt) override;
-  // Allocation is recomputed from scratch each step; nothing decays.
-  bool quiescent() const override { return true; }
+
+ protected:
+  void allocate(Network& net) override;
 };
 
 }  // namespace ccml

@@ -5,7 +5,55 @@
 #include <cmath>
 #include <limits>
 
+#include "obs/trace_bus.h"
+
 namespace ccml {
+
+void IdealPolicy::on_flow_started(Network& /*net*/, Flow& /*flow*/) {
+  dirty_ = true;
+}
+
+void IdealPolicy::on_flow_finished(Network& /*net*/, const Flow& /*flow*/) {
+  dirty_ = true;
+}
+
+void IdealPolicy::on_link_capacity_changed(Network& /*net*/, LinkId /*link*/) {
+  dirty_ = true;
+}
+
+void IdealPolicy::update_rates(Network& net, TimePoint /*now*/,
+                               Duration /*dt*/) {
+  if (!dirty_) return;
+  allocate(net);
+  dirty_ = false;
+  TraceBus* bus = net.trace_bus();
+  if (bus != bus_cache_) {
+    bus_cache_ = bus;
+    c_allocations_ = bus ? &bus->counter("ideal.allocations") : nullptr;
+  }
+  if (c_allocations_ != nullptr) c_allocations_->add();
+}
+
+double IdealPolicy::rate_bound_bps(const Network& net,
+                                   std::uint32_t slot) const {
+  return dirty_ ? std::numeric_limits<double>::infinity()
+                : net.rates_bps()[slot];
+}
+
+void IdealPolicy::fill(Network& net, std::span<const std::uint32_t> slots,
+                       std::vector<Rate>& residual, bool weighted) {
+  std::vector<double> weights;
+  if (weighted) {
+    weights.reserve(slots.size());
+    for (const std::uint32_t slot : slots) {
+      weights.push_back(net.flow_at(slot).spec.weight);
+    }
+  }
+  const auto rates = water_fill(net, slots, residual, weights);
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    net.set_rate(slots[i], rates[i]);
+  }
+}
 
 std::vector<Rate> full_residual(const Network& net) {
   std::vector<Rate> residual(net.topology().link_count());

@@ -1,23 +1,10 @@
 #include "cc/wfq.h"
 
-#include <vector>
-
-#include "cc/water_fill.h"
-
 namespace ccml {
 
-void WfqPolicy::update_rates(Network& net, TimePoint /*now*/, Duration /*dt*/) {
-  const auto slots = net.active_slots();
+void WfqPolicy::allocate(Network& net) {
   auto residual = full_residual(net);
-  std::vector<double> weights;
-  weights.reserve(slots.size());
-  for (const std::uint32_t slot : slots) {
-    weights.push_back(net.flow_at(slot).spec.weight);
-  }
-  const auto rates = water_fill(net, slots, residual, weights);
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    net.set_rate(slots[i], rates[i]);
-  }
+  fill(net, net.active_slots(), residual, /*weighted=*/true);
 }
 
 }  // namespace ccml

@@ -1,19 +1,20 @@
 // Weighted fair queueing at fluid granularity: weighted max-min allocation
-// using each flow's FlowSpec::weight.  Models switches dividing bandwidth in
-// configured proportions (paper §4, priority-queue direction, when queues are
-// weighted rather than strict).
+// using each flow's FlowSpec::weight, recomputed whenever a flow starts or
+// ends or a link's capacity changes (see IdealPolicy).  Models switches
+// dividing bandwidth in configured proportions (paper §4, priority-queue
+// direction, when queues are weighted rather than strict).
 #pragma once
 
-#include "net/policy.h"
+#include "cc/water_fill.h"
 
 namespace ccml {
 
-class WfqPolicy final : public BandwidthPolicy {
+class WfqPolicy : public IdealPolicy {
  public:
   const char* name() const override { return "wfq"; }
-  void update_rates(Network& net, TimePoint now, Duration dt) override;
-  // Allocation is recomputed from scratch each step; nothing decays.
-  bool quiescent() const override { return true; }
+
+ protected:
+  void allocate(Network& net) override;
 };
 
 }  // namespace ccml

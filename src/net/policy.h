@@ -15,9 +15,10 @@ class Network;
 /// Decides, every fluid step, what rate each active flow sends at.
 ///
 /// Ideal policies (max-min fair, WFQ, strict priority) compute a global
-/// allocation from scratch each step.  Distributed schemes (DCQCN) keep
-/// per-flow rate machines and per-link queue/marking state and integrate
-/// them over the step.
+/// allocation whenever a flow starts or ends or a link's capacity changes,
+/// and hold it in between (src/cc/water_fill.h, IdealPolicy).  Distributed
+/// schemes (DCQCN) keep per-flow rate machines and per-link queue/marking
+/// state and integrate them over the step.
 class BandwidthPolicy {
  public:
   virtual ~BandwidthPolicy() = default;

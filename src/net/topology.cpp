@@ -1,8 +1,23 @@
 #include "net/topology.h"
 
 #include <cassert>
+#include <initializer_list>
+#include <string_view>
 
 namespace ccml {
+
+namespace {
+
+// Builds a node name by appending its parts.  (A `"literal" + std::string`
+// chain inlines an insert at offset 0, on which GCC 12 reports a spurious
+// -Wrestrict.)
+std::string join(std::initializer_list<std::string_view> parts) {
+  std::string out;
+  for (const std::string_view part : parts) out += part;
+  return out;
+}
+
+}  // namespace
 
 const char* to_string(NodeKind kind) {
   switch (kind) {
@@ -104,7 +119,8 @@ Topology Topology::leaf_spine(int n_tors, int hosts_per_tor, int n_spines,
   for (int i = 0; i < n_tors; ++i) {
     for (int h = 0; h < hosts_per_tor; ++h) {
       const NodeId host = t.add_node(
-          NodeKind::kHost, "h" + std::to_string(i) + "_" + std::to_string(h));
+          NodeKind::kHost,
+          join({"h", std::to_string(i), "_", std::to_string(h)}));
       t.add_duplex_link(host, tors[i], host_rate);
     }
     for (const NodeId spine : spines) {
@@ -126,7 +142,7 @@ Topology Topology::fat_tree(int k, Rate rate) {
     for (int j = 0; j < half; ++j) {
       core.push_back(t.add_node(
           NodeKind::kCore,
-          "core" + std::to_string(i) + "_" + std::to_string(j)));
+          join({"core", std::to_string(i), "_", std::to_string(j)})));
     }
   }
 
@@ -135,19 +151,20 @@ Topology Topology::fat_tree(int k, Rate rate) {
     for (int e = 0; e < half; ++e) {
       edges.push_back(t.add_node(
           NodeKind::kTor,
-          "p" + std::to_string(pod) + "_edge" + std::to_string(e)));
+          join({"p", std::to_string(pod), "_edge", std::to_string(e)})));
     }
     for (int a = 0; a < half; ++a) {
       aggs.push_back(t.add_node(
           NodeKind::kSpine,
-          "p" + std::to_string(pod) + "_agg" + std::to_string(a)));
+          join({"p", std::to_string(pod), "_agg", std::to_string(a)})));
     }
     // Hosts under each edge switch.
     for (int e = 0; e < half; ++e) {
       for (int h = 0; h < half; ++h) {
         const NodeId host = t.add_node(
-            NodeKind::kHost, "p" + std::to_string(pod) + "_e" +
-                                 std::to_string(e) + "_h" + std::to_string(h));
+            NodeKind::kHost, join({"p", std::to_string(pod), "_e",
+                                   std::to_string(e), "_h",
+                                   std::to_string(h)}));
         t.add_duplex_link(host, edges[e], rate);
       }
     }

@@ -383,6 +383,29 @@ void ChromeTraceSink::on_event(const TraceEvent& ev) {
                     to_string(ev.kind), kCtrlPid, ts, ev.job.value, ev.value);
       add();
       break;
+    case TraceEventKind::kCkptWrite:
+    case TraceEventKind::kCkptBranch:
+      // Snapshot machinery: global instants in the control process, so a
+      // resumed or branched trace shows where it was cut or forked.
+      std::snprintf(buf, sizeof(buf),
+                    "{\"name\":\"%s\",\"ph\":\"i\",\"s\":\"g\",\"pid\":%d,"
+                    "\"tid\":0,\"ts\":%.3f,"
+                    "\"args\":{\"value\":%.17g,\"value2\":%.17g}}",
+                    to_string(ev.kind), kCtrlPid, ts, ev.value, ev.value2);
+      add();
+      break;
+    case TraceEventKind::kCcDecision:
+    case TraceEventKind::kCcPhase:
+      // Transport decisions land on the job's track, next to its CNPs.
+      job_tracks_.insert(tid);
+      std::snprintf(buf, sizeof(buf),
+                    "{\"name\":\"%s\",\"ph\":\"i\",\"s\":\"t\",\"pid\":%d,"
+                    "\"tid\":%d,\"ts\":%.3f,"
+                    "\"args\":{\"value\":%.17g,\"value2\":%.17g}}",
+                    to_string(ev.kind), kSimPid, tid, ts, ev.value,
+                    ev.value2);
+      add();
+      break;
   }
 }
 

@@ -124,10 +124,16 @@ std::string CircularIntervalSet::to_string() const {
   std::string out = "{";
   for (std::size_t i = 0; i < segments_.size(); ++i) {
     if (i != 0) out += ", ";
-    out += "[" + segments_[i].first.to_string() + ", " +
-           segments_[i].second.to_string() + ")";
+    // Appended piecewise: a `"[" + std::string` chain inlines an insert at
+    // offset 0, on which GCC 12 reports a spurious -Wrestrict.
+    out += '[';
+    out += segments_[i].first.to_string();
+    out += ", ";
+    out += segments_[i].second.to_string();
+    out += ')';
   }
-  out += "} / " + perimeter_.to_string();
+  out += "} / ";
+  out += perimeter_.to_string();
   return out;
 }
 

@@ -170,7 +170,8 @@ Instance random_instance(std::mt19937_64& rng) {
   const auto n = static_cast<std::size_t>(pick(rng, 1, 6));
   for (std::size_t j = 0; j < n; ++j) {
     CommProfile p;
-    p.name = "j" + std::to_string(j);
+    p.name = "j";
+    p.name += std::to_string(j);
     p.period = Duration::millis(kPeriodsMs[pick(rng, 0, 9)]);
     // Unquantized periods: the circle repeats the quantized one.
     if (pick(rng, 0, 2) == 0) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/solver.h"
 
 namespace ccml {
@@ -151,7 +153,9 @@ TEST(UnifiedCircle, ManyCoprimePeriodsSaturateToCap) {
   const std::int64_t primes[] = {11, 13, 17, 19, 23, 29, 31, 37, 41};
   std::vector<CommProfile> jobs;
   for (const std::int64_t p : primes) {
-    jobs.push_back(job(("p" + std::to_string(p)).c_str(), p, p / 2));
+    std::string name = "p";
+    name += std::to_string(p);
+    jobs.push_back(job(name.c_str(), p, p / 2));
   }
   UnifiedCircleOptions opts;
   opts.perimeter_cap = Duration::seconds(30);

@@ -231,6 +231,38 @@ TEST(ObsChromeTrace, StructureIsBalanced) {
   EXPECT_GT(count_of(trace, "\"ph\":\"i\""), 0u);  // instant events
 }
 
+TEST(ObsChromeTrace, EveryEventKindAppears) {
+  // One event of each kind into its own sink: every kind must produce at
+  // least one trace record beyond the process/thread metadata.
+  for (int k = 0; k <= static_cast<int>(TraceEventKind::kCcPhase); ++k) {
+    const auto kind = static_cast<TraceEventKind>(k);
+    SCOPED_TRACE(to_string(kind));
+    std::ostringstream out;
+    ChromeTraceSink sink(out);
+    TraceEvent ev;
+    ev.time = TimePoint::origin() + Duration::millis(1);
+    ev.kind = kind;
+    ev.job = JobId{0};
+    ev.flow = FlowId{1};
+    ev.link = LinkId{0};
+    ev.value = 2.0;
+    ev.value2 = 3.0;
+    ev.detail = "comm";  // a phase only opens a slice when it is named
+    sink.on_event(ev);
+    sink.flush();
+    const std::string trace = out.str();
+    EXPECT_GT(count_of(trace, "\"ph\":\""), count_of(trace, "\"ph\":\"M\""));
+    if (kind == TraceEventKind::kCkptWrite ||
+        kind == TraceEventKind::kCkptBranch ||
+        kind == TraceEventKind::kCcDecision ||
+        kind == TraceEventKind::kCcPhase) {
+      const std::string name = std::string("\"name\":\"") + to_string(kind);
+      EXPECT_NE(trace.find(name), std::string::npos);
+      EXPECT_NE(trace.find("\"value\":2,\"value2\":3"), std::string::npos);
+    }
+  }
+}
+
 TEST(ObsChromeTrace, UninstrumentedRunWritesNothing) {
   auto cfg = short_config();  // no trace bus attached
   const ScenarioResult result = run_dumbbell_scenario(two_jobs(), cfg);

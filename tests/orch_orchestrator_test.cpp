@@ -370,7 +370,9 @@ TEST(Orchestrator, RunsChurnAndReportsOutcomes) {
     if (j.state == ClusterJobOutcome::State::kRunning) ++running;
     if (j.state == ClusterJobOutcome::State::kQueued) ++queued;
     if (j.state == ClusterJobOutcome::State::kRejected) ++rejected;
-    if (j.slowdown > 0.0) EXPECT_GE(j.slowdown, 0.999);
+    if (j.slowdown > 0.0) {
+      EXPECT_GE(j.slowdown, 0.999);
+    }
   }
   EXPECT_EQ(running, r.running_at_end);
   EXPECT_EQ(queued, r.queued_at_end);

@@ -8,6 +8,9 @@
 //    comm fraction is <= 1/2.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "cc/max_min_fair.h"
 #include "cc/water_fill.h"
 #include "cluster/scenario.h"
@@ -40,8 +43,10 @@ TEST_P(SolverSoundness, CompatibleVerdictsHaveZeroOverlap) {
   for (int j = 0; j < n; ++j) {
     const std::int64_t p = periods[rng.uniform_int(0, 4)];
     const std::int64_t comm = rng.uniform_int(1, p / 2);
-    jobs.push_back(job("j" + std::to_string(j), Duration::millis(p),
-                       Duration::millis(p - comm)));
+    std::string name = "j";
+    name += std::to_string(j);
+    jobs.push_back(
+        job(std::move(name), Duration::millis(p), Duration::millis(p - comm)));
   }
   SolverOptions opts;
   opts.anneal_iterations = 2000;

@@ -14,8 +14,10 @@ Three sections are understood, chosen with --section:
     contract that makes speed claims meaningful: if either file's sweep
     block says bit_identical is false, the run fails regardless of
     throughput.  kernels.trace_events and kernels.trace_bytes (the JSONL
-    lines and bytes of one traced 4-sim-s run, deterministic work
-    counters) must equal the floor's exactly.
+    lines and bytes of one traced 4-sim-s run) and
+    kernels.maxmin_allocations (the allocations the ideal max-min policy
+    computes over one 4-sim-s dumbbell run), all deterministic work
+    counters, must equal the floor's exactly.
   multi_bottleneck  — s6_multi_bottleneck --json output; additionally
     requires graph_wins (compat-graph strictly below both baselines on
     mean completion slowdown) and deterministic to be true in the fresh
@@ -90,15 +92,15 @@ def main():
             if ident is not True:
                 fail(f"{path}: sweep.bit_identical is {ident!r}, not true — "
                      "determinism broken, throughput numbers are meaningless")
-        for key in ("trace_events", "trace_bytes"):
+        for key in ("trace_events", "trace_bytes", "maxmin_allocations"):
             want = floor.get("kernels", {}).get(key)
             have = fresh.get("kernels", {}).get(key)
             if not isinstance(want, int):
                 fail(f"{args.floor}: kernels.{key} missing")
             if have != want:
                 fail(f"{args.fresh}: kernels.{key} is {have!r}, floor {want} "
-                     "— the traced run's output changed; update the floor "
-                     "only with a reason")
+                     "— the run's work changed; update the floor only with "
+                     "a reason")
     elif args.section == "multi_bottleneck":
         block = fresh.get("multi_bottleneck", {})
         for flag in ("graph_wins", "deterministic"):
