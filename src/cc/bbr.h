@@ -21,8 +21,9 @@
 // piling into its queue.
 //
 // BBR-lite has no additive-increase step, so there is no MLTCP wrap for it
-// (cc/factory.cpp rejects the combination), and no AoS reference kernel —
-// the SoA slab path is the only implementation.
+// (cc/factory.cpp rejects the combination).  Like every transport it has one
+// implementation, the SoA slab path; unlike DCQCN, TIMELY and Swift it has
+// no scalar oracle in tests/cc_kernel_parity_test.cpp.
 #pragma once
 
 #include <cstdint>
@@ -120,7 +121,7 @@ class BbrPolicy final : public BandwidthPolicy {
   Rng rng_;
   std::unordered_map<FlowId, std::uint32_t> slots_;
 
-  // SoA columns, slot-indexed (BBR-lite is slab-only; no AoS twin).
+  // SoA columns, slot-indexed.
   std::vector<double> rate_bps_;
   std::vector<double> line_bps_;
   std::vector<double> btl_bw_bps_;   ///< max-filtered delivery rate

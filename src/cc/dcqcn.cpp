@@ -74,16 +74,17 @@ void DcqcnPolicy::refresh_caps(const Network& net) {
 
 void DcqcnPolicy::rebuild_cp_links(const Network& net) {
   // Exact recompute (no incremental float drift): per link, the sum of the
-  // line rates of the active flows crossing it.  Flow-set and capacity
-  // changes are rare, so O(flows x route length) here buys a CP pass that
-  // touches only links that can actually congest.
+  // rate bounds of the active flows crossing it.  The bound, not the bare
+  // line rate: a decrease floors R_C at 10 Mbps, above the line rate of a
+  // route browned out below that, and such a flow can queue a link whose
+  // line-rate sum fits its capacity.  Flow-set and capacity changes are
+  // rare, so O(flows x route length) here buys a CP pass that touches only
+  // links that can actually congest.
   scratch_bound_.assign(links_.size(), 0.0);
   for (const std::uint32_t slot : net.active_slots()) {
-    const double line = config_.reference_kernel
-                            ? state_[slot].line_rate.bits_per_sec()
-                            : line_bps_[slot];
+    const double bound = rate_bound_bps(net, slot);
     for (const std::int32_t l : net.route_links(slot)) {
-      scratch_bound_[l] += line;
+      scratch_bound_[l] += bound;
     }
   }
   cp_links_.clear();
@@ -104,34 +105,23 @@ void DcqcnPolicy::on_flow_started(Network& net, Flow& flow) {
   const Rate rai =
       flow.spec.cc_rai.is_positive() ? flow.spec.cc_rai : config_.rai;
   const std::uint32_t slot = net.slot_of(flow.id);
-  if (config_.reference_kernel) {
-    FlowState s;
-    s.line_rate = line;
-    // RDMA senders start at line rate and back off on marks.
-    s.rc = line;
-    s.rt = line;
-    s.timer = timer;
-    s.rai = rai;
-    if (state_.size() <= slot) state_.resize(net.slab_size());
-    state_[slot] = s;
-  } else {
-    if (rc_bps_.size() <= slot) resize_soa(net.slab_size());
-    const double line_bps = line.bits_per_sec();
-    line_bps_[slot] = line_bps;
-    rc_bps_[slot] = line_bps;
-    rt_bps_[slot] = line_bps;
-    alpha_col_[slot] = 1.0;
-    timer_ns_[slot] = timer.ns();
-    rai_bps_[slot] = rai.bits_per_sec();
-    tsi_ns_[slot] = 0;
-    bsi_bytes_[slot] = 0.0;
-    timer_rounds_col_[slot] = 0;
-    byte_rounds_col_[slot] = 0;
-    cnp_ns_[slot] = Duration::max().ns();
-    aclk_ns_[slot] = 0;
-    emarks_[slot] = 0.0;
-    clean_ns_[slot] = 0;
-  }
+  if (rc_bps_.size() <= slot) resize_soa(net.slab_size());
+  const double line_bps = line.bits_per_sec();
+  line_bps_[slot] = line_bps;
+  // RDMA senders start at line rate and back off on marks.
+  rc_bps_[slot] = line_bps;
+  rt_bps_[slot] = line_bps;
+  alpha_col_[slot] = 1.0;
+  timer_ns_[slot] = timer.ns();
+  rai_bps_[slot] = rai.bits_per_sec();
+  tsi_ns_[slot] = 0;
+  bsi_bytes_[slot] = 0.0;
+  timer_rounds_col_[slot] = 0;
+  byte_rounds_col_[slot] = 0;
+  cnp_ns_[slot] = Duration::max().ns();
+  aclk_ns_[slot] = 0;
+  emarks_[slot] = 0.0;
+  clean_ns_[slot] = 0;
   slots_[flow.id] = slot;
   net.set_rate(slot, line);
   rebuild_cp_links(net);
@@ -150,61 +140,21 @@ void DcqcnPolicy::on_link_capacity_changed(Network& net, LinkId /*link*/) {
   refresh_caps(net);
   for (const std::uint32_t slot : net.active_slots()) {
     const Flow& flow = net.flow_at(slot);
-    const Rate line = route_line_rate(net, flow);
-    if (config_.reference_kernel) {
-      FlowState& s = state_[slot];
-      s.line_rate = line;
-      s.rc = std::min(s.rc, line);
-      s.rt = std::min(s.rt, line);
-      net.set_rate(slot, s.rc);
-    } else {
-      const double line_bps = line.bits_per_sec();
-      line_bps_[slot] = line_bps;
-      rc_bps_[slot] = std::min(rc_bps_[slot], line_bps);
-      rt_bps_[slot] = std::min(rt_bps_[slot], line_bps);
-      net.set_rate(slot, Rate::bps(rc_bps_[slot]));
-    }
+    const double line_bps = route_line_rate(net, flow).bits_per_sec();
+    line_bps_[slot] = line_bps;
+    rc_bps_[slot] = std::min(rc_bps_[slot], line_bps);
+    rt_bps_[slot] = std::min(rt_bps_[slot], line_bps);
+    net.set_rate(slot, Rate::bps(rc_bps_[slot]));
   }
   rebuild_cp_links(net);
 }
 
-void DcqcnPolicy::apply_decrease(FlowState& s) {
-  s.rt = s.rc;
-  s.alpha = (1.0 - config_.g) * s.alpha + config_.g;
-  s.rc = s.rc * (1.0 - s.alpha / 2.0);
-  // DCQCN clamps at a small positive minimum so flows never starve entirely.
-  s.rc = std::max(s.rc, Rate::mbps(10));
-  s.time_since_increase = Duration::zero();
-  s.bytes_since_increase = Bytes::zero();
-  s.timer_rounds = 0;
-  s.byte_rounds = 0;
-  s.since_last_cnp = Duration::zero();
-  s.alpha_clock = Duration::zero();
-}
-
-void DcqcnPolicy::apply_increase(FlowState& s, double progress) {
-  const int f = config_.fast_recovery_rounds;
-  if (s.timer_rounds >= f && s.byte_rounds >= f) {
-    s.rt += config_.rhai;  // hyper increase
-  } else if (s.timer_rounds >= f || s.byte_rounds >= f) {
-    Rate rai = s.rai;
-    if (config_.adaptive_rai) {
-      // Paper §4: R_AI * (1 + Data_sent / Data_comm_phase).  Each flow
-      // carries exactly one communication phase, so flow progress is the
-      // paper's ratio.
-      rai = rai * (1.0 + progress);
-    }
-    s.rt += rai;  // additive increase
-  }
-  // All stages: current rate glides halfway to target ("fast recovery" when
-  // the target is unchanged).
-  s.rc = (s.rt + s.rc) * 0.5;
-  s.rc = std::min(s.rc, s.line_rate);
-  s.rt = std::min(s.rt, s.line_rate);
-}
-
-// The SoA twin of apply_increase; same operations in the same order on the
-// slab columns, so the two kernels stay bit-identical.
+// One increase event: hyper increase once both the timer and the byte
+// counter finished fast recovery, additive increase once either did (scaled
+// by comm-phase progress under adaptive_rai, the paper's §4
+// R_AI * (1 + Data_sent / Data_comm_phase); each flow carries exactly one
+// communication phase, so flow progress is the paper's ratio), and in every
+// stage R_C glides halfway to R_T ("fast recovery" when R_T is unchanged).
 void DcqcnPolicy::soa_increase(std::uint32_t slot, double progress) {
   const int f = config_.fast_recovery_rounds;
   if (timer_rounds_col_[slot] >= f && byte_rounds_col_[slot] >= f) {
@@ -253,12 +203,9 @@ void DcqcnPolicy::update_rates_burst(Network& net, TimePoint first, Duration dt,
 
 double DcqcnPolicy::rate_bound_bps(const Network& /*net*/,
                                    std::uint32_t slot) const {
-  const double line = config_.reference_kernel
-                          ? state_[slot].line_rate.bits_per_sec()
-                          : line_bps_[slot];
-  // apply_decrease floors R_C at 10 Mbps, which can exceed the line rate of
-  // a browned-out route, so the bound must cover both.
-  return std::max(line, Rate::mbps(10).bits_per_sec());
+  // A decrease floors R_C at 10 Mbps, which can exceed the line rate of a
+  // browned-out route, so the bound must cover both.
+  return std::max(line_bps_[slot], Rate::mbps(10).bits_per_sec());
 }
 
 void DcqcnPolicy::step_tick(Network& net, TimePoint now, Duration dt) {
@@ -295,101 +242,15 @@ void DcqcnPolicy::step_tick(Network& net, TimePoint now, Duration dt) {
   links_.step(net, cp_links_, integrate);
 
   // --- NP + RP: per-flow CNP arrivals and rate machine updates. -----------
-  if (config_.reference_kernel) {
-    if (bus_cache_ != nullptr) {
-      rp_pass<true>(net, now, dt, any_marked);
-    } else {
-      rp_pass<false>(net, now, dt, any_marked);
-    }
+  if (bus_cache_ != nullptr) {
+    rp_pass<true>(net, now, dt, any_marked);
   } else {
-    if (bus_cache_ != nullptr) {
-      rp_pass_soa<true>(net, now, dt, any_marked);
-    } else {
-      rp_pass_soa<false>(net, now, dt, any_marked);
-    }
+    rp_pass<false>(net, now, dt, any_marked);
   }
 }
 
 template <bool Traced>
 void DcqcnPolicy::rp_pass(Network& net, TimePoint now, Duration dt,
-                          bool any_marked) {
-  for (const std::uint32_t slot : net.active_slots()) {
-    const Flow& flow = net.flow_at(slot);
-    FlowState& s = state_[slot];
-
-    // Probability that at least one of this step's packets is marked on any
-    // traversed link: 1 - prod_l (1-p_l)^pkts, computed in log space with
-    // the per-link logs cached by the CP pass above.
-    double sum_log = 0.0;
-    if (any_marked) {
-      for (const LinkId lid : flow.spec.route.links) {
-        sum_log += links_[lid.value].log_keep;
-      }
-    }
-    const Bytes sent = net.rate_at(slot) * dt;
-    double p_any = 0.0;
-    if (sum_log < 0.0) {
-      const double pkts = std::max(1.0, sent / config_.mtu);
-      p_any = 1.0 - std::exp(pkts * sum_log);
-    }
-
-    if (s.since_last_cnp < Duration::max()) s.since_last_cnp += dt;
-    s.alpha_clock += dt;
-
-    bool cnp = false;
-    const bool cnp_allowed = s.since_last_cnp >= config_.cnp_interval;
-    if (config_.deterministic_marking) {
-      if (p_any > 0.0) {
-        s.expected_marks += p_any;
-        s.clean_streak = Duration::zero();
-      } else {
-        s.clean_streak += dt;
-        if (s.clean_streak >= config_.cnp_interval) s.expected_marks = 0.0;
-      }
-      if (cnp_allowed && s.expected_marks >= 1.0) {
-        cnp = true;
-        s.expected_marks = 0.0;
-      }
-    } else {
-      cnp = cnp_allowed && p_any > 0.0 && rng_.chance(p_any);
-    }
-    if (cnp) {
-      apply_decrease(s);
-      if constexpr (Traced) {
-        emit_rate_event(*bus_cache_, *c_cnp_, TraceEventKind::kRateDecrease,
-                        now, flow, s.rc.bits_per_sec(), s.alpha);
-      }
-    } else {
-      // Alpha decay while uncongested.
-      while (s.alpha_clock >= config_.alpha_update) {
-        s.alpha *= (1.0 - config_.g);
-        s.alpha_clock -= config_.alpha_update;
-      }
-      // Timer- and byte-driven increase events.
-      s.time_since_increase += dt;
-      s.bytes_since_increase += sent;
-      while (s.time_since_increase >= s.timer) {
-        s.time_since_increase -= s.timer;
-        ++s.timer_rounds;
-        apply_increase(s, net.progress_at(slot));
-        if constexpr (Traced) {
-          emit_rate_event(*bus_cache_, *c_timer_fires_,
-                          TraceEventKind::kRateTimer, now, flow,
-                          s.rc.bits_per_sec(), s.timer_rounds);
-        }
-      }
-      while (s.bytes_since_increase >= config_.byte_counter) {
-        s.bytes_since_increase -= config_.byte_counter;
-        ++s.byte_rounds;
-        apply_increase(s, net.progress_at(slot));
-      }
-    }
-    net.set_rate(slot, s.rc);
-  }
-}
-
-template <bool Traced>
-void DcqcnPolicy::rp_pass_soa(Network& net, TimePoint now, Duration dt,
                               bool any_marked) {
   const std::span<const std::uint32_t> slots = net.active_slots();
   const std::size_t n = slots.size();
@@ -438,9 +299,9 @@ void DcqcnPolicy::rp_pass_soa(Network& net, TimePoint now, Duration dt,
     }
   }
 
-  // Kernel + scatter: the RP rate machine over the SoA columns.  Constants
-  // are hoisted out of the loop; every arithmetic step mirrors the reference
-  // kernel exactly (same order, same values) so results stay bit-identical.
+  // Kernel + scatter: the RP rate machine over the SoA columns, constants
+  // hoisted out of the loop.  tests/cc_kernel_parity_test.cpp holds every
+  // arithmetic step to its scalar oracle bit for bit.
   const std::int64_t dt_ns = dt.ns();
   const std::int64_t cnp_max_ns = Duration::max().ns();
   const std::int64_t cnp_interval_ns = config_.cnp_interval.ns();
@@ -460,9 +321,9 @@ void DcqcnPolicy::rp_pass_soa(Network& net, TimePoint now, Duration dt,
     bool cnp = false;
     const bool cnp_allowed = cnp_ns_[slot] >= cnp_interval_ns;
     if (deterministic) {
-      // Written select-friendly (no stores inside branches): same values and
-      // FP order as the reference kernel's branchy form — a clean streak of
-      // one CNP interval forgets accumulated marks, and firing resets them.
+      // Written select-friendly (no stores inside branches): a clean streak
+      // of one CNP interval forgets accumulated marks, and firing resets
+      // them.
       const bool has_p = p_any > 0.0;
       const std::int64_t clean = has_p ? 0 : clean_ns_[slot] + dt_ns;
       double em = emarks_[slot];
@@ -476,6 +337,8 @@ void DcqcnPolicy::rp_pass_soa(Network& net, TimePoint now, Duration dt,
       cnp = cnp_allowed && p_any > 0.0 && rng_.chance(p_any);
     }
     if (cnp) {
+      // R_T <- R_C, alpha <- (1-g)*alpha + g, R_C <- R_C*(1 - alpha/2),
+      // floored at 10 Mbps so flows never starve entirely.
       rt_bps_[slot] = rc_bps_[slot];
       alpha_col_[slot] = one_minus_g * alpha_col_[slot] + config_.g;
       rc_bps_[slot] = rc_bps_[slot] * (1.0 - alpha_col_[slot] / 2.0);
@@ -492,6 +355,8 @@ void DcqcnPolicy::rp_pass_soa(Network& net, TimePoint now, Duration dt,
                         alpha_col_[slot]);
       }
     } else {
+      // Alpha decays while uncongested; then timer- and byte-driven
+      // increase events.
       while (aclk_ns_[slot] >= alpha_update_ns) {
         alpha_col_[slot] *= one_minus_g;
         aclk_ns_[slot] -= alpha_update_ns;
@@ -529,10 +394,6 @@ DcqcnPolicy::RpState DcqcnPolicy::rp_state(FlowId id) const {
   const auto it = slots_.find(id);
   assert(it != slots_.end());
   const std::uint32_t slot = it->second;
-  if (config_.reference_kernel) {
-    const FlowState& s = state_[slot];
-    return {s.rc, s.rt, s.alpha, s.timer_rounds, s.byte_rounds};
-  }
   return {Rate::bps(rc_bps_[slot]), Rate::bps(rt_bps_[slot]),
           alpha_col_[slot], timer_rounds_col_[slot], byte_rounds_col_[slot]};
 }
@@ -543,43 +404,28 @@ std::string DcqcnPolicy::serialize_state() const {
   const auto flows = sorted_flow_slots(slots_);
 
   StateBuf out;
-  out.put_u8(config_.reference_kernel ? 1 : 0);
+  // Representation byte, fixed at 0 (the SoA layout).  Snapshots recorded
+  // while a second layout could be selected carry it too, so keeping it
+  // lets them replay-verify byte for byte without a CCKP version bump.
+  out.put_u8(0);
   out.put_u64(flows.size());
   for (const auto& [id, slot] : flows) {
     out.put_i64(id);
     out.put_u32(slot);
-    if (config_.reference_kernel) {
-      const FlowState& s = state_[slot];
-      out.put_f64(s.rc.bits_per_sec());
-      out.put_f64(s.rt.bits_per_sec());
-      out.put_f64(s.line_rate.bits_per_sec());
-      out.put_f64(s.alpha);
-      out.put_i64(s.timer.ns());
-      out.put_f64(s.rai.bits_per_sec());
-      out.put_i64(s.time_since_increase.ns());
-      out.put_f64(s.bytes_since_increase.count());
-      out.put_u32(static_cast<std::uint32_t>(s.timer_rounds));
-      out.put_u32(static_cast<std::uint32_t>(s.byte_rounds));
-      out.put_i64(s.since_last_cnp.ns());
-      out.put_i64(s.alpha_clock.ns());
-      out.put_f64(s.expected_marks);
-      out.put_i64(s.clean_streak.ns());
-    } else {
-      out.put_f64(rc_bps_[slot]);
-      out.put_f64(rt_bps_[slot]);
-      out.put_f64(line_bps_[slot]);
-      out.put_f64(alpha_col_[slot]);
-      out.put_i64(timer_ns_[slot]);
-      out.put_f64(rai_bps_[slot]);
-      out.put_i64(tsi_ns_[slot]);
-      out.put_f64(bsi_bytes_[slot]);
-      out.put_u32(static_cast<std::uint32_t>(timer_rounds_col_[slot]));
-      out.put_u32(static_cast<std::uint32_t>(byte_rounds_col_[slot]));
-      out.put_i64(cnp_ns_[slot]);
-      out.put_i64(aclk_ns_[slot]);
-      out.put_f64(emarks_[slot]);
-      out.put_i64(clean_ns_[slot]);
-    }
+    out.put_f64(rc_bps_[slot]);
+    out.put_f64(rt_bps_[slot]);
+    out.put_f64(line_bps_[slot]);
+    out.put_f64(alpha_col_[slot]);
+    out.put_i64(timer_ns_[slot]);
+    out.put_f64(rai_bps_[slot]);
+    out.put_i64(tsi_ns_[slot]);
+    out.put_f64(bsi_bytes_[slot]);
+    out.put_u32(static_cast<std::uint32_t>(timer_rounds_col_[slot]));
+    out.put_u32(static_cast<std::uint32_t>(byte_rounds_col_[slot]));
+    out.put_i64(cnp_ns_[slot]);
+    out.put_i64(aclk_ns_[slot]);
+    out.put_f64(emarks_[slot]);
+    out.put_i64(clean_ns_[slot]);
   }
   out.put_u64(links_.size());
   for (const LinkState& l : links_.links()) {

@@ -77,14 +77,6 @@ struct DcqcnConfig {
 
   /// Seed for the stochastic marking process.
   std::uint64_t seed = 1;
-
-  /// Run the original per-flow scalar rate machine (an array of FlowState
-  /// records walked one struct at a time) instead of the structure-of-arrays
-  /// kernel.  The two paths are bit-identical by construction — every
-  /// floating-point operation happens in the same order on the same values —
-  /// and tests/cc_kernel_parity_test.cpp holds them to that.  Useful as a
-  /// cross-check and as the baseline for A/B perf runs.
-  bool reference_kernel = false;
 };
 
 class DcqcnPolicy : public BandwidthPolicy {
@@ -101,15 +93,15 @@ class DcqcnPolicy : public BandwidthPolicy {
   void update_rates(Network& net, TimePoint now, Duration dt) override;
   void update_rates_burst(Network& net, TimePoint first, Duration dt,
                           std::uint64_t ticks) override;
-  /// Route line rate, floored at the 10 Mbps minimum apply_decrease enforces.
+  /// Route line rate, floored at the 10 Mbps minimum a decrease enforces.
   double rate_bound_bps(const Network& net, std::uint32_t slot) const override;
   Bytes link_queue(LinkId link) const override;
   /// With all switch queues drained nothing evolves between steps while no
   /// flow is active, so the kernel may fast-forward across compute phases.
   bool quiescent() const override { return links_.queues_clear(); }
-  /// Rate-machine columns (whichever representation is live), link queues
-  /// and the marking RNG stream, in ascending-flow-id order (see the
-  /// BandwidthPolicy contract in net/policy.h).
+  /// Rate-machine columns, link queues and the marking RNG stream, in
+  /// ascending-flow-id order (see the BandwidthPolicy contract in
+  /// net/policy.h).
   std::string serialize_state() const override;
 
   const DcqcnConfig& config() const { return config_; }
@@ -125,23 +117,6 @@ class DcqcnPolicy : public BandwidthPolicy {
   RpState rp_state(FlowId id) const;
 
  private:
-  struct FlowState {
-    Rate rc;          // current rate
-    Rate rt;          // target rate
-    Rate line_rate;   // min effective capacity along the route
-    double alpha = 1.0;
-    Duration timer;   // per-flow T
-    Rate rai;         // per-flow R_AI
-    Duration time_since_increase = Duration::zero();
-    Bytes bytes_since_increase = Bytes::zero();
-    int timer_rounds = 0;
-    int byte_rounds = 0;
-    Duration since_last_cnp = Duration::max();
-    Duration alpha_clock = Duration::zero();
-    double expected_marks = 0.0;    // deterministic-marking accumulator
-    Duration clean_streak = Duration::zero();
-  };
-
   struct LinkState {
     double queue_b = 0.0;     ///< egress backlog, bytes
     double cap_bps = 0.0;     ///< cached effective capacity (see refresh_caps)
@@ -159,21 +134,16 @@ class DcqcnPolicy : public BandwidthPolicy {
   void sync_caches(Network& net);
   /// One fluid step: CP queue/marking pass + NP/RP dispatch.
   void step_tick(Network& net, TimePoint now, Duration dt);
-  void apply_decrease(FlowState& s);
-  void apply_increase(FlowState& s, double progress);
-  /// NP + RP reference pass (scalar, AoS FlowState records).  Compiled
-  /// twice: the Traced instantiation emits TraceEvents through `bus_cache_`,
-  /// the untraced one contains no trace code at all so the no-sink hot loop
-  /// stays identical to an uninstrumented build (even a never-taken branch
-  /// around an emit call costs measurable time here).
-  template <bool Traced>
-  void rp_pass(Network& net, TimePoint now, Duration dt, bool any_marked);
   /// NP + RP slab pass: gather (per-flow bytes sent and route marking
   /// probability, streamed from the network's rate slab and flat route
   /// array) → kernel (rate machine over the SoA columns below) → scatter
-  /// (new rates back into the network slab).  Same Traced/untraced split.
+  /// (new rates back into the network slab).  Compiled twice: the Traced
+  /// instantiation emits TraceEvents through `bus_cache_`, the untraced one
+  /// contains no trace code at all so the no-sink hot loop stays identical
+  /// to an uninstrumented build (even a never-taken branch around an emit
+  /// call costs measurable time here).
   template <bool Traced>
-  void rp_pass_soa(Network& net, TimePoint now, Duration dt, bool any_marked);
+  void rp_pass(Network& net, TimePoint now, Duration dt, bool any_marked);
   /// RED/ECN marking probability for a queue of `queue_bytes` bytes, using
   /// the slope precomputed in the constructor.
   double red_probability(double queue_bytes) const {
@@ -186,13 +156,10 @@ class DcqcnPolicy : public BandwidthPolicy {
   Rng rng_;
   // Rate-machine state indexed by the network's stable slab slot so the
   // per-step RP pass is hash-free; `slots_` maps ids for the diag API and
-  // is only consulted off the hot path.  Only the representation selected
-  // by `config_.reference_kernel` is maintained: the AoS FlowState records
-  // below for the reference path, or the SoA columns for the slab kernel.
-  std::vector<FlowState> state_;
+  // is only consulted off the hot path.
   std::unordered_map<FlowId, std::uint32_t> slots_;
 
-  // SoA columns, slot-indexed (one contiguous array per FlowState field).
+  // SoA columns, slot-indexed (one contiguous array per rate-machine field).
   std::vector<double> rc_bps_;        // current rate
   std::vector<double> rt_bps_;        // target rate
   std::vector<double> line_bps_;      // min capacity along the route
@@ -218,13 +185,13 @@ class DcqcnPolicy : public BandwidthPolicy {
   double kmin_bytes_ = 0.0;
   double kmax_bytes_ = 0.0;
   double mark_scale_ = 0.0;  // pmax / (kmax - kmin), per byte
-  /// Links that can congest under the current flow set: the sum of the line
-  /// rates of the flows crossing the link exceeds its effective capacity.
-  /// Every other link provably never queues (per-flow rates are clamped to
-  /// the route's line rate, so arrival <= sum-of-lines <= capacity keeps the
+  /// Links that can congest under the current flow set: the sum of the rate
+  /// bounds (rate_bound_bps: line rate, floored at 10 Mbps) of the flows
+  /// crossing the link exceeds its effective capacity.  Every other link
+  /// provably never queues (arrival <= sum-of-bounds <= capacity keeps the
   /// queue at zero), and the CP pass skips it wholesale.  Rebuilt on flow
   /// start/finish and on capacity changes; links still draining backlog from
-  /// an earlier flow set are carried by `wet_links_`.
+  /// an earlier flow set are carried by the slab's wet list.
   std::vector<std::int32_t> cp_links_;
   std::vector<double> scratch_bound_;  // rebuild_cp_links scratch
   void rebuild_cp_links(const Network& net);

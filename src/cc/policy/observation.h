@@ -8,7 +8,8 @@
 // consumes a CcObservation verbatim and looks a CcAction up in an
 // externally-trained policy table, and Swift routes its whole kernel through
 // swift_decide(obs, ...) so the decision function is a pure observation ->
-// action map shared bit-for-bit by its reference and SoA kernels.
+// action map shared bit-for-bit by its SoA kernel and the scalar test oracle
+// (tests/cc_kernel_parity_test.cpp).
 //
 // The field set mirrors the RL gym interface sketched in SNIPPETS.md
 // (CongestionControlEnv / DistRLCC): delay, delay gradient, marking

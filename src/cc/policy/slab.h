@@ -12,8 +12,10 @@
 // and floating-point arithmetic of the pre-subsystem per-transport loops —
 // hot links in range order (stamped before integration), then leftover wet
 // links in last-pass order with their true arrival sums (zero once their
-// flows departed).  tests/cc_kernel_parity_test.cpp and the golden pre-port
-// hashes in tests/cc_transport_zoo_test.cpp hold it to that.
+// flows departed).  The scalar oracles in tests/cc_kernel_parity_test.cpp
+// integrate every link of the topology on every tick instead and must agree
+// bit for bit; the golden hashes in tests/cc_transport_zoo_test.cpp pin the
+// bytes.
 #pragma once
 
 #include <algorithm>

@@ -85,23 +85,14 @@ void SwiftPolicy::on_flow_started(Network& net, Flow& flow) {
   const Rate line = route_line_rate(net, flow);
   const Rate ai = flow.spec.cc_rai.is_positive() ? flow.spec.cc_rai : config_.ai;
   const std::uint32_t slot = net.slot_of(flow.id);
-  if (config_.reference_kernel) {
-    FlowState s;
-    s.line_rate = line;
-    s.rate = line;  // RDMA starts at line rate
-    s.ai = ai;
-    if (state_.size() <= slot) state_.resize(net.slab_size());
-    state_[slot] = s;
-  } else {
-    if (rate_bps_.size() <= slot) resize_soa(net.slab_size());
-    line_bps_[slot] = line.bits_per_sec();
-    rate_bps_[slot] = line.bits_per_sec();
-    ai_bps_[slot] = ai.bits_per_sec();
-    ewma_col_[slot] = 0.0;
-    grad_col_[slot] = 0.0;
-    prev_rtt_ns_[slot] = 0;
-    cadence_.reset(slot);
-  }
+  if (rate_bps_.size() <= slot) resize_soa(net.slab_size());
+  line_bps_[slot] = line.bits_per_sec();
+  rate_bps_[slot] = line.bits_per_sec();  // RDMA starts at line rate
+  ai_bps_[slot] = ai.bits_per_sec();
+  ewma_col_[slot] = 0.0;
+  grad_col_[slot] = 0.0;
+  prev_rtt_ns_[slot] = 0;
+  cadence_.reset(slot);
   slots_[flow.id] = slot;
   net.set_rate(slot, line);
 }
@@ -115,16 +106,9 @@ void SwiftPolicy::on_link_capacity_changed(Network& net, LinkId /*link*/) {
   for (const std::uint32_t slot : net.active_slots()) {
     const Flow& flow = net.flow_at(slot);
     const Rate line = route_line_rate(net, flow);
-    if (config_.reference_kernel) {
-      FlowState& s = state_[slot];
-      s.line_rate = line;
-      s.rate = std::min(s.rate, line);
-      net.set_rate(slot, s.rate);
-    } else {
-      line_bps_[slot] = line.bits_per_sec();
-      rate_bps_[slot] = std::min(rate_bps_[slot], line.bits_per_sec());
-      net.set_rate(slot, Rate::bps(rate_bps_[slot]));
-    }
+    line_bps_[slot] = line.bits_per_sec();
+    rate_bps_[slot] = std::min(rate_bps_[slot], line.bits_per_sec());
+    net.set_rate(slot, Rate::bps(rate_bps_[slot]));
   }
 }
 
@@ -149,72 +133,9 @@ void SwiftPolicy::update_rates(Network& net, TimePoint now, Duration dt) {
   };
   links_.step(net, net.links_in_use(), integrate);
 
-  if (config_.reference_kernel) {
-    update_rates_reference(net, now, dt);
-  } else {
-    update_rates_soa(net, now, dt);
-  }
-}
-
-void SwiftPolicy::update_rates_reference(Network& net, TimePoint now,
-                                         Duration dt) {
-  const double min_bps = config_.min_rate.bits_per_sec();
-  for (const std::uint32_t slot : net.active_slots()) {
-    const Flow& flow = net.flow_at(slot);
-    FlowState& s = state_[slot];
-
-    s.since_update += dt;
-    if (s.since_update < config_.update_interval) {
-      net.set_rate(slot, s.rate);
-      continue;
-    }
-    s.since_update = Duration::zero();
-
-    Duration rtt = config_.base_rtt;
-    for (const LinkId lid : flow.spec.route.links) {
-      const Rate cap = net.effective_capacity(lid);
-      if (cap.is_positive()) {
-        rtt += transfer_time(links_[lid.value].queue, cap);
-      }
-    }
-
-    // First decision after flow start has no previous sample (prev_rtt is
-    // the zero sentinel); a raw difference against zero would spike the
-    // gradient by the whole base RTT, so treat it as zero change.
-    const bool first = s.prev_rtt.is_zero();
-    const double diff_us = first ? 0.0 : rtt.to_micros() - s.prev_rtt.to_micros();
-    s.prev_rtt = rtt;
-    s.rtt_diff_ewma = (1.0 - config_.ewma_alpha) * s.rtt_diff_ewma +
-                      config_.ewma_alpha * diff_us;
-    const double gradient = s.rtt_diff_ewma / config_.base_rtt.to_micros();
-    s.last_gradient = gradient;
-
-    // MLTCP wrap: additive step scales with comm-phase progress.
-    double ai_bps = s.ai.bits_per_sec();
-    const double progress = net.progress_at(slot);
-    if (config_.phase_scaling) ai_bps = ai_bps * (1.0 + progress);
-
-    CcObservation obs;
-    obs.rtt_us = rtt.to_micros();
-    obs.rtt_gradient = gradient;
-    obs.phase_progress = progress;
-    const SwiftDecision d =
-        swift_decide(config_, obs, decision_target_us(), s.rate.bits_per_sec(),
-                     ai_bps, min_bps, s.line_rate.bits_per_sec());
-    s.rate = Rate::bps(d.rate_bps);
-    net.set_rate(slot, s.rate);
-    if (d.decreased && bus_cache_ != nullptr) [[unlikely]] {
-      emit_decrease_event(*bus_cache_, *c_decrease_, now, flow, d.rate_bps,
-                          gradient);
-    }
-  }
-}
-
-// SoA twin: identical arithmetic in identical order over the slab columns —
-// both kernels funnel through swift_decide, so parity reduces to the
-// observation assembly (the RTT sum keeps Duration int64-ns wrappers so
-// rounding matches to the bit).
-void SwiftPolicy::update_rates_soa(Network& net, TimePoint now, Duration dt) {
+  // Per flow, once per update interval: assemble the observation (the RTT
+  // sum keeps the Duration int64-ns wrappers) and let swift_decide step the
+  // rate straight into the network slab.
   const std::span<const std::uint32_t> slots = net.active_slots();
   const std::span<double> rates = net.mutable_rates_bps();
   const std::int64_t dt_ns = dt.ns();
@@ -237,7 +158,9 @@ void SwiftPolicy::update_rates_soa(Network& net, TimePoint now, Duration dt) {
       }
     }
 
-    // Same zero-sentinel guard as the reference kernel (see comment there).
+    // First decision after flow start has no previous sample (prev_rtt is
+    // the zero sentinel); a raw difference against zero would spike the
+    // gradient by the whole base RTT, so treat it as zero change.
     const std::int64_t prev_ns = prev_rtt_ns_[slot];
     const double diff_us =
         prev_ns == 0 ? 0.0
@@ -247,6 +170,7 @@ void SwiftPolicy::update_rates_soa(Network& net, TimePoint now, Duration dt) {
     const double gradient = ewma_col_[slot] / base_us;
     grad_col_[slot] = gradient;
 
+    // MLTCP wrap: additive step scales with comm-phase progress.
     double ai_bps = ai_bps_[slot];
     const double progress = net.progress_at(slot);
     if (scaling) ai_bps = ai_bps * (1.0 + progress);
@@ -269,12 +193,9 @@ void SwiftPolicy::update_rates_soa(Network& net, TimePoint now, Duration dt) {
 
 double SwiftPolicy::rate_bound_bps(const Network& /*net*/,
                                    std::uint32_t slot) const {
-  const double line = config_.reference_kernel
-                          ? state_[slot].line_rate.bits_per_sec()
-                          : line_bps_[slot];
   // swift_decide clamps to [min_rate, line_rate]; min_rate can exceed the
   // line rate of a browned-out route, so the bound covers both.
-  return std::max(line, config_.min_rate.bits_per_sec());
+  return std::max(line_bps_[slot], config_.min_rate.bits_per_sec());
 }
 
 Bytes SwiftPolicy::link_queue(LinkId link) const {
@@ -288,10 +209,6 @@ SwiftPolicy::FlowDiag SwiftPolicy::diag(FlowId id) const {
   const auto it = slots_.find(id);
   assert(it != slots_.end());
   const std::uint32_t slot = it->second;
-  if (config_.reference_kernel) {
-    const FlowState& s = state_[slot];
-    return {s.rate, s.prev_rtt, s.last_gradient};
-  }
   return {Rate::bps(rate_bps_[slot]), Duration::nanos(prev_rtt_ns_[slot]),
           grad_col_[slot]};
 }
@@ -301,29 +218,19 @@ std::string SwiftPolicy::serialize_state() const {
   const auto flows = sorted_flow_slots(slots_);
 
   StateBuf out;
-  out.put_u8(config_.reference_kernel ? 1 : 0);
+  // Representation byte, always 0 (see DcqcnPolicy::serialize_state).
+  out.put_u8(0);
   out.put_u64(flows.size());
   for (const auto& [id, slot] : flows) {
     out.put_i64(id);
     out.put_u32(slot);
-    if (config_.reference_kernel) {
-      const FlowState& s = state_[slot];
-      out.put_f64(s.rate.bits_per_sec());
-      out.put_f64(s.line_rate.bits_per_sec());
-      out.put_f64(s.ai.bits_per_sec());
-      out.put_i64(s.prev_rtt.ns());
-      out.put_f64(s.rtt_diff_ewma);
-      out.put_i64(s.since_update.ns());
-      out.put_f64(s.last_gradient);
-    } else {
-      out.put_f64(rate_bps_[slot]);
-      out.put_f64(line_bps_[slot]);
-      out.put_f64(ai_bps_[slot]);
-      out.put_i64(prev_rtt_ns_[slot]);
-      out.put_f64(ewma_col_[slot]);
-      out.put_i64(cadence_.since_ns(slot));
-      out.put_f64(grad_col_[slot]);
-    }
+    out.put_f64(rate_bps_[slot]);
+    out.put_f64(line_bps_[slot]);
+    out.put_f64(ai_bps_[slot]);
+    out.put_i64(prev_rtt_ns_[slot]);
+    out.put_f64(ewma_col_[slot]);
+    out.put_i64(cadence_.since_ns(slot));
+    out.put_f64(grad_col_[slot]);
   }
   out.put_u64(links_.size());
   for (const LinkState& l : links_.links()) out.put_f64(l.queue.count());

@@ -10,9 +10,9 @@
 //                    where amp in [1, 2] grows with a positive gradient.
 //
 // The decision function is a pure CcObservation -> rate map (swift_decide),
-// shared bit-for-bit by the reference AoS kernel and the SoA slab kernel —
-// the cleanest exhibit of the policy subsystem's observation/action
-// vocabulary (cc/policy/observation.h).
+// called by the SoA slab kernel and by the scalar test oracle in
+// tests/cc_kernel_parity_test.cpp alike — the cleanest exhibit of the policy
+// subsystem's observation/action vocabulary (cc/policy/observation.h).
 //
 // Per-flow aggressiveness knob: FlowSpec::cc_rai overrides the additive step
 // (mirroring DCQCN's R_AI and TIMELY's delta), so the paper's unfairness
@@ -61,12 +61,6 @@ struct SwiftConfig {
   /// the additive step is multiplied by (1 + comm-phase progress), exactly
   /// as for mltcp-timely and DCQCN's adaptive_rai.
   bool phase_scaling = false;
-
-  /// Run the per-flow scalar path (AoS FlowState records) instead of the
-  /// structure-of-arrays kernel.  Bit-identical by construction — both call
-  /// swift_decide on the same observation — and held to it by
-  /// tests/cc_kernel_parity_test.cpp.
-  bool reference_kernel = false;
 };
 
 /// The outcome of one Swift decision.
@@ -75,9 +69,10 @@ struct SwiftDecision {
   bool decreased = false;
 };
 
-/// Pure decision function: one observation in, one clamped rate out.  Both
-/// kernels call this — there is no second copy of the update equations.
-/// `target_us` is the (possibly jittered) absolute RTT target.
+/// Pure decision function: one observation in, one clamped rate out.  The
+/// kernel and its test oracle both call this — there is no second copy of
+/// the update equations.  `target_us` is the (possibly jittered) absolute
+/// RTT target.
 SwiftDecision swift_decide(const SwiftConfig& cfg, const CcObservation& obs,
                            double target_us, double rate_bps, double ai_bps,
                            double min_bps, double line_bps);
@@ -114,23 +109,11 @@ class SwiftPolicy final : public BandwidthPolicy {
   FlowDiag diag(FlowId id) const;
 
  private:
-  struct FlowState {
-    Rate rate;
-    Rate line_rate;
-    Rate ai;  // per-flow additive step
-    Duration prev_rtt = Duration::zero();
-    double rtt_diff_ewma = 0.0;  // smoothed d(rtt) per decision, in us
-    Duration since_update = Duration::zero();
-    double last_gradient = 0.0;
-  };
-
   struct LinkState {
     Bytes queue = Bytes::zero();
     std::uint64_t stamp = 0;  ///< last queue pass that touched this link
   };
 
-  void update_rates_reference(Network& net, TimePoint now, Duration dt);
-  void update_rates_soa(Network& net, TimePoint now, Duration dt);
   void resize_soa(std::size_t n);
   /// The (possibly jittered) RTT target for one decision; draws from rng_
   /// only when target_jitter_us is nonzero.
@@ -139,17 +122,15 @@ class SwiftPolicy final : public BandwidthPolicy {
   SwiftConfig config_;
   Rng rng_;
   // Per-flow state indexed by the network's stable slab slot; `slots_` maps
-  // ids for the diag API.  Only the representation selected by
-  // `config_.reference_kernel` is maintained (same layout rule as TIMELY).
-  std::vector<FlowState> state_;
+  // ids for the diag API (same layout rule as TIMELY).
   std::unordered_map<FlowId, std::uint32_t> slots_;
 
   // SoA columns, slot-indexed.
   std::vector<double> rate_bps_;
   std::vector<double> line_bps_;
-  std::vector<double> ai_bps_;
-  std::vector<double> ewma_col_;
-  std::vector<double> grad_col_;
+  std::vector<double> ai_bps_;        // per-flow additive step
+  std::vector<double> ewma_col_;      // smoothed d(rtt) per decision, in us
+  std::vector<double> grad_col_;      // last normalized gradient
   std::vector<std::int64_t> prev_rtt_ns_;
   DecisionCadence cadence_;  ///< shared fixed-cadence accumulator
   /// Per-link queue state behind the shared two-pass step loop

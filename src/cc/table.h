@@ -156,7 +156,7 @@ class TablePolicy final : public BandwidthPolicy {
   Rng rng_;
   std::unordered_map<FlowId, std::uint32_t> slots_;
 
-  // SoA columns, slot-indexed (slab-only; no AoS twin).
+  // SoA columns, slot-indexed.
   std::vector<double> rate_bps_;
   std::vector<double> line_bps_;
   std::vector<double> ewma_col_;

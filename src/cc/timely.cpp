@@ -54,24 +54,15 @@ void TimelyPolicy::on_flow_started(Network& net, Flow& flow) {
   const Rate delta =
       flow.spec.cc_rai.is_positive() ? flow.spec.cc_rai : config_.delta;
   const std::uint32_t slot = net.slot_of(flow.id);
-  if (config_.reference_kernel) {
-    FlowState s;
-    s.line_rate = line;
-    s.rate = line;  // RDMA starts at line rate
-    s.delta = delta;
-    if (state_.size() <= slot) state_.resize(net.slab_size());
-    state_[slot] = s;
-  } else {
-    if (rate_bps_.size() <= slot) resize_soa(net.slab_size());
-    line_bps_[slot] = line.bits_per_sec();
-    rate_bps_[slot] = line.bits_per_sec();
-    delta_bps_[slot] = delta.bits_per_sec();
-    ewma_col_[slot] = 0.0;
-    grad_col_[slot] = 0.0;
-    prev_rtt_ns_[slot] = 0;
-    cadence_.reset(slot);
-    good_rounds_[slot] = 0;
-  }
+  if (rate_bps_.size() <= slot) resize_soa(net.slab_size());
+  line_bps_[slot] = line.bits_per_sec();
+  rate_bps_[slot] = line.bits_per_sec();  // RDMA starts at line rate
+  delta_bps_[slot] = delta.bits_per_sec();
+  ewma_col_[slot] = 0.0;
+  grad_col_[slot] = 0.0;
+  prev_rtt_ns_[slot] = 0;
+  cadence_.reset(slot);
+  good_rounds_[slot] = 0;
   slots_[flow.id] = slot;
   net.set_rate(slot, line);
 }
@@ -87,16 +78,9 @@ void TimelyPolicy::on_link_capacity_changed(Network& net, LinkId /*link*/) {
   for (const std::uint32_t slot : net.active_slots()) {
     const Flow& flow = net.flow_at(slot);
     const Rate line = route_line_rate(net, flow);
-    if (config_.reference_kernel) {
-      FlowState& s = state_[slot];
-      s.line_rate = line;
-      s.rate = std::min(s.rate, line);
-      net.set_rate(slot, s.rate);
-    } else {
-      line_bps_[slot] = line.bits_per_sec();
-      rate_bps_[slot] = std::min(rate_bps_[slot], line.bits_per_sec());
-      net.set_rate(slot, Rate::bps(rate_bps_[slot]));
-    }
+    line_bps_[slot] = line.bits_per_sec();
+    rate_bps_[slot] = std::min(rate_bps_[slot], line.bits_per_sec());
+    net.set_rate(slot, Rate::bps(rate_bps_[slot]));
   }
 }
 
@@ -123,84 +107,10 @@ void TimelyPolicy::update_rates(Network& net, TimePoint now, Duration dt) {
   };
   links_.step(net, net.links_in_use(), integrate);
 
-  if (config_.reference_kernel) {
-    update_rates_reference(net, now, dt);
-  } else {
-    update_rates_soa(net, now, dt);
-  }
-}
-
-void TimelyPolicy::update_rates_reference(Network& net, TimePoint now,
-                                          Duration dt) {
-  for (const std::uint32_t slot : net.active_slots()) {
-    const Flow& flow = net.flow_at(slot);
-    FlowState& s = state_[slot];
-
-    s.since_update += dt;
-    if (s.since_update < config_.update_interval) {
-      net.set_rate(slot, s.rate);
-      continue;
-    }
-    s.since_update = Duration::zero();
-
-    // RTT = base + sum of queueing delays along the route.
-    Duration rtt = config_.base_rtt;
-    for (const LinkId lid : flow.spec.route.links) {
-      const Rate cap = net.effective_capacity(lid);
-      if (cap.is_positive()) {
-        rtt += transfer_time(links_[lid.value].queue, cap);
-      }
-    }
-
-    const double diff_us = rtt.to_micros() - s.prev_rtt.to_micros();
-    s.prev_rtt = rtt;
-    s.rtt_diff_ewma = (1.0 - config_.ewma_alpha) * s.rtt_diff_ewma +
-                      config_.ewma_alpha * diff_us;
-    const double gradient =
-        s.rtt_diff_ewma / config_.base_rtt.to_micros();  // normalized
-    s.last_gradient = gradient;
-
-    // MLTCP wrap: the additive step scales with comm-phase progress; the
-    // gradient machine itself is untouched (delta == s.delta when off).
-    Rate delta = s.delta;
-    if (config_.phase_scaling) {
-      delta = delta * (1.0 + net.progress_at(slot));
-    }
-    bool decreased = false;
-    if (rtt < config_.t_low) {
-      s.rate += delta;
-      ++s.completed_good_rounds;
-    } else if (rtt > config_.t_high) {
-      const double shrink =
-          1.0 - config_.beta * (1.0 - config_.t_high / rtt);
-      s.rate = s.rate * shrink;
-      s.completed_good_rounds = 0;
-      decreased = true;
-    } else if (gradient <= 0.0) {
-      ++s.completed_good_rounds;
-      const int n =
-          s.completed_good_rounds >= config_.hai_threshold ? 5 : 1;
-      s.rate += delta * static_cast<double>(n);
-    } else {
-      s.rate = s.rate * (1.0 - config_.beta * std::min(gradient, 1.0));
-      s.completed_good_rounds = 0;
-      decreased = true;
-    }
-    s.rate = std::clamp(s.rate, config_.min_rate, s.line_rate);
-    net.set_rate(slot, s.rate);
-    if (decreased && bus_cache_ != nullptr) [[unlikely]] {
-      emit_decrease_event(*bus_cache_, *c_decrease_, now, flow,
-                          s.rate.bits_per_sec(), gradient);
-    }
-  }
-}
-
-// SoA twin of update_rates_reference: identical arithmetic in identical
-// order over the slab columns (the RTT sum keeps the Duration int64-ns
-// wrappers so rounding matches to the bit), with the route walk taken from
-// the network's flat link array and rates scattered straight into the
-// network slab.
-void TimelyPolicy::update_rates_soa(Network& net, TimePoint now, Duration dt) {
+  // Per flow, once per update interval: sample the RTT, filter its
+  // gradient, and step the rate.  The RTT sum keeps the Duration int64-ns
+  // wrappers; the route walk reads the network's flat link array and rates
+  // go straight into the network slab.
   const std::span<const std::uint32_t> slots = net.active_slots();
   const std::span<double> rates = net.mutable_rates_bps();
   const std::int64_t dt_ns = dt.ns();
@@ -231,7 +141,8 @@ void TimelyPolicy::update_rates_soa(Network& net, TimePoint now, Duration dt) {
     grad_col_[slot] = gradient;
 
     double rate = rate_bps_[slot];
-    // Same MLTCP wrap as the reference kernel, in the same FP order.
+    // MLTCP wrap: the additive step scales with comm-phase progress; the
+    // gradient machine itself is untouched.
     double delta = delta_bps_[slot];
     if (scaling) delta = delta * (1.0 + net.progress_at(slot));
     bool decreased = false;
@@ -253,7 +164,9 @@ void TimelyPolicy::update_rates_soa(Network& net, TimePoint now, Duration dt) {
       good_rounds_[slot] = 0;
       decreased = true;
     }
-    rate = std::clamp(rate, min_bps, line_bps_[slot]);
+    // Clamp to [min_rate, line_rate]; where a brownout pushes the line rate
+    // below min_rate the line rate wins (std::clamp would need lo <= hi).
+    rate = std::min(std::max(rate, min_bps), line_bps_[slot]);
     rate_bps_[slot] = rate;
     rates[slot] = rate;
     if (decreased && bus_cache_ != nullptr) [[unlikely]] {
@@ -265,12 +178,9 @@ void TimelyPolicy::update_rates_soa(Network& net, TimePoint now, Duration dt) {
 
 double TimelyPolicy::rate_bound_bps(const Network& /*net*/,
                                     std::uint32_t slot) const {
-  const double line = config_.reference_kernel
-                          ? state_[slot].line_rate.bits_per_sec()
-                          : line_bps_[slot];
   // Every rate update clamps to [min_rate, line_rate]; min_rate can exceed
   // the line rate of a browned-out route, so the bound covers both.
-  return std::max(line, config_.min_rate.bits_per_sec());
+  return std::max(line_bps_[slot], config_.min_rate.bits_per_sec());
 }
 
 Bytes TimelyPolicy::link_queue(LinkId link) const {
@@ -284,10 +194,6 @@ TimelyPolicy::FlowDiag TimelyPolicy::diag(FlowId id) const {
   const auto it = slots_.find(id);
   assert(it != slots_.end());
   const std::uint32_t slot = it->second;
-  if (config_.reference_kernel) {
-    const FlowState& s = state_[slot];
-    return {s.rate, s.prev_rtt, s.last_gradient};
-  }
   return {Rate::bps(rate_bps_[slot]), Duration::nanos(prev_rtt_ns_[slot]),
           grad_col_[slot]};
 }
@@ -297,31 +203,20 @@ std::string TimelyPolicy::serialize_state() const {
   const auto flows = sorted_flow_slots(slots_);
 
   StateBuf out;
-  out.put_u8(config_.reference_kernel ? 1 : 0);
+  // Representation byte, always 0 (see DcqcnPolicy::serialize_state).
+  out.put_u8(0);
   out.put_u64(flows.size());
   for (const auto& [id, slot] : flows) {
     out.put_i64(id);
     out.put_u32(slot);
-    if (config_.reference_kernel) {
-      const FlowState& s = state_[slot];
-      out.put_f64(s.rate.bits_per_sec());
-      out.put_f64(s.line_rate.bits_per_sec());
-      out.put_f64(s.delta.bits_per_sec());
-      out.put_i64(s.prev_rtt.ns());
-      out.put_f64(s.rtt_diff_ewma);
-      out.put_u32(static_cast<std::uint32_t>(s.completed_good_rounds));
-      out.put_i64(s.since_update.ns());
-      out.put_f64(s.last_gradient);
-    } else {
-      out.put_f64(rate_bps_[slot]);
-      out.put_f64(line_bps_[slot]);
-      out.put_f64(delta_bps_[slot]);
-      out.put_i64(prev_rtt_ns_[slot]);
-      out.put_f64(ewma_col_[slot]);
-      out.put_u32(static_cast<std::uint32_t>(good_rounds_[slot]));
-      out.put_i64(cadence_.since_ns(slot));
-      out.put_f64(grad_col_[slot]);
-    }
+    out.put_f64(rate_bps_[slot]);
+    out.put_f64(line_bps_[slot]);
+    out.put_f64(delta_bps_[slot]);
+    out.put_i64(prev_rtt_ns_[slot]);
+    out.put_f64(ewma_col_[slot]);
+    out.put_u32(static_cast<std::uint32_t>(good_rounds_[slot]));
+    out.put_i64(cadence_.since_ns(slot));
+    out.put_f64(grad_col_[slot]);
   }
   out.put_u64(links_.size());
   for (const LinkState& l : links_.links()) out.put_f64(l.queue.count());

@@ -50,11 +50,6 @@ struct TimelyConfig {
   /// that just started — the bytes-sent interleaving mechanism, applied as
   /// a wrapper over the unchanged TIMELY gradient machine.
   bool phase_scaling = false;
-
-  /// Run the original per-flow scalar path (AoS FlowState records) instead
-  /// of the structure-of-arrays kernel.  Bit-identical by construction;
-  /// held to that by tests/cc_kernel_parity_test.cpp.
-  bool reference_kernel = false;
 };
 
 class TimelyPolicy final : public BandwidthPolicy {
@@ -90,40 +85,24 @@ class TimelyPolicy final : public BandwidthPolicy {
   FlowDiag diag(FlowId id) const;
 
  private:
-  struct FlowState {
-    Rate rate;
-    Rate line_rate;
-    Rate delta;  // per-flow additive step
-    Duration prev_rtt = Duration::zero();
-    double rtt_diff_ewma = 0.0;  // smoothed d(rtt) per update, in us
-    int completed_good_rounds = 0;
-    Duration since_update = Duration::zero();
-    double last_gradient = 0.0;
-  };
-
   struct LinkState {
     Bytes queue = Bytes::zero();
     std::uint64_t stamp = 0;  ///< last queue pass that touched this link
   };
 
-  void update_rates_reference(Network& net, TimePoint now, Duration dt);
-  void update_rates_soa(Network& net, TimePoint now, Duration dt);
   void resize_soa(std::size_t n);
 
   TimelyConfig config_;
   // Per-flow state indexed by the network's stable slab slot (hash-free on
-  // the per-step path); `slots_` maps ids for the diag API.  Only the
-  // representation picked by `config_.reference_kernel` is maintained: the
-  // AoS records below, or the SoA columns.
-  std::vector<FlowState> state_;
+  // the per-step path); `slots_` maps ids for the diag API.
   std::unordered_map<FlowId, std::uint32_t> slots_;
 
   // SoA columns, slot-indexed.
   std::vector<double> rate_bps_;
   std::vector<double> line_bps_;
-  std::vector<double> delta_bps_;
-  std::vector<double> ewma_col_;
-  std::vector<double> grad_col_;
+  std::vector<double> delta_bps_;     // per-flow additive step
+  std::vector<double> ewma_col_;      // smoothed d(rtt) per update, in us
+  std::vector<double> grad_col_;      // last normalized gradient
   std::vector<std::int64_t> prev_rtt_ns_;
   DecisionCadence cadence_;  ///< shared fixed-cadence accumulator
   std::vector<std::int32_t> good_rounds_;

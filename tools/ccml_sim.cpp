@@ -499,13 +499,16 @@ int cmd_solve(const std::vector<std::string>& job_args,
     }
   }
   SolverOptions sopts;
-  if (opts.contains("sectors")) {
-    sopts.sectors = std::atoi(opts.at("sectors").c_str());
-  }
+  if (opts.contains("sectors")) sopts.sectors = want_count(opts, "sectors");
   if (opts.contains("capacity-gbps")) {
+    const double gbps = want_num(opts, "capacity-gbps");
+    if (gbps <= 0) {
+      usage(("capacity-gbps=" + opts.at("capacity-gbps") +
+             ": expected a positive number")
+                .c_str());
+    }
     sopts.mode = SolverOptions::Mode::kBandwidth;
-    sopts.link_capacity =
-        Rate::gbps(std::atof(opts.at("capacity-gbps").c_str()));
+    sopts.link_capacity = Rate::gbps(gbps);
   }
   const SolverResult r = CompatibilitySolver(sopts).solve(profiles);
   std::printf("verdict: %s%s\n", r.compatible ? "COMPATIBLE" : "incompatible",
