@@ -14,8 +14,10 @@
 // pool, verifying the results are bit-identical and recording the wall
 // times of both.  Its "kernels" block also prices the JSONL trace path:
 // exact event and byte counts of one traced run, ns per event, and the
-// traced/untraced wall-time ratio; and the max-min dumbbell: its throughput
-// and the exact number of allocations one run computes.
+// traced/untraced wall-time ratio; the max-min dumbbell: its throughput
+// and the exact number of allocations one run computes; and DCQCN's
+// rate-machine work on a leaf-spine run: flow-ticks stepped and the lazy
+// share its pinned flows owed.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -24,12 +26,14 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench/cli.h"
+#include "cc/dcqcn.h"
 #include "cc/factory.h"
 #include "cc/water_fill.h"
 #include "cluster/scenario.h"
@@ -63,17 +67,18 @@ double wall_ms_of(const std::function<void()>& fn) {
   return std::chrono::duration<double, std::milli>(t1 - t0).count();
 }
 
-/// One max-min waterfill allocation pass over 128 flows on a leaf-spine
-/// fabric (the ideal-policy kernel), best-of-reps, per-pass milliseconds.
-double waterfill_pass_ms() {
-  const Topology topo =
-      Topology::leaf_spine(4, 8, 4, Rate::gbps(50), Rate::gbps(100));
-  Simulator sim;
-  Network net(topo, make_policy(PolicyKind::kMaxMinFair), {});
-  net.attach(sim);
-  const Router router(topo);
-  const auto hosts = topo.hosts();
-  for (int i = 0; i < 128; ++i) {
+/// The leaf-spine fabric of the kernel measurements: 4 ToRs x 8 hosts at
+/// 50 Gbps, 4 spines at 100 Gbps.
+Topology bench_fabric() {
+  return Topology::leaf_spine(4, 8, 4, Rate::gbps(50), Rate::gbps(100));
+}
+
+/// Starts `flows` 1 GB flows on `net`: flow i from host i (mod 32) to host
+/// 7i + 11 (mod 32), ECMP-hashed by i.
+void start_fabric_flows(Network& net, int flows) {
+  const Router router(net.topology());
+  const auto hosts = net.topology().hosts();
+  for (int i = 0; i < flows; ++i) {
     FlowSpec fs;
     fs.src = hosts[i % hosts.size()];
     fs.dst = hosts[(i * 7 + 11) % hosts.size()];
@@ -83,6 +88,16 @@ double waterfill_pass_ms() {
     fs.size = Bytes::giga(1);
     net.start_flow(std::move(fs));
   }
+}
+
+/// One max-min waterfill allocation pass over 128 flows on a leaf-spine
+/// fabric (the ideal-policy kernel), best-of-reps, per-pass milliseconds.
+double waterfill_pass_ms() {
+  const Topology topo = bench_fabric();
+  Simulator sim;
+  Network net(topo, make_policy(PolicyKind::kMaxMinFair), {});
+  net.attach(sim);
+  start_fabric_flows(net, 128);
   const auto slots = net.active_slots();
   constexpr int kPasses = 200;
   double best = 1e300;
@@ -97,6 +112,23 @@ double waterfill_pass_ms() {
     if (ms < best) best = ms;
   }
   return best / kPasses;
+}
+
+/// DCQCN's rate-machine work over one untraced 10-sim-ms run of 40 flows on
+/// the same fabric: the first 32 pair the hosts one to one, the last 8 add
+/// a second flow to hosts 0-7, so the flows sharing those host links are
+/// stepped while the rest stay pinned at line rate and owe their ticks.
+/// Deterministic work counters.
+DcqcnPolicy::Work dcqcn_fabric_work() {
+  const Topology topo = bench_fabric();
+  Simulator sim;
+  auto policy = std::make_unique<DcqcnPolicy>();
+  const DcqcnPolicy& dcqcn = *policy;
+  Network net(topo, std::move(policy), {});
+  net.attach(sim);
+  start_fabric_flows(net, 40);
+  sim.run_for(Duration::millis(10));
+  return dcqcn.work();
 }
 
 struct TracedRun {
@@ -176,24 +208,11 @@ void BM_EnginePriority(benchmark::State& state) {
 BENCHMARK(BM_EnginePriority)->Unit(benchmark::kMillisecond);
 
 void BM_WaterFill(benchmark::State& state) {
-  const int flows = static_cast<int>(state.range(0));
-  const Topology topo =
-      Topology::leaf_spine(4, 8, 4, Rate::gbps(50), Rate::gbps(100));
+  const Topology topo = bench_fabric();
   Simulator sim;
   Network net(topo, make_policy(PolicyKind::kMaxMinFair), {});
   net.attach(sim);
-  const Router router(topo);
-  const auto hosts = topo.hosts();
-  for (int i = 0; i < flows; ++i) {
-    FlowSpec fs;
-    fs.src = hosts[i % hosts.size()];
-    fs.dst = hosts[(i * 7 + 11) % hosts.size()];
-    if (fs.src == fs.dst) fs.dst = hosts[(i + 1) % hosts.size()];
-    fs.route = router.pick(fs.src, fs.dst, i);
-    if (fs.route.empty()) continue;
-    fs.size = Bytes::giga(1);
-    net.start_flow(std::move(fs));
-  }
+  start_fabric_flows(net, static_cast<int>(state.range(0)));
   const auto slots = net.active_slots();
   for (auto _ : state) {
     auto residual = full_residual(net);
@@ -273,6 +292,7 @@ int run_json_mode(const std::string& path, double baseline_ms,
   // dominated by it), one waterfill allocation pass, the max-min dumbbell,
   // and the trace path's cost over an untraced run.
   const double waterfill_ms = waterfill_pass_ms();
+  const DcqcnPolicy::Work dcqcn_work = dcqcn_fabric_work();
   const MaxMinRun maxmin = maxmin_best(kReps);
   const double maxmin_sim_per_wall = kSimSeconds / (maxmin.best_ms / 1000.0);
   const TracedRun traced = traced_best(3);
@@ -290,6 +310,9 @@ int run_json_mode(const std::string& path, double baseline_ms,
               "allocations\n",
               maxmin.best_ms, maxmin_sim_per_wall,
               static_cast<long long>(maxmin.allocations));
+  std::printf("  dcqcn fabric: %llu flow-ticks, %llu lazy\n",
+              static_cast<unsigned long long>(dcqcn_work.flow_ticks),
+              static_cast<unsigned long long>(dcqcn_work.flow_ticks_lazy));
 
   // 8-point sweep, serial vs pooled, results must match bit-for-bit.
   const std::vector<double> grid = {55, 80, 100, 125, 160, 200, 250, 300};
@@ -358,8 +381,12 @@ int run_json_mode(const std::string& path, double baseline_ms,
                traced_ms / best_ms);
   std::fprintf(f, "    \"maxmin_allocations\": %lld,\n",
                static_cast<long long>(maxmin.allocations));
-  std::fprintf(f, "    \"maxmin_sim_s_per_wall_s\": %.1f\n",
+  std::fprintf(f, "    \"maxmin_sim_s_per_wall_s\": %.1f,\n",
                maxmin_sim_per_wall);
+  std::fprintf(f, "    \"dcqcn_flow_ticks\": %llu,\n",
+               static_cast<unsigned long long>(dcqcn_work.flow_ticks));
+  std::fprintf(f, "    \"dcqcn_flow_ticks_lazy\": %llu\n",
+               static_cast<unsigned long long>(dcqcn_work.flow_ticks_lazy));
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"sweep\": {\n");
   std::fprintf(f, "    \"grid_points\": %zu,\n", grid.size());

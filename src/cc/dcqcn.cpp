@@ -60,6 +60,7 @@ void DcqcnPolicy::resize_soa(std::size_t n) {
   clean_ns_.resize(n);
   timer_rounds_col_.resize(n);
   byte_rounds_col_.resize(n);
+  lazy_since_.resize(n, kCurrent);
 }
 
 void DcqcnPolicy::refresh_caps(const Network& net) {
@@ -122,13 +123,17 @@ void DcqcnPolicy::on_flow_started(Network& net, Flow& flow) {
   aclk_ns_[slot] = 0;
   emarks_[slot] = 0.0;
   clean_ns_[slot] = 0;
+  lazy_since_[slot] = kCurrent;
   slots_[flow.id] = slot;
   net.set_rate(slot, line);
   rebuild_cp_links(net);
+  frozen_ = false;
 }
 
 void DcqcnPolicy::on_flow_finished(Network& net, const Flow& flow) {
-  // The slot's state is left stale; a reused slot is overwritten on start.
+  // The slot's state is left stale, owed ticks included (nothing reads a
+  // finished or parked flow's machine); a reused slot is overwritten on
+  // start.  A frozen network stays frozen: fewer flows congest no link.
   slots_.erase(flow.id);
   rebuild_cp_links(net);
 }
@@ -136,7 +141,10 @@ void DcqcnPolicy::on_flow_finished(Network& net, const Flow& flow) {
 void DcqcnPolicy::on_link_capacity_changed(Network& net, LinkId /*link*/) {
   // Line rates are cached per flow at start and per link for the CP pass; a
   // capacity change (brownout or restoration) anywhere invalidates both.
-  // Faults are rare, so refreshing everything is fine.
+  // Faults are rare, so refreshing everything is fine.  Owed ticks ran at
+  // the old line rate, so they are replayed before it changes.
+  materialize_active(net);
+  frozen_ = false;
   refresh_caps(net);
   for (const std::uint32_t slot : net.active_slots()) {
     const Flow& flow = net.flow_at(slot);
@@ -170,9 +178,13 @@ void DcqcnPolicy::soa_increase(std::uint32_t slot, double progress) {
 }
 
 // Once-per-call setup shared by update_rates and update_rates_burst: sizes
-// the link table to the topology and re-resolves counter handles when the
-// bound trace bus changed.  Neither can change inside a fused burst.
-void DcqcnPolicy::sync_caches(Network& net) {
+// the link table to the topology, re-resolves counter handles when the
+// bound trace bus changed, and rebases the lazy ledger when dt changed.
+// None of these can change inside a fused burst.  A bound bus needs the
+// eager traced pass, which steps every flow: it thaws a frozen network and
+// brings every owing flow current here, so the traced pass never meets a
+// flow that owes ticks.
+void DcqcnPolicy::sync_caches(Network& net, Duration dt) {
   if (links_.size() < net.topology().link_count()) {
     refresh_caps(net);
   }
@@ -181,24 +193,50 @@ void DcqcnPolicy::sync_caches(Network& net) {
     bus_cache_ = bus;
     c_cnp_ = bus ? &bus->counter("dcqcn.cnp") : nullptr;
     c_timer_fires_ = bus ? &bus->counter("dcqcn.timer_fires") : nullptr;
+    frozen_ = false;
+    if (bus != nullptr && owing_) {
+      for (const std::uint32_t slot : net.active_slots()) {
+        if (lazy_since_[slot] != kCurrent) materialize(slot);
+        lazy_since_[slot] = kCurrent;
+      }
+      owing_ = false;
+    }
+  }
+  if (dt.ns() != ledger_dt_ns_) [[unlikely]] {
+    materialize_active(net);
+    ledger_dt_ns_ = dt.ns();
+    ledger_dt_s_ = dt.to_seconds();
   }
 }
 
 void DcqcnPolicy::update_rates(Network& net, TimePoint now, Duration dt) {
-  sync_caches(net);
+  sync_caches(net, dt);
   step_tick(net, now, dt);
 }
 
 void DcqcnPolicy::update_rates_burst(Network& net, TimePoint first, Duration dt,
                                      std::uint64_t ticks) {
-  sync_caches(net);
+  sync_caches(net, dt);
   const double dt_s = dt.to_seconds();
   TimePoint now = first;
-  for (std::uint64_t k = 0; k < ticks; ++k) {
+  std::uint64_t k = 0;
+  for (; k < ticks && !frozen_; ++k) {
     step_tick(net, now, dt);
     net.integrate_progress_unchecked(dt_s);
     now = now + dt;
   }
+  if (k < ticks) {
+    // Frozen: every flow owes the rest of the burst; only bytes move.
+    owe_frozen(net, ticks - k);
+    for (; k < ticks; ++k) net.integrate_progress_unchecked(dt_s);
+  }
+}
+
+void DcqcnPolicy::owe_frozen(const Network& net, std::uint64_t ticks) {
+  tick_ += ticks;
+  const std::uint64_t flow_ticks = ticks * net.active_slots().size();
+  work_.flow_ticks += flow_ticks;
+  work_.flow_ticks_lazy += flow_ticks;
 }
 
 double DcqcnPolicy::rate_bound_bps(const Network& /*net*/,
@@ -209,6 +247,10 @@ double DcqcnPolicy::rate_bound_bps(const Network& /*net*/,
 }
 
 void DcqcnPolicy::step_tick(Network& net, TimePoint now, Duration dt) {
+  if (frozen_) {
+    owe_frozen(net, 1);
+    return;
+  }
   // --- CP: integrate egress queues and refresh marking probabilities. -----
   // Only links carrying flows or still draining backlog from departed flows
   // are touched (the shared slab's hot + wet two-pass loop); idle links stay
@@ -247,6 +289,7 @@ void DcqcnPolicy::step_tick(Network& net, TimePoint now, Duration dt) {
   } else {
     rp_pass<false>(net, now, dt, any_marked);
   }
+  ++tick_;
 }
 
 template <bool Traced>
@@ -256,30 +299,42 @@ void DcqcnPolicy::rp_pass(Network& net, TimePoint now, Duration dt,
   const std::size_t n = slots.size();
   const std::span<double> rates = net.mutable_rates_bps();
 
-  // Gather: per-flow bytes sent this step and route-wide marking
-  // probability.  Both loops stream over dense scratch; the route walk uses
-  // the network's flat link array (no per-flow Route indirection), and the
-  // libm exp stays confined to flows that actually saw a marked link.
-  if (scratch_sent_.size() < n) {
-    scratch_sent_.resize(n);
-    scratch_p_.resize(n);
-  }
   const double dt_s = dt.to_seconds();
-  if (any_marked) {
-    const double mtu_b = config_.mtu.count();
-    // Flows sharing a bottleneck at equal rates (the common symmetric case)
-    // feed exp the same argument; memoizing the last call halves the libm
-    // cost there and is exact — same input, same output.
-    double memo_x = std::numeric_limits<double>::quiet_NaN();
-    double memo_p = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double sent = rates[slots[i]] * dt_s / 8.0;
-      scratch_sent_[i] = sent;
+  const double mtu_b = config_.mtu.count();
+  // Flows sharing a bottleneck at equal rates (the common symmetric case)
+  // feed exp the same argument; memoizing the last call halves the libm
+  // cost there and is exact — same input, same output.
+  double memo_x = std::numeric_limits<double>::quiet_NaN();
+  double memo_p = 0.0;
+
+  // Gather → kernel → scatter, one flow at a time: the RP rate machine over
+  // the SoA columns, constants hoisted out of the loop.
+  // tests/cc_kernel_parity_test.cpp holds every arithmetic step to its
+  // scalar oracle bit for bit.
+  const std::int64_t dt_ns = dt.ns();
+  const std::int64_t cnp_max_ns = Duration::max().ns();
+  const std::int64_t cnp_interval_ns = config_.cnp_interval.ns();
+  const std::int64_t alpha_update_ns = config_.alpha_update.ns();
+  const double byte_counter_b = config_.byte_counter.count();
+  const double one_minus_g = 1.0 - config_.g;
+  const double rc_floor_bps = Rate::mbps(10).bits_per_sec();
+  const bool deterministic = config_.deterministic_marking;
+  const bool owing = owing_;
+  std::size_t lazy = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t slot = slots[i];
+    // Gather: bytes sent this step (rates[slot] still holds last tick's
+    // rate; the pass writes only the slot it is on) and the route-wide
+    // marking probability.  The route walk uses the network's flat link
+    // array, and the libm exp stays confined to flows that saw a marked
+    // link.
+    const double sent = rates[slot] * dt_s / 8.0;
+    double p_any = 0.0;
+    if (any_marked) {
       double sum_log = 0.0;
-      for (const std::int32_t l : net.route_links(slots[i])) {
+      for (const std::int32_t l : net.route_links(slot)) {
         sum_log += links_[l].log_keep;
       }
-      double p_any = 0.0;
       if (sum_log < 0.0) {
         const double pkts = std::max(1.0, sent / mtu_b);
         const double x = pkts * sum_log;
@@ -289,31 +344,21 @@ void DcqcnPolicy::rp_pass(Network& net, TimePoint now, Duration dt,
         }
         p_any = memo_p;
       }
-      scratch_p_[i] = p_any;
     }
-  } else {
-    // scratch_p_ is not read on unmarked ticks (the kernel uses the
-    // any_marked flag), so only the sent column is gathered.
-    for (std::size_t i = 0; i < n; ++i) {
-      scratch_sent_[i] = rates[slots[i]] * dt_s / 8.0;
+    if constexpr (!Traced) {
+      // A pinned flow on an unmarked tick only advances clocks and
+      // counters: it owes the tick (materialize replays it) and its rate
+      // stays at line in the slab.
+      if (p_any == 0.0 && pinned(slot)) {
+        lazy_since_[slot] = std::min(lazy_since_[slot], tick_);
+        ++lazy;
+        continue;
+      }
+      if (owing && lazy_since_[slot] != kCurrent) [[unlikely]] {
+        materialize(slot);
+        lazy_since_[slot] = kCurrent;
+      }
     }
-  }
-
-  // Kernel + scatter: the RP rate machine over the SoA columns, constants
-  // hoisted out of the loop.  tests/cc_kernel_parity_test.cpp holds every
-  // arithmetic step to its scalar oracle bit for bit.
-  const std::int64_t dt_ns = dt.ns();
-  const std::int64_t cnp_max_ns = Duration::max().ns();
-  const std::int64_t cnp_interval_ns = config_.cnp_interval.ns();
-  const std::int64_t alpha_update_ns = config_.alpha_update.ns();
-  const double byte_counter_b = config_.byte_counter.count();
-  const double one_minus_g = 1.0 - config_.g;
-  const double rc_floor_bps = Rate::mbps(10).bits_per_sec();
-  const bool deterministic = config_.deterministic_marking;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t slot = slots[i];
-    const double sent = scratch_sent_[i];
-    const double p_any = any_marked ? scratch_p_[i] : 0.0;
 
     if (cnp_ns_[slot] < cnp_max_ns) cnp_ns_[slot] += dt_ns;
     aclk_ns_[slot] += dt_ns;
@@ -381,6 +426,76 @@ void DcqcnPolicy::rp_pass(Network& net, TimePoint now, Duration dt,
     }
     rates[slot] = rc_bps_[slot];
   }
+  work_.flow_ticks += n;
+  if constexpr (!Traced) {
+    owing_ = lazy != 0;
+    work_.flow_ticks_lazy += lazy;
+    // Every flow pinned, no link able to congest and every queue clear:
+    // the next tick repeats this one, so the network freezes.
+    frozen_ = lazy == n && cp_links_.empty() && links_.queues_clear();
+  }
+}
+
+// Every owed tick was an unmarked tick of a pinned flow, so the eager body
+// reduces to what moves without touching the rates: no CNP fires (no mark,
+// emarks < 1), every increase clamps R_C and R_T back to line, and the
+// slab's rate, hence `sent`, stays at line.  Each column's replay is exact:
+// integer clocks in closed form (each tick leaves the remainder below the
+// period, so k ticks cross floor((clock + k dt) / period) times; the CNP
+// clock saturates at "never"), alpha's decays as separate multiplies, one
+// per crossing, and bsi_bytes_ as the same k scalar adds, since k repeated
+// adds are not k * sent.
+void DcqcnPolicy::materialize(std::uint32_t slot) const {
+  const std::uint64_t owed = tick_ - lazy_since_[slot];
+  lazy_since_[slot] = tick_;
+  if (owed == 0) return;
+  const std::int64_t span = static_cast<std::int64_t>(owed) * ledger_dt_ns_;
+
+  const std::int64_t never = Duration::max().ns();
+  if (cnp_ns_[slot] < never) {
+    cnp_ns_[slot] =
+        span >= never - cnp_ns_[slot] ? never : cnp_ns_[slot] + span;
+  }
+  if (config_.deterministic_marking) {
+    clean_ns_[slot] += span;
+    if (clean_ns_[slot] >= config_.cnp_interval.ns()) emarks_[slot] = 0.0;
+  }
+
+  const std::int64_t alpha_update_ns = config_.alpha_update.ns();
+  const std::int64_t aclk = aclk_ns_[slot] + span;
+  aclk_ns_[slot] = aclk % alpha_update_ns;
+  const double one_minus_g = 1.0 - config_.g;
+  double alpha = alpha_col_[slot];
+  for (std::int64_t d = aclk / alpha_update_ns; d > 0; --d) {
+    const double next = alpha * one_minus_g;
+    if (next == alpha) break;  // at a fixed point the rest are no-ops
+    alpha = next;
+  }
+  alpha_col_[slot] = alpha;
+
+  const std::int64_t tsi = tsi_ns_[slot] + span;
+  timer_rounds_col_[slot] += static_cast<std::int32_t>(tsi / timer_ns_[slot]);
+  tsi_ns_[slot] = tsi % timer_ns_[slot];
+
+  const double sent = rc_bps_[slot] * ledger_dt_s_ / 8.0;
+  const double byte_counter_b = config_.byte_counter.count();
+  double bsi = bsi_bytes_[slot];
+  std::int32_t rounds = byte_rounds_col_[slot];
+  for (std::uint64_t t = 0; t < owed; ++t) {
+    bsi += sent;
+    while (bsi >= byte_counter_b) {
+      bsi -= byte_counter_b;
+      ++rounds;
+    }
+  }
+  bsi_bytes_[slot] = bsi;
+  byte_rounds_col_[slot] = rounds;
+}
+
+void DcqcnPolicy::materialize_active(const Network& net) const {
+  for (const std::uint32_t slot : net.active_slots()) {
+    if (lazy_since_[slot] != kCurrent) materialize(slot);
+  }
 }
 
 Bytes DcqcnPolicy::link_queue(LinkId link) const {
@@ -394,6 +509,7 @@ DcqcnPolicy::RpState DcqcnPolicy::rp_state(FlowId id) const {
   const auto it = slots_.find(id);
   assert(it != slots_.end());
   const std::uint32_t slot = it->second;
+  if (lazy_since_[slot] != kCurrent) materialize(slot);
   return {Rate::bps(rc_bps_[slot]), Rate::bps(rt_bps_[slot]),
           alpha_col_[slot], timer_rounds_col_[slot], byte_rounds_col_[slot]};
 }
@@ -410,6 +526,7 @@ std::string DcqcnPolicy::serialize_state() const {
   out.put_u8(0);
   out.put_u64(flows.size());
   for (const auto& [id, slot] : flows) {
+    if (lazy_since_[slot] != kCurrent) materialize(slot);
     out.put_i64(id);
     out.put_u32(slot);
     out.put_f64(rc_bps_[slot]);

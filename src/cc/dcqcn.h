@@ -116,6 +116,15 @@ class DcqcnPolicy : public BandwidthPolicy {
   };
   RpState rp_state(FlowId id) const;
 
+  /// Rate-machine work: flow-ticks stepped in total, and the share of them
+  /// a pinned flow owed instead of stepping (see rp_pass).  Plain members,
+  /// not bus counters: binding a bus forces the eager traced pass.
+  struct Work {
+    std::uint64_t flow_ticks = 0;
+    std::uint64_t flow_ticks_lazy = 0;
+  };
+  const Work& work() const { return work_; }
+
  private:
   struct LinkState {
     double queue_b = 0.0;     ///< egress backlog, bytes
@@ -131,17 +140,20 @@ class DcqcnPolicy : public BandwidthPolicy {
   /// instead of recomputing Rate wrappers per link per tick.
   void refresh_caps(const Network& net);
   /// Shared once-per-call preamble of update_rates / update_rates_burst.
-  void sync_caches(Network& net);
-  /// One fluid step: CP queue/marking pass + NP/RP dispatch.
+  void sync_caches(Network& net, Duration dt);
+  /// One fluid step: CP queue/marking pass + NP/RP dispatch, or only the
+  /// tick count while the network is frozen.
   void step_tick(Network& net, TimePoint now, Duration dt);
-  /// NP + RP slab pass: gather (per-flow bytes sent and route marking
-  /// probability, streamed from the network's rate slab and flat route
-  /// array) → kernel (rate machine over the SoA columns below) → scatter
-  /// (new rates back into the network slab).  Compiled twice: the Traced
+  /// NP + RP slab pass, per flow: gather (bytes sent and route marking
+  /// probability, from the network's rate slab and flat route array) →
+  /// kernel (rate machine over the SoA columns below) → scatter (the new
+  /// rate back into the network slab).  Compiled twice: the Traced
   /// instantiation emits TraceEvents through `bus_cache_`, the untraced one
   /// contains no trace code at all so the no-sink hot loop stays identical
   /// to an uninstrumented build (even a never-taken branch around an emit
-  /// call costs measurable time here).
+  /// call costs measurable time here).  The untraced pass skips pinned
+  /// flows (see `pinned`); the traced one emits a `rate-timer` event per
+  /// timer fire, so it steps every flow.
   template <bool Traced>
   void rp_pass(Network& net, TimePoint now, Duration dt, bool any_marked);
   /// RED/ECN marking probability for a queue of `queue_bytes` bytes, using
@@ -152,6 +164,24 @@ class DcqcnPolicy : public BandwidthPolicy {
     return (queue_bytes - kmin_bytes_) * mark_scale_;
   }
 
+  /// A flow is pinned when an unmarked tick provably leaves its rates at
+  /// line: R_C == R_T == line, no pending CNP (emarks < 1; otherwise one
+  /// fires once the CNP clock allows), and non-negative increase steps, so
+  /// soa_increase clamps both rates back to line.  The caller adds the
+  /// tick's own condition, p_any == 0.
+  bool pinned(std::uint32_t slot) const {
+    return rc_bps_[slot] == line_bps_[slot] &&
+           rt_bps_[slot] == line_bps_[slot] && emarks_[slot] < 1.0 &&
+           rai_bps_[slot] >= 0.0 && config_.rhai.bits_per_sec() >= 0.0;
+  }
+  /// Replays the ticks `slot` owes since `lazy_since_[slot]` and leaves it
+  /// current as of `tick_`: the clocks and round counters in closed form,
+  /// alpha's decays one step at a time, bsi_bytes_ as the eager add loop.
+  /// Const because reads (serialize_state, rp_state) must materialize; the
+  /// columns it writes are mutable.
+  void materialize(std::uint32_t slot) const;
+  void materialize_active(const Network& net) const;
+
   DcqcnConfig config_;
   Rng rng_;
   // Rate-machine state indexed by the network's stable slab slot so the
@@ -160,25 +190,49 @@ class DcqcnPolicy : public BandwidthPolicy {
   std::unordered_map<FlowId, std::uint32_t> slots_;
 
   // SoA columns, slot-indexed (one contiguous array per rate-machine field).
+  // The mutable ones are those a pinned flow's owed ticks still move; a
+  // const read materializes them first.
   std::vector<double> rc_bps_;        // current rate
   std::vector<double> rt_bps_;        // target rate
   std::vector<double> line_bps_;      // min capacity along the route
-  std::vector<double> alpha_col_;
+  mutable std::vector<double> alpha_col_;
   std::vector<double> rai_bps_;       // per-flow R_AI
-  std::vector<double> bsi_bytes_;     // bytes since last increase
-  std::vector<double> emarks_;        // deterministic-marking accumulator
+  mutable std::vector<double> bsi_bytes_;  // bytes since last increase
+  mutable std::vector<double> emarks_;  // deterministic-marking accumulator
   std::vector<std::int64_t> timer_ns_;
-  std::vector<std::int64_t> tsi_ns_;  // time since last increase
-  std::vector<std::int64_t> cnp_ns_;  // time since last CNP
-  std::vector<std::int64_t> aclk_ns_;
-  std::vector<std::int64_t> clean_ns_;
-  std::vector<std::int32_t> timer_rounds_col_;
-  std::vector<std::int32_t> byte_rounds_col_;
+  mutable std::vector<std::int64_t> tsi_ns_;  // time since last increase
+  mutable std::vector<std::int64_t> cnp_ns_;  // time since last CNP
+  mutable std::vector<std::int64_t> aclk_ns_;
+  mutable std::vector<std::int64_t> clean_ns_;
+  mutable std::vector<std::int32_t> timer_rounds_col_;
+  mutable std::vector<std::int32_t> byte_rounds_col_;
   void resize_soa(std::size_t n);
   void soa_increase(std::uint32_t slot, double progress);
-  // Dense per-pass scratch (index parallels the active-slot list).
-  std::vector<double> scratch_sent_;
-  std::vector<double> scratch_p_;
+
+  // Lazy ledger.  `tick_` counts rate-machine ticks; a slot skipped as
+  // pinned records in `lazy_since_` the tick its columns are current at and
+  // owes tick_ - lazy_since_[slot] ticks; kCurrent marks a slot the pass
+  // steps eagerly.  Owed ticks all share the ledger's dt (a dt change
+  // materializes every owing flow first).
+  static constexpr std::uint64_t kCurrent = ~std::uint64_t{0};
+  std::uint64_t tick_ = 0;
+  mutable std::vector<std::uint64_t> lazy_since_;
+  /// Whether any active flow may owe ticks.  Every untraced pass leaves
+  /// each active flow either skipped (owing) or current, and binding a bus
+  /// brings them all current, so this is "the last untraced pass skipped a
+  /// flow"; while it is false the pass tests no slot's ledger.
+  bool owing_ = false;
+  std::int64_t ledger_dt_ns_ = 0;
+  double ledger_dt_s_ = 0.0;
+  /// Set after an untraced pass in which every flow was pinned, no link can
+  /// congest (cp_links_ empty) and every queue is clear: nothing can move
+  /// until a flow starts, a capacity changes or the bus changes, so a tick
+  /// is only ++tick_.
+  bool frozen_ = false;
+  Work work_;
+  /// Advances a frozen network `ticks` ticks: every active flow owes them.
+  void owe_frozen(const Network& net, std::uint64_t ticks);
+
   /// Per-link queue/marking state behind the shared two-pass step loop
   /// (cc/policy/slab.h owns the wet-list bookkeeping and quiescence flag).
   LinkQueueSlab<LinkState> links_;

@@ -15,8 +15,18 @@
 // completion times, JSONL trace bytes, counters and serialize_state() in
 // flight and at the end.  Every configuration runs the plain contest, a
 // mid-run bottleneck brownout and a brownout of one destination host link
-// below the rate floors, watched (an observer on, both step every tick) and
-// unwatched (production fused, the oracle per tick).
+// below the rate floors, traced (a JSONL bus bound) and untraced, watched
+// (an observer on, both step every tick) and unwatched (production fused,
+// the oracle per tick).
+//
+// Untraced, DCQCN skips flows pinned at line rate and replays the ticks
+// they owe only when something reads them (docs/performance.md, "DCQCN at
+// its fixed point").  The leaf-spine contests at the end hold that lazy
+// path to the eager oracle: a fabric that freezes (snapshots taken while
+// frozen), park/unpark and reroute, a mid-run replace_policy, a bus bound
+// and unbound mid-run, and a CNP left pending while a flow regains line
+// rate.  Each asserts that production owed ticks, so none passes
+// vacuously.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -236,6 +246,12 @@ class DcqcnOracle final : public BandwidthPolicy {
   }
 
   bool quiescent() const override { return clear_; }
+
+  DcqcnPolicy::RpState rp_state(FlowId id) const {
+    const Rp& s = flows_.by_slot[flows_.ids.at(id.value)];
+    return {Rate::bps(s.rc), Rate::bps(s.rt), s.alpha, s.timer_rounds,
+            s.byte_rounds};
+  }
 
   std::string serialize_state() const override {
     StateBuf out;
@@ -593,16 +609,24 @@ struct RunResult {
   std::string trace;              // JSONL bytes
   std::string counters;           // TraceBus::metrics_summary()
   std::vector<std::string> states;  // serialize_state() in flight and at end
+  std::uint64_t lazy_ticks = 0;   // flow-ticks production owed (DCQCN only)
 };
+
+/// Flow-ticks a production DCQCN policy advanced lazily; 0 for the rest.
+std::uint64_t lazy_ticks_of(const BandwidthPolicy& policy) {
+  const auto* dcqcn = dynamic_cast<const DcqcnPolicy*>(&policy);
+  return dcqcn != nullptr ? dcqcn->work().flow_ticks_lazy : 0;
+}
 
 using MakePolicy = std::function<std::unique_ptr<BandwidthPolicy>()>;
 
 /// One asymmetric contest on a dumbbell: two flows with different
 /// aggressiveness crossing the bottleneck, restarted over three rounds so
 /// flow finish/start edges and queue drain stretches are covered.  `observe`
-/// attaches the per-tick rate recorder, which disables fused stepping.
+/// attaches the per-tick rate recorder, which disables fused stepping;
+/// `traced` binds a JSONL bus.
 RunResult run_contest(const MakePolicy& make_policy, bool observe,
-                      Brownout brownout) {
+                      Brownout brownout, bool traced) {
   const Topology topo = Topology::dumbbell(2, Rate::gbps(50), Rate::gbps(50));
   const Router router(topo);
   Simulator sim;
@@ -616,7 +640,7 @@ RunResult run_contest(const MakePolicy& make_policy, bool observe,
   TraceBus bus;
   JsonlSink sink(trace_out);
   bus.add_sink(sink);
-  net.set_trace_bus(&bus);
+  if (traced) net.set_trace_bus(&bus);
 
   RateRecorder recorder;
   if (observe) net.add_observer(recorder);
@@ -662,6 +686,7 @@ RunResult run_contest(const MakePolicy& make_policy, bool observe,
   result.rates = recorder.samples();
   result.trace = trace_out.str();
   result.counters = bus.metrics_summary();
+  result.lazy_ticks = lazy_ticks_of(net.policy());
   return result;
 }
 
@@ -683,23 +708,27 @@ void expect_bit_identical(const RunResult& oracle, const RunResult& prod) {
   }
 }
 
-/// Runs production against its oracle on every contest, watched and
-/// unwatched.  Unwatched, production fuses its completion-free ticks while
-/// the oracle still steps every tick.
+/// Runs production against its oracle on every contest, traced and
+/// untraced, watched and unwatched.  Unwatched, production fuses its
+/// completion-free ticks while the oracle still steps every tick.
 void expect_matches_oracle(const MakePolicy& production,
                            const MakePolicy& oracle) {
   for (const Brownout brownout :
        {Brownout::kNone, Brownout::kBottleneck, Brownout::kBelowFloor}) {
-    for (const bool observe : {true, false}) {
-      SCOPED_TRACE(::testing::Message()
-                   << "brownout " << static_cast<int>(brownout)
-                   << (observe ? ", watched" : ", unwatched"));
-      const RunResult want = run_contest(oracle, observe, brownout);
-      const RunResult got = run_contest(production, observe, brownout);
-      ASSERT_EQ(want.finish_ms.size(), 6u);
-      ASSERT_FALSE(want.trace.empty());
-      ASSERT_EQ(want.rates.empty(), !observe);
-      expect_bit_identical(want, got);
+    for (const bool traced : {true, false}) {
+      for (const bool observe : {true, false}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "brownout " << static_cast<int>(brownout)
+                     << (traced ? ", traced" : ", untraced")
+                     << (observe ? ", watched" : ", unwatched"));
+        const RunResult want = run_contest(oracle, observe, brownout, traced);
+        const RunResult got =
+            run_contest(production, observe, brownout, traced);
+        ASSERT_EQ(want.finish_ms.size(), 6u);
+        ASSERT_EQ(want.trace.empty(), !traced);
+        ASSERT_EQ(want.rates.empty(), !observe);
+        expect_bit_identical(want, got);
+      }
     }
   }
 }
@@ -708,6 +737,189 @@ template <typename Production, typename Oracle, typename Config>
 void expect_matches_oracle(const Config& cfg) {
   expect_matches_oracle([&] { return std::make_unique<Production>(cfg); },
                         [&] { return std::make_unique<Oracle>(cfg); });
+}
+
+// --- DCQCN's lazy path on a leaf-spine --------------------------------------
+
+/// rp_state() of every active flow as exact bytes, from production or the
+/// oracle, whichever drives `net`.
+std::string rp_states(const Network& net) {
+  StateBuf out;
+  for (const FlowId id : net.active_flows()) {
+    const auto* production = dynamic_cast<const DcqcnPolicy*>(&net.policy());
+    const DcqcnPolicy::RpState s =
+        production != nullptr
+            ? production->rp_state(id)
+            : dynamic_cast<const DcqcnOracle&>(net.policy()).rp_state(id);
+    out.put_f64(s.current.bits_per_sec());
+    out.put_f64(s.target.bits_per_sec());
+    out.put_f64(s.alpha);
+    out.put_u32(static_cast<std::uint32_t>(s.timer_rounds));
+    out.put_u32(static_cast<std::uint32_t>(s.byte_rounds));
+  }
+  return out.take();
+}
+
+enum class Fabric {
+  /// Long flows that never contend plus a short incast on one host link;
+  /// once the incast drains, every flow is pinned and the fabric freezes.
+  /// On the frozen fabric, one flow's source link browns out and recovers
+  /// (its rate must climb back), then a second wave starts.
+  kFrozen,
+  /// A source host link down and up (park, then unpark) and a spine link
+  /// down and up (reroute) while flows owe ticks.
+  kParkUnpark,
+  /// The transport replaced mid-run by a fresh instance of itself.
+  kReplacePolicy,
+  /// A JSONL bus bound mid-run (owed ticks meet the traced pass) and
+  /// unbound again.
+  kBusMidRun,
+  /// The incast's source host links browned out to 90 % (at 1 ms, and
+  /// restored at 30 ms): the survivor's line rate drops below the incast
+  /// link's capacity, so the queue drains while it runs at line rate.
+  /// Once it is pinned, a 50 kB flow joins the incast for one tick and
+  /// leaves it with marks below one CNP's worth.
+  kSlowSources,
+};
+
+/// DCQCN on a 4-ToR leaf-spine (50 Gbps hosts, 200 Gbps fabric, 2 spines),
+/// untraced unless the shape binds a bus.  Eight long flows pair hosts
+/// across ToRs with no link in common that could congest; two short,
+/// aggressive flows incast into one host.  rp_state() of every flow, then
+/// serialize_state(), is captured every 0.5 ms.
+RunResult run_fabric(const MakePolicy& make_policy, bool observe,
+                     Fabric shape) {
+  const Topology topo =
+      Topology::leaf_spine(4, 4, 2, Rate::gbps(50), Rate::gbps(200));
+  const Router router(topo);
+  Simulator sim;
+  NetworkConfig cfg;
+  cfg.step = Duration::micros(20);
+  Network net(topo, make_policy(), cfg);
+  net.attach(sim);
+
+  RunResult result;
+  std::ostringstream trace_out;
+  TraceBus bus;
+  JsonlSink sink(trace_out);
+  bus.add_sink(sink);
+  RateRecorder recorder;
+  if (observe) net.add_observer(recorder);
+
+  const auto hosts = topo.hosts();
+  const auto start = [&](std::size_t src, std::size_t dst, double mb,
+                         bool aggressive) {
+    FlowSpec fs;
+    fs.src = hosts[src];
+    fs.dst = hosts[dst];
+    fs.route = router.pick(fs.src, fs.dst, src * 31 + dst);
+    fs.size = Bytes::of(mb * 1e6);
+    if (aggressive) {
+      fs.cc_timer = Duration::micros(55);
+      fs.cc_rai = Rate::gbps(2);
+    }
+    net.start_flow(std::move(fs), [&result](const Flow&, TimePoint t) {
+      result.finish_ms.push_back(t.since_origin().to_millis());
+    });
+  };
+  const auto wave = [&](double scale) {
+    for (std::size_t i = 0; i < 8; ++i) {
+      start(i, (i + 4) % 16, scale * (24.0 + 4.0 * static_cast<double>(i)),
+            false);
+    }
+    // The incast: the small flow finishes, the large one regains line
+    // rate.
+    start(12, 15, scale * 2.0, true);
+    start(13, 15, scale * 40.0, true);
+  };
+  const auto at_ms = [&](double ms, std::function<void()> fn) {
+    sim.schedule_at(TimePoint::origin() + Duration::micros(
+                                              static_cast<int>(ms * 1000)),
+                    std::move(fn));
+  };
+  const auto factor_at = [&](double ms, LinkId link, double factor) {
+    at_ms(ms, [&net, link, factor] {
+      net.set_link_capacity_factor(link, factor);
+    });
+  };
+
+  switch (shape) {
+    case Fabric::kFrozen: {
+      const LinkId host2_up = router.pick(hosts[2], hosts[6], 0).links[0];
+      factor_at(2.0, host2_up, 0.9);
+      factor_at(3.1, host2_up, 1.0);
+      at_ms(7.0, [&] { wave(0.5); });
+      break;
+    }
+    case Fabric::kParkUnpark: {
+      const LinkId host0_up = router.pick(hosts[0], hosts[4], 0).links[0];
+      const LinkId spine_link = router.pick(hosts[1], hosts[5], 0).links[1];
+      factor_at(3.3, host0_up, 0.0);
+      factor_at(5.1, host0_up, 1.0);
+      factor_at(6.2, spine_link, 0.0);
+      factor_at(7.7, spine_link, 1.0);
+      break;
+    }
+    case Fabric::kReplacePolicy:
+      at_ms(4.7, [&] {
+        result.lazy_ticks += lazy_ticks_of(net.policy());
+        net.replace_policy(make_policy());
+      });
+      break;
+    case Fabric::kBusMidRun:
+      at_ms(4.3, [&] { net.set_trace_bus(&bus); });
+      at_ms(5.9, [&] { net.set_trace_bus(nullptr); });
+      break;
+    case Fabric::kSlowSources:
+      for (const std::size_t h : {12, 13}) {
+        const LinkId uplink = router.pick(hosts[h], hosts[15], 0).links[0];
+        factor_at(1.0, uplink, 0.9);
+        factor_at(30.0, uplink, 1.0);
+      }
+      at_ms(6.5, [&] { start(14, 15, 0.05, false); });
+      break;
+  }
+  for (int i = 1; i <= 60; ++i) {
+    at_ms(0.5 * i, [&] {
+      result.states.push_back(rp_states(net));
+      result.states.push_back(net.policy().serialize_state());
+    });
+  }
+
+  wave(1.0);
+  sim.run_for(Duration::millis(40));
+  result.states.push_back(net.policy().serialize_state());
+
+  bus.flush();
+  result.rates = recorder.samples();
+  result.trace = trace_out.str();
+  result.counters = bus.metrics_summary();
+  result.lazy_ticks += lazy_ticks_of(net.policy());
+  return result;
+}
+
+/// Production DCQCN against the eager oracle on every leaf-spine shape,
+/// watched and unwatched; production must owe ticks in each.
+void expect_lazy_matches_oracle(const DcqcnConfig& cfg) {
+  const MakePolicy production = [&] {
+    return std::make_unique<DcqcnPolicy>(cfg);
+  };
+  const MakePolicy oracle = [&] { return std::make_unique<DcqcnOracle>(cfg); };
+  for (const Fabric shape :
+       {Fabric::kFrozen, Fabric::kParkUnpark, Fabric::kReplacePolicy,
+        Fabric::kBusMidRun, Fabric::kSlowSources}) {
+    for (const bool observe : {true, false}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "fabric " << static_cast<int>(shape)
+                   << (observe ? ", watched" : ", unwatched"));
+      const RunResult want = run_fabric(oracle, observe, shape);
+      const RunResult got = run_fabric(production, observe, shape);
+      ASSERT_GE(want.finish_ms.size(), 10u);
+      ASSERT_EQ(want.trace.empty(), shape != Fabric::kBusMidRun);
+      EXPECT_GT(got.lazy_ticks, 0u);
+      expect_bit_identical(want, got);
+    }
+  }
 }
 
 // --- Cases -------------------------------------------------------------------
@@ -728,6 +940,29 @@ TEST(KernelParity, DcqcnRandomMarkingMatchesOracle) {
   DcqcnConfig cfg;
   cfg.deterministic_marking = false;
   expect_matches_oracle<DcqcnPolicy, DcqcnOracle>(cfg);
+}
+
+TEST(KernelParity, DcqcnLazyMatchesOracleOnFabric) {
+  expect_lazy_matches_oracle(DcqcnConfig{});
+}
+
+TEST(KernelParity, DcqcnLazyAdaptiveAndRandomMatchOracleOnFabric) {
+  DcqcnConfig adaptive;
+  adaptive.adaptive_rai = true;
+  expect_lazy_matches_oracle(adaptive);
+  DcqcnConfig random;
+  random.deterministic_marking = false;
+  expect_lazy_matches_oracle(random);
+}
+
+TEST(KernelParity, DcqcnLazyPendingCnpMatchesOracleOnFabric) {
+  // A 3 ms CNP interval holds a CNP back while marks pile up: under
+  // kSlowSources the incast's survivor regains line rate, its queue drains,
+  // and the held CNP fires on an unmarked tick.  emarks >= 1 must keep such
+  // a flow out of the lazy path.
+  DcqcnConfig cfg;
+  cfg.cnp_interval = Duration::millis(3);
+  expect_lazy_matches_oracle(cfg);
 }
 
 TEST(KernelParity, TimelyMatchesOracle) {

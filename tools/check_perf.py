@@ -14,10 +14,12 @@ Three sections are understood, chosen with --section:
     contract that makes speed claims meaningful: if either file's sweep
     block says bit_identical is false, the run fails regardless of
     throughput.  kernels.trace_events and kernels.trace_bytes (the JSONL
-    lines and bytes of one traced 4-sim-s run) and
+    lines and bytes of one traced 4-sim-s run),
     kernels.maxmin_allocations (the allocations the ideal max-min policy
-    computes over one 4-sim-s dumbbell run), all deterministic work
-    counters, must equal the floor's exactly.
+    computes over one 4-sim-s dumbbell run) and kernels.dcqcn_flow_ticks /
+    kernels.dcqcn_flow_ticks_lazy (the flow-ticks DCQCN steps over one
+    untraced leaf-spine run, and the share its pinned flows owe instead),
+    all deterministic work counters, must equal the floor's exactly.
   multi_bottleneck  — s6_multi_bottleneck --json output; additionally
     requires graph_wins (compat-graph strictly below both baselines on
     mean completion slowdown) and deterministic to be true in the fresh
@@ -92,7 +94,8 @@ def main():
             if ident is not True:
                 fail(f"{path}: sweep.bit_identical is {ident!r}, not true — "
                      "determinism broken, throughput numbers are meaningless")
-        for key in ("trace_events", "trace_bytes", "maxmin_allocations"):
+        for key in ("trace_events", "trace_bytes", "maxmin_allocations",
+                    "dcqcn_flow_ticks", "dcqcn_flow_ticks_lazy"):
             want = floor.get("kernels", {}).get(key)
             have = fresh.get("kernels", {}).get(key)
             if not isinstance(want, int):
