@@ -1,6 +1,6 @@
 // Command-line handling shared by the bench and example mains: positional
 // positive integers (sim-seconds, thread counts, grid steps), --help, and
-// the values of `--flag value` options.
+// `--flag value` options.
 #pragma once
 
 #include <climits>
@@ -8,6 +8,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
+#include <string>
 
 namespace ccml::bench {
 
@@ -34,6 +36,24 @@ inline int positive_count(const char* flag, const char* text) {
     std::exit(2);
   }
   return static_cast<int>(value);
+}
+
+/// Reads the `--flag value` options of a bench main into `flags`, whose keys
+/// name the flags it accepts and whose values start as their defaults.  An
+/// unknown flag, or one without a value, prints an error naming it and
+/// exits 2.
+inline void read_flags(int argc, char** argv,
+                       std::map<std::string, std::string>& flags) {
+  for (int i = 1; i < argc; ++i) {
+    const auto it = flags.find(argv[i]);
+    if (it == flags.end() || i + 1 == argc) {
+      std::fprintf(stderr, "error: %s %s\n",
+                   it == flags.end() ? "unknown option" : "missing value for",
+                   argv[i]);
+      std::exit(2);
+    }
+    it->second = argv[++i];
+  }
 }
 
 /// The positional arguments of a bench or example main.  `synopsis` names

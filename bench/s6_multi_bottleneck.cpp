@@ -30,7 +30,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -110,15 +110,12 @@ ClusterRunReport run_policy(const Topology& topo,
 }  // namespace
 
 int main(int argc, char** argv) {
-  double seconds = 120.0;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--seconds") == 0 && i + 1 < argc) {
-      seconds = bench::positive_number("--seconds", argv[++i]);
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    }
-  }
+  std::map<std::string, std::string> flags = {{"--seconds", "120"},
+                                              {"--json", ""}};
+  bench::read_flags(argc, argv, flags);
+  const double seconds =
+      bench::positive_number("--seconds", flags["--seconds"].c_str());
+  const std::string json_path = flags["--json"];
 
   // 4 ToRs x 3 hosts, ONE spine; hosts at 50 Gb/s.  Per-ToR uplink
   // capacity is the fabric rate against 3 x 50 Gb/s of host demand, so the

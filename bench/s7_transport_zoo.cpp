@@ -22,8 +22,8 @@
 // stats above; CI gates the flags and the throughput floor via
 // tools/check_perf.py --section transport_zoo.
 #include <cstdio>
-#include <cstring>
 #include <chrono>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -115,15 +115,12 @@ struct FamilyStats {
 }  // namespace
 
 int main(int argc, char** argv) {
-  double seconds = 15.0;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--seconds") == 0 && i + 1 < argc) {
-      seconds = bench::positive_number("--seconds", argv[++i]);
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    }
-  }
+  std::map<std::string, std::string> flags = {{"--seconds", "15"},
+                                              {"--json", ""}};
+  bench::read_flags(argc, argv, flags);
+  const double seconds =
+      bench::positive_number("--seconds", flags["--seconds"].c_str());
+  const std::string json_path = flags["--json"];
   const Duration duration = Duration::from_seconds_f(seconds);
 
   std::printf("transport zoo: Table-1 catalogue x %zu transport families, "

@@ -1,6 +1,8 @@
 #include "workload/profiler.h"
 
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "net/network.h"
 #include "sim/simulator.h"
@@ -28,7 +30,11 @@ CommProfile analytic_profile(const JobProfile& job, Rate dedicated_rate) {
 
 MeasuredProfile measure_profile(const JobProfile& job,
                                 const ProfilerOptions& opts) {
-  assert(opts.iterations > opts.warmup);
+  if (opts.iterations <= opts.warmup) {
+    throw std::invalid_argument(
+        "measure_profile: iterations (" + std::to_string(opts.iterations) +
+        ") must exceed the warmup (" + std::to_string(opts.warmup) + ")");
+  }
   Simulator sim;
   Topology topo = Topology::dumbbell(1, opts.nic, opts.nic);
   TransportConfig transports;
@@ -68,7 +74,10 @@ MeasuredProfile measure_profile(const JobProfile& job,
                                   : Duration::zero())) *
       static_cast<std::int64_t>(opts.iterations + 1);
   sim.run_for(worst);
-  assert(done && "profiling run did not finish; raise the deadline");
+  if (!done) {
+    throw std::runtime_error(
+        "measure_profile: the profiling run did not finish by its deadline");
+  }
 
   const auto& iters = tj.iteration_times();
   const Cdf cdf = post_warmup_cdf(iters, opts.warmup);

@@ -36,6 +36,8 @@ struct ProfilerOptions {
 };
 
 /// Simulates the job solo and extracts its periodic on-off abstraction.
+/// Throws std::invalid_argument unless `iterations` exceeds `warmup`, and
+/// std::runtime_error when the run misses its deadline.
 MeasuredProfile measure_profile(const JobProfile& job,
                                 const ProfilerOptions& opts = {});
 

@@ -332,5 +332,13 @@ TEST(Profiler, MeasuredProfileUnderDcqcnIsSlightlySlower) {
   EXPECT_LT(m.mean_iteration.to_millis(), 25.0);
 }
 
+TEST(Profiler, RejectsNoIterationsPastTheWarmup) {
+  ProfilerOptions opts;
+  opts.iterations = opts.warmup;
+  EXPECT_THROW(measure_profile(toy_profile(), opts), std::invalid_argument);
+  opts.iterations = opts.warmup + 1;
+  EXPECT_NO_THROW(measure_profile(toy_profile(), opts));
+}
+
 }  // namespace
 }  // namespace ccml

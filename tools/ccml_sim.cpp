@@ -10,6 +10,12 @@
 //                            analyzers and emit a run-health report
 //   branch                   fork what-if continuations from a checkpoint
 //
+// Every flag is one row of kOptions: the subcommands that accept it, the
+// domain of its value, its default, its part in a snapshot's run spec and
+// its help line.  One parser reads argv against that table, so an unknown,
+// repeated or out-of-domain flag is a usage error naming it (exit 2), and
+// usage() lists exactly the flags the parser accepts.
+//
 // Long runs can be checkpointed (--checkpoint-every) and, after a crash,
 // resumed (--resume) with byte-identical output; see docs/robustness.md.
 //
@@ -22,14 +28,16 @@
 //       --job model=DLRM,batch=2000,timer_us=300,rai_mbps=40
 //   ccml_sim analyze trace.jsonl --health-report health.json
 //       --slo-min-fairness 0.8 --slo-max-anomalies 0
+#include <algorithm>
+#include <charconv>
 #include <climits>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <optional>
@@ -57,141 +65,421 @@ using namespace ccml;
 
 namespace {
 
+// --- The option table --------------------------------------------------------
+
+/// The subcommands; an option's `commands` is a mask of their bits, bit i
+/// standing for kCommands[i].
+constexpr const char* kCommands[] = {"zoo",    "transports", "profile",
+                                     "solve",  "scenario",   "faults",
+                                     "sweep",  "cluster",    "analyze",
+                                     "branch"};
+enum : unsigned {
+  kProfile = 1u << 2,
+  kSolve = 1u << 3,
+  kScenario = 1u << 4,
+  kFaults = 1u << 5,
+  kSweep = 1u << 6,
+  kCluster = 1u << 7,
+  kAnalyze = 1u << 8,
+  kBranch = 1u << 9,
+  kDumbbell = kScenario | kFaults | kSweep,
+  kLive = kScenario | kFaults | kCluster,  ///< traced, checkpointed runs
+  kHealth = kLive | kAnalyze,
+};
+
+/// Upper bound of --threads: a count past it is a typo, and each worker is
+/// an OS thread started up front.
+constexpr long long kMaxThreads = 256;
+
+/// What an option's value must be.  Integers are plain decimal digits, so
+/// every accepted value means what it meant to the atoi/atof it replaced.
+enum Domain {
+  kPositiveInt,  ///< 1 .. INT_MAX
+  kCount,        ///< 0 .. INT_MAX
+  kSeed,         ///< 0 .. 2^53, exact through the cluster's double parse
+  kThreads,      ///< 0 .. kMaxThreads; 0 = one per hardware thread
+  kPositive,     ///< a finite number > 0
+  kNonNegative,  ///< a finite number >= 0
+  kNumbers,      ///< comma-separated finite numbers
+  kChoice,       ///< one of the '|'-separated words of the option's `arg`
+  kPolicy,       ///< a registered transport name
+  kText,         ///< any non-empty text: a path, a model, a key=value list
+};
+
+/// How an option enters the run spec a snapshot is stamped with.  The last
+/// three repeat, keeping their command-line order.
+enum Spec {
+  kValue,     ///< opt.NAME=VALUE
+  kPresence,  ///< opt.NAME=1: an output path a resumed run may change
+  kOmit,      ///< left out: output paths, exit-code gates, thread counts
+  kJob,       ///< job=VALUE
+  kFault,     ///< fault.NAME=VALUE: one line of the fault script
+  kList,      ///< left out (--vary)
+};
+
+struct Option {
+  const char* name;
+  unsigned commands;     ///< the subcommands that accept it
+  Domain domain;
+  const char* arg;       ///< usage() placeholder; kChoice: the choices
+  const char* fallback;  ///< default value, or nullptr
+  Spec spec;
+  const char* help;
+};
+
+constexpr Option kOptions[] = {
+    {"job", kSolve | kDumbbell, kText, "K=V,...", nullptr, kJob,
+     "one job (job keys below)"},
+    {"flap", kFaults | kCluster, kText, "K=V,...", nullptr, kFault,
+     "take a link down (fault keys below)"},
+    {"brownout", kFaults | kCluster, kText, "K=V,...", nullptr, kFault,
+     "scale a link's capacity"},
+    {"straggler", kFaults, kText, "K=V,...", nullptr, kFault,
+     "slow a job down"},
+    {"pause", kFaults, kText, "K=V,...", nullptr, kFault, "pause a job"},
+    {"depart", kFaults, kText, "K=V,...", nullptr, kFault, "end a job"},
+    {"arrive", kFaults, kText, "K=V,...", nullptr, kFault, "start a job late"},
+    {"model", kProfile, kText, "M", nullptr, kOmit, "model to profile"},
+    {"batch", kProfile, kPositiveInt, "B", nullptr, kOmit, "batch size"},
+    {"iterations", kProfile, kPositiveInt, "N", "30", kOmit,
+     "iterations, 5 of them warmup"},
+    {"sectors", kSolve, kPositiveInt, "N", nullptr, kOmit, "circle resolution"},
+    {"capacity-gbps", kSolve, kPositive, "G", nullptr, kOmit,
+     "solve for bandwidth on a G Gb/s link"},
+    {"policy", kProfile | kDumbbell | kCluster, kPolicy, "P", "dcqcn", kValue,
+     "transport (policies below)"},
+    {"cc-policy-table", kDumbbell | kCluster, kText, "FILE", nullptr, kValue,
+     "rule table of --policy table"},
+    {"seconds", kDumbbell, kPositiveInt, "S", "20", kValue, "run length"},
+    {"seconds", kCluster, kPositive, "S", "60", kValue, "arrival horizon"},
+    {"flow-schedule", kDumbbell, kChoice, "0|1", "0", kValue,
+     "gate jobs with a schedule solved at start"},
+    {"flow-schedule", kCluster, kChoice, "0|1", "1", kValue,
+     "gate jobs with incrementally solved schedules"},
+    {"seed", kFaults | kCluster, kSeed, "N", "1", kValue,
+     "seed of arrivals and reroute hashing"},
+    {"param", kSweep, kChoice, "timer_us|rai_mbps|start_ms|bottleneck_gbps",
+     nullptr, kOmit, "swept parameter"},
+    {"values", kSweep, kNumbers, "V1,V2,...", nullptr, kOmit, "its grid"},
+    {"threads", kSweep | kBranch, kThreads, "N", "0", kOmit,
+     "workers, 0 = one per hardware thread"},
+    {"rate", kCluster, kPositive, "JOBS_PER_MIN", "12", kValue,
+     "Poisson arrival rate"},
+    {"service-s", kCluster, kNonNegative, "S", "12", kValue,
+     "mean service time beyond the minimum"},
+    {"workers-min", kCluster, kPositiveInt, "N", "2", kValue,
+     "fewest workers of a job"},
+    {"workers-max", kCluster, kPositiveInt, "N", "4", kValue,
+     "most workers of a job"},
+    {"tors", kCluster, kPositiveInt, "N", "4", kValue, "ToR switches"},
+    {"hosts", kCluster, kPositiveInt, "N", "4", kValue, "hosts per ToR"},
+    {"spines", kCluster, kPositiveInt, "N", "2", kValue, "spines"},
+    {"fabric-gbps", kCluster, kPositive, "G", "50", kValue,
+     "ToR-spine rate; hosts run at 50"},
+    {"admission", kCluster, kChoice, "locality|compat", "compat", kValue,
+     "admission policy"},
+    {"circle", kCluster, kChoice, "single|graph", "graph", kValue,
+     "one joint circle, or one per link"},
+    {"queue-cap", kCluster, kCount, "N", "16", kValue,
+     "admission queue capacity"},
+    {"queue-timeout-s", kCluster, kNonNegative, "S", "30", kValue,
+     "longest wait in that queue"},
+    {"trace", kLive, kText, "FILE", nullptr, kPresence,
+     "write a trace, then print run metrics"},
+    {"trace-format", kLive, kChoice, "chrome|jsonl", "chrome", kValue,
+     "trace format"},
+    {"trace-cadence-ms", kLive, kNonNegative, "MS", "5", kValue,
+     "link sampling period; 0 = none"},
+    {"trace-async", kLive, kChoice, "block|drop", nullptr, kValue,
+     "deliver from a consumer thread"},
+    {"health-report", kHealth, kText, "FILE|-", "-", kOmit,
+     "write the run-health report"},
+    {"slo-min-fairness", kHealth, kNonNegative, "F", nullptr, kOmit,
+     "fail unless every window's Jain >= F"},
+    {"slo-max-slowdown", kHealth, kNonNegative, "F", nullptr, kOmit,
+     "fail when mean slowdown > F"},
+    {"slo-max-p99-ms", kHealth, kNonNegative, "MS", nullptr, kOmit,
+     "fail when a job's p99 iteration > MS"},
+    {"slo-max-anomalies", kHealth, kCount, "N", nullptr, kOmit,
+     "fail when more than N anomalies fire"},
+    {"slo-require-anomaly", kHealth, kChoice, "0|1", nullptr, kOmit,
+     "fail unless an anomaly fired"},
+    {"checkpoint-every", kLive, kPositive, "MS", nullptr, kValue,
+     "snapshot every MS of simulated time"},
+    {"checkpoint-dir", kLive, kText, "DIR", "checkpoints", kOmit,
+     "snapshot directory"},
+    {"resume", kLive, kText, "FILE", nullptr, kOmit, "resume a killed run"},
+    {"from", kBranch, kText, "FILE", nullptr, kOmit, "snapshot to fork"},
+    {"vary", kBranch, kText, "DIM=V", nullptr, kList,
+     "one branch (variations below)"},
+    {"with-flap", kBranch, kText, "K=V,...", nullptr, kFault,
+     "a flap in the faults branch"},
+    {"with-brownout", kBranch, kText, "K=V,...", nullptr, kFault,
+     "a brownout in the faults branch"},
+};
+
+std::vector<std::string> split(const std::string& s, char sep) {
+  std::vector<std::string> items;
+  std::stringstream ss(s);
+  for (std::string item; std::getline(ss, item, sep);) items.push_back(item);
+  return items;
+}
+
+bool integer_in(const std::string& text, long long lo, long long hi) {
+  long long v = 0;
+  const char* end = text.data() + text.size();
+  const auto [last, ec] = std::from_chars(text.data(), end, v);
+  return ec == std::errc() && last == end && v >= lo && v <= hi;
+}
+
+std::optional<double> finite(const std::string& text) {
+  char* end = nullptr;
+  const double v = std::strtod(text.c_str(), &end);
+  if (text.empty() || *end != '\0' || !std::isfinite(v)) return std::nullopt;
+  return v;
+}
+
+/// What a value of `o` must be, or "" when `text` is one.
+std::string misfit(const Option& o, const std::string& text) {
+  const std::optional<double> v = finite(text);
+  switch (o.domain) {
+    case kPositiveInt:
+      return integer_in(text, 1, INT_MAX) ? "" : "a positive integer";
+    case kCount:
+      return integer_in(text, 0, INT_MAX) ? "" : "a non-negative integer";
+    case kSeed:
+      return integer_in(text, 0, 1LL << 53) ? "" : "an integer in [0, 2^53]";
+    case kThreads:
+      return integer_in(text, 0, kMaxThreads)
+                 ? ""
+                 : "an integer in [0, " + std::to_string(kMaxThreads) + "]";
+    case kPositive:
+      return v && *v > 0 ? "" : "a positive number";
+    case kNonNegative:
+      return v && *v >= 0 ? "" : "a non-negative number";
+    case kNumbers: {
+      const auto items = split(text, ',');
+      const bool ok = !items.empty() && std::all_of(
+          items.begin(), items.end(),
+          [](const std::string& item) { return finite(item).has_value(); });
+      return ok ? "" : "comma-separated numbers";
+    }
+    case kChoice: {
+      const auto words = split(o.arg, '|');
+      return std::find(words.begin(), words.end(), text) != words.end()
+                 ? ""
+                 : o.arg;
+    }
+    case kPolicy:
+      for (const TransportInfo& t : transport_catalogue()) {
+        if (text == t.name) return "";
+      }
+      return "one of " + registered_transport_names();
+    case kText:
+      return text.empty() ? "a non-empty value" : "";
+  }
+  return "";
+}
+
+/// The row of `name` for the subcommand bit `command`, or nullptr.
+const Option* find_option(const std::string& name, unsigned command) {
+  for (const Option& o : kOptions) {
+    if (name == o.name && (o.commands & command) != 0) return &o;
+  }
+  return nullptr;
+}
+
+/// A command line that kOptions does not accept; main() prints it with the
+/// usage and exits 2.
+class UsageError : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
+
+/// A command line read against kOptions: the text of every flag as given
+/// (the run spec records it), typed access to it or to its default, and the
+/// run spec itself.
+class Options {
+ public:
+  /// Reads `args`, the arguments after the subcommand `command`; throws
+  /// UsageError naming the first flag that the subcommand does not take,
+  /// that lacks its value, that repeats without being repeatable, or whose
+  /// value is outside its domain (which includes trailing junk).
+  Options(std::string command, const std::vector<std::string>& args)
+      : cmd(std::move(command)) {
+    const auto* it = std::find(std::begin(kCommands), std::end(kCommands), cmd);
+    if (it == std::end(kCommands)) throw UsageError("unknown command: " + cmd);
+    command_ = 1u << (it - std::begin(kCommands));
+    for (std::size_t i = 0; i < args.size(); ++i) {
+      if (!args[i].starts_with("--")) {
+        // Only analyze takes an operand (the trace file).
+        if (command_ != kAnalyze) {
+          throw UsageError("unexpected argument: " + args[i]);
+        }
+        positional.push_back(args[i]);
+        continue;
+      }
+      const std::string name = args[i].substr(2);
+      const Option* o = find_option(name, command_);
+      if (o == nullptr) {
+        throw UsageError("unknown option --" + name + " for " + cmd);
+      }
+      if (i + 1 == args.size() || args[i + 1].starts_with("--")) {
+        throw UsageError("missing value for --" + name);
+      }
+      const std::string& value = args[++i];
+      if (const std::string want = misfit(*o, value); !want.empty()) {
+        throw UsageError(name + "=" + value + ": expected " + want);
+      }
+      if (o->spec >= kJob) {
+        repeated_.emplace_back(o, value);
+      } else if (!given_.emplace(name, value).second) {
+        throw UsageError("--" + name + " given twice");
+      }
+    }
+  }
+
+  const std::string cmd;
+  std::vector<std::string> positional;
+
+  bool has(const std::string& name) const { return given_.contains(name); }
+
+  /// The value given for `name`, else its default.
+  std::string text(const std::string& name) const {
+    if (const auto it = given_.find(name); it != given_.end()) {
+      return it->second;
+    }
+    const Option* o = find_option(name, command_);
+    if (o == nullptr || o->fallback == nullptr) {
+      throw std::logic_error("--" + name + " has no default for " + cmd);
+    }
+    return o->fallback;
+  }
+  double num(const std::string& name) const {
+    return std::strtod(text(name).c_str(), nullptr);
+  }
+  int count(const std::string& name) const {
+    return std::atoi(text(name).c_str());
+  }
+  bool flag(const std::string& name) const { return text(name) == "1"; }
+
+  /// The (name, value) pairs of the repeatable flags in role `spec`, in
+  /// command-line order.
+  std::vector<std::pair<std::string, std::string>> list(Spec spec) const {
+    std::vector<std::pair<std::string, std::string>> out;
+    for (const auto& [o, value] : repeated_) {
+      if (o->spec == spec) out.emplace_back(o->name, value);
+    }
+    return out;
+  }
+
+  /// True when the run wants run-health analytics: --health-report or any
+  /// --slo-* gate.
+  bool health() const {
+    return std::any_of(given_.begin(), given_.end(), [](const auto& kv) {
+      return kv.first == "health-report" || kv.first.starts_with("slo-");
+    });
+  }
+
+  /// Canonical textual spec of a run, stored as the "spec" section of every
+  /// snapshot: the command, every --job and fault flag in command-line
+  /// order, then the other flags by name as their Spec role says.  Output
+  /// paths become presence markers so a resumed run may write elsewhere,
+  /// and --slo-* values only gate the exit code; everything else —
+  /// including --checkpoint-every, whose ticks consume event budget — must
+  /// match the recording run exactly.
+  std::string run_spec() const {
+    std::string s = "ccml-run-spec v1\ncmd=" + cmd + "\n";
+    for (const auto& [name, value] : list(kJob)) {
+      s += "job=" + value + "\n";
+    }
+    for (const auto& [name, value] : list(kFault)) {
+      s += "fault." + name + "=" + value + "\n";
+    }
+    for (const auto& [name, value] : given_) {
+      const Spec spec = find_option(name, command_)->spec;
+      if (spec == kValue) s += "opt." + name + "=" + value + "\n";
+      if (spec == kPresence) s += "opt." + name + "=1\n";
+    }
+    if (health()) s += "opt.health=1\n";
+    return s;
+  }
+
+ private:
+  unsigned command_ = 0;
+  /// Single-valued flags, sorted by name as the run spec lists them.
+  std::map<std::string, std::string> given_;
+  std::vector<std::pair<const Option*, std::string>> repeated_;
+};
+
 [[noreturn]] void usage(const char* msg = nullptr) {
   if (msg) std::fprintf(stderr, "error: %s\n\n", msg);
   std::fprintf(stderr, R"(usage: ccml_sim <command> [options]
 
 commands:
-  zoo                         list models and calibrated (model,batch) entries
-  transports                  list registered transports with family,
-                              admission goodput derating, MLTCP variants and
-                              per-transport tunables
-  profile --model M --batch B [--policy P] [--iterations N]
-                              profile one job in isolation
-  solve --job K=V[,K=V...] [--job ...] [--sectors N] [--capacity-gbps G]
-                              compatibility of jobs on one link
-       job keys: period_ms, comm_ms (or model+batch), demand_gbps
-  scenario --job K=V[,K=V...] [--job ...] [--policy P] [--seconds S]
-           [--flow-schedule 0|1] [--trace FILE]
-           [--trace-format chrome|jsonl] [--trace-cadence-ms N]
-           [--trace-async block|drop] [--health-report FILE|-] [--slo-*]
-                              simulate jobs on a shared dumbbell bottleneck
-       job keys: model, batch, name, compute_ms, comm_ms, timer_us,
-                 rai_mbps, priority, weight, start_ms
-       --flow-schedule 1 solves a CASSINI-style compatibility schedule at
-       run start and gates every job with it (emits a solve event so the
-       measured interleaving can be compared with the prediction)
-  sweep --job K=V[,K=V...] [--job ...] --param P --values V1,V2,...
-        [--policy P] [--seconds S] [--flow-schedule 0|1] [--threads N]
-                              run the scenario once per grid value, fanned
-                              across threads; results print in grid order
-       params: timer_us | rai_mbps | start_ms (applied to the first job)
-               bottleneck_gbps (applied to the fabric)
-  faults --job K=V[,K=V...] [--job ...] [--policy P] [--seconds S]
-         [--seed N] [--flap K=V,...] [--brownout K=V,...]
-         [--straggler K=V,...] [--pause K=V,...] [--depart K=V,...]
-         [--arrive K=V,...]
-                              scenario with scripted faults; reports per-job
-                              stats, the applied events and recovery metrics
-       flap keys:      at_ms, for_ms, [link]   (default link: the bottleneck
-                                               cable swL->swR, both ways)
-       brownout keys:  at_ms, for_ms, factor, [link]
-       straggler keys: at_ms, for_ms, job, slowdown
-       pause keys:     at_ms, for_ms, job
-       depart keys:    at_ms, job
-       arrive keys:    at_ms, job
-       also accepts --trace / --trace-format / --trace-cadence-ms /
-                            --trace-async / --flow-schedule /
-                            --health-report / --slo-*
-  cluster [--seed N] [--seconds S] [--rate JOBS_PER_MIN] [--service-s S]
-          [--admission locality|compat] [--queue-cap N] [--queue-timeout-s S]
-          [--workers-min N] [--workers-max N] [--tors N] [--hosts N]
-          [--spines N] [--policy P] [--flow-schedule 0|1]
-          [--fabric-gbps G] [--circle single|graph]
-          [--flap K=V,...] [--brownout K=V,...]
-                              online orchestrator: Poisson job arrivals on a
-                              leaf-spine fabric, admission control, and
-                              incremental gate re-solving; the report is
-                              byte-deterministic for a given seed
-       flap/brownout keys as above (default link: tor0->spine0)
-       also accepts --trace / --trace-format / --trace-cadence-ms /
-                            --trace-async / --health-report / --slo-*
-  analyze FILE [--health-report FILE|-] [--slo-*]
-                              replay a JSONL trace (from --trace-format
-                              jsonl) through the same streaming analyzers
-                              the live run uses and emit the run-health
-                              report; exits 1 when an SLO check fails
-  branch --from SNAPSHOT [--vary admission=locality|compat]
-         [--vary transport=POLICY] [--with-flap K=V,...]
-         [--with-brownout K=V,...] [--threads N]
-                              fork what-if continuations from a checkpoint:
-                              each branch deterministically replays the
-                              recorded history to the snapshot's cursor,
-                              verifies it byte-for-byte, applies its
-                              variation (admission policy, transport swap,
-                              extra post-cursor link faults), runs to the
-                              original horizon in memory, and is diffed
-                              against the unmodified baseline continuation
-  policies: maxmin | wfq | priority | dcqcn | dcqcn-adaptive | timely |
-            swift | bbr | table | mltcp-dcqcn | mltcp-timely | mltcp-swift
-            (run `ccml_sim transports` for the catalogue; `table` needs
-            --cc-policy-table FILE in the ccml-cc-table v1 format)
+  zoo           list models and calibrated (model,batch) entries
+  transports    list transports: family, goodput derating, MLTCP, tunables
+  profile       profile one job in isolation
+  solve         compatibility of two or more jobs on one link
+  scenario      simulate jobs sharing a dumbbell bottleneck
+  faults        scenario with a fault script, applied events and recovery
+  sweep         one scenario per --values point, fanned across threads
+  cluster       online orchestrator: Poisson arrivals on a leaf-spine
+                fabric, admission control, incremental gate re-solving
+  analyze FILE  replay a JSONL trace through the live run's streaming
+                analyzers and emit its run-health report
+  branch        fork what-if continuations from a snapshot; each replays the
+                history to its cursor, verifies it, applies its variation,
+                runs on in memory and is diffed against the baseline
 
-tracing (scenario and faults):
-  --trace FILE              write a structured trace of the run (flow
-                            lifecycles, job phases/iterations, DCQCN rate
-                            events, faults, link series) and print run
-                            metrics afterwards
-  --trace-format chrome     Chrome trace_event JSON; open in Perfetto
-                            (https://ui.perfetto.dev) or chrome://tracing
-                            [default]
-  --trace-format jsonl      one JSON object per line (machine-diffable)
-  --trace-cadence-ms N      link throughput/queue sampling period
-                            [default 5; 0 disables the sampled series]
-  --trace-async MODE        deliver events to the sink from a consumer
-                            thread fed by a lock-free SPSC ring instead of
-                            inline.  MODE block: lossless (producer waits
-                            when the ring is full; output byte-identical to
-                            inline delivery).  MODE drop: never stalls the
-                            sim; overflow is counted in trace.dropped_events
-                            and reported by a trailing trace-drops event
+options (accepted by the commands named; given once unless repeatable):
+)");
+  for (const Option& o : kOptions) {
+    std::string where;
+    for (std::size_t i = 0; i < std::size(kCommands); ++i) {
+      if ((o.commands & (1u << i)) == 0) continue;
+      if (!where.empty()) where += ' ';
+      where += kCommands[i];
+    }
+    if (o.fallback != nullptr) where += std::string("; default ") + o.fallback;
+    if (o.spec >= kJob) where += "; repeatable";
+    const std::string flag = std::string("--") + o.name + " " + o.arg;
+    std::fprintf(stderr, "  %-28s %s [%s]\n", flag.c_str(), o.help,
+                 where.c_str());
+  }
+  std::fprintf(stderr, R"(
+job keys: solve takes period_ms, comm_ms, [demand_gbps], or model+batch;
+  the others take model, batch, [workers], name, compute_ms, comm_ms,
+  timer_us, rai_mbps, priority, weight, start_ms
+fault keys: flap at_ms, for_ms, [link] | brownout at_ms, for_ms, factor,
+  [link] | straggler at_ms, for_ms, job, [slowdown] | pause at_ms, for_ms,
+  job | depart, arrive at_ms, job.  The default link is the bottleneck cable
+  swL->swR (both ways), or tor0->spine0 on cluster runs
+sweep params: timer_us, rai_mbps, start_ms (of the first job) or
+  bottleneck_gbps (of the fabric)
+branch variations: --vary admission=locality|compat (cluster snapshots),
+  --vary transport=P, and --with-* faults after the snapshot's cursor
+policies: maxmin | wfq | priority | dcqcn | dcqcn-adaptive | timely |
+  swift | bbr | table | mltcp-dcqcn | mltcp-timely | mltcp-swift
+  (see `ccml_sim transports`; `table` needs --cc-policy-table FILE in the
+  ccml-cc-table v1 format)
 
-run health (scenario, faults, cluster and analyze):
-  --health-report DEST      fold the event stream through the streaming
-                            analyzers (src/obs/analytics) and write a
-                            run-health JSON report — iteration/queue HDR
-                            percentiles, measured interleaving vs the
-                            solver's prediction, Jain fairness windows,
-                            anomaly events and SLO verdicts — to DEST
-                            ("-" = stdout).  On live runs this chains the
-                            analytics in front of any --trace sink, so
-                            derived anomaly.* events also land in the trace.
-  --slo-min-fairness F      fail unless every fairness window's Jain >= F
-  --slo-max-slowdown F      fail when mean slowdown-vs-dedicated > F
-  --slo-max-p99-ms F        fail when any job's p99 iteration > F ms
-  --slo-max-anomalies N     fail when more than N anomaly events fire
-  --slo-require-anomaly 1   fail unless at least one anomaly fired (fault
-                            runs must detect *something*)
-  any --slo-* flag implies --health-report - ; a failed check exits 1
-
-checkpointing (scenario, faults and cluster):
-  --checkpoint-every MS     take a crash-safe snapshot of the full live
-                            state (clock, flows, CC state, RNG streams,
-                            fault and orchestrator state) every MS of
-                            simulated time; each file is self-contained,
-                            CRC-guarded and atomically renamed into
-                            --checkpoint-dir (ckpt_<n>.ccml + latest.ccml)
-  --checkpoint-dir DIR      snapshot directory [default: checkpoints]
-  --resume FILE             resume a killed run: re-issue the *identical*
-                            command line plus --resume FILE.  The run is
-                            replayed from t=0 to the snapshot's cursor,
-                            re-captured state is verified byte-for-byte
-                            against the snapshot, the trace file is cut at
-                            the cursor and appended to — the final trace
-                            and health report are byte-identical to an
-                            uninterrupted run's.  Checkpointed traces need
-                            --trace-format jsonl; --trace-async drop is
-                            incompatible with checkpointing
+tracing: chrome traces open in Perfetto (https://ui.perfetto.dev); jsonl
+  is one JSON object per line.  --trace-async block is lossless (the
+  producer waits on a full ring; bytes match inline delivery); drop never
+  stalls the sim and reports overflow in a trailing trace-drops event.
+run health: --health-report folds the event stream through the streaming
+  analyzers (HDR percentiles, interleaving vs the solver's prediction, Jain
+  fairness, anomalies, SLO verdicts); on live runs they chain in front of
+  the --trace sink.  Any --slo-* implies --health-report -; a failed check
+  exits 1.
+checkpointing: each snapshot is self-contained, CRC-guarded and atomically
+  renamed into --checkpoint-dir (ckpt_<n>.ccml + latest.ccml).  To resume a
+  killed run, re-issue its command line plus --resume FILE; flags may come
+  in any order and output paths may differ.  The run replays to the cursor,
+  verifies the state byte-for-byte, and stitches the trace, so trace and
+  health report are byte-identical to an uninterrupted run's.  Checkpointed
+  traces need --trace-format jsonl, and not --trace-async drop.
 
 exit codes:
   0  success
@@ -208,9 +496,7 @@ exit codes:
 
 std::map<std::string, std::string> parse_kv(const std::string& arg) {
   std::map<std::string, std::string> out;
-  std::stringstream ss(arg);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
+  for (const std::string& item : split(arg, ',')) {
     const auto eq = item.find('=');
     if (eq == std::string::npos) usage(("bad key=value: " + item).c_str());
     out[item.substr(0, eq)] = item.substr(eq + 1);
@@ -272,10 +558,6 @@ JobProfile job_profile_from(const std::map<std::string, std::string>& kv) {
       Rate::gbps(42.5) * Duration::from_millis_f(comm_ms));
 }
 
-// --- Checkpoint plumbing -----------------------------------------------------
-
-bool wants_analytics(const std::map<std::string, std::string>& opts);
-
 /// Counts every logical byte the trace sink produces and forwards them to
 /// the real file buffer — except the first `suppress` bytes, which a resume
 /// replay regenerates but which are already on disk.  The count therefore
@@ -318,85 +600,49 @@ class CountingBuf : public std::streambuf {
   std::uint64_t count_ = 0;
 };
 
-/// Canonical textual spec of a run, stored as the "spec" section of every
-/// snapshot: the command, every --job and fault flag in command-line order,
-/// and every option that shapes the simulated trajectory.  Output paths
-/// (--trace, --health-report, --checkpoint-dir) are normalized to presence
-/// markers so a resumed run may write elsewhere, and --slo-* values only
-/// gate the exit code; everything else — including --checkpoint-every,
-/// whose ticks consume event budget — must match the recording run exactly.
-std::string canonical_run_spec(
-    const std::string& cmd, const std::vector<std::string>& job_args,
-    const std::vector<std::pair<std::string, std::string>>& fault_args,
-    const std::map<std::string, std::string>& opts) {
-  std::string s = "ccml-run-spec v1\ncmd=" + cmd + "\n";
-  for (const auto& j : job_args) s += "job=" + j + "\n";
-  for (const auto& [kind, arg] : fault_args) {
-    s += "fault." + kind + "=" + arg + "\n";
+/// The command line a snapshot's run spec records, read back by the same
+/// option table — enough to replay the run without it (`ccml_sim branch`).
+/// Output paths come back as placeholders: a --trace of "1", and a
+/// --health-report of "-" for the opt.health marker.
+Options parse_run_spec(const std::string& spec) {
+  const std::vector<std::string> lines = split(spec, '\n');
+  if (lines.empty() || lines[0] != "ccml-run-spec v1") {
+    throw SnapshotError("snapshot run spec is not in ccml-run-spec v1 format");
   }
-  for (const auto& [k, v] : opts) {
-    if (k == "resume" || k == "checkpoint-dir" || k == "threads" ||
-        k == "health-report" || k.rfind("slo-", 0) == 0) {
-      continue;
-    }
-    if (k == "trace") {
-      s += "opt.trace=1\n";
-      continue;
-    }
-    s += "opt." + k + "=" + v + "\n";
-  }
-  if (wants_analytics(opts)) s += "opt.health=1\n";
-  return s;
-}
-
-/// A spec parsed back out of a snapshot — enough to reconstruct and replay
-/// the recorded run without the original command line (`ccml_sim branch`).
-struct RunSpec {
   std::string cmd;
-  std::vector<std::string> job_args;
-  std::vector<std::pair<std::string, std::string>> fault_args;
-  std::map<std::string, std::string> opts;
-  bool traced = false;  ///< the recording run had a --trace file sink
-  bool health = false;  ///< ... and/or a run-health analytics engine
-};
-
-RunSpec parse_run_spec(const std::string& spec) {
-  RunSpec rs;
-  std::stringstream ss(spec);
-  std::string line;
-  bool header = false;
-  while (std::getline(ss, line)) {
-    if (line.empty()) continue;
-    if (line == "ccml-run-spec v1") {
-      header = true;
-      continue;
-    }
+  std::vector<std::string> args;
+  for (std::size_t i = 1; i < lines.size(); ++i) {
+    const std::string& line = lines[i];
     const auto eq = line.find('=');
+    const std::string key = line.substr(0, eq);
     if (eq == std::string::npos) {
       throw SnapshotError("malformed run spec line: " + line);
-    }
-    const std::string key = line.substr(0, eq);
-    const std::string value = line.substr(eq + 1);
-    if (key == "cmd") {
-      rs.cmd = value;
-    } else if (key == "job") {
-      rs.job_args.push_back(value);
-    } else if (key.rfind("fault.", 0) == 0) {
-      rs.fault_args.emplace_back(key.substr(6), value);
-    } else if (key == "opt.trace") {
-      rs.traced = true;
+    } else if (key == "cmd") {
+      cmd = line.substr(eq + 1);
     } else if (key == "opt.health") {
-      rs.health = true;
-    } else if (key.rfind("opt.", 0) == 0) {
-      rs.opts[key.substr(4)] = value;
+      args.insert(args.end(), {"--health-report", "-"});
+    } else if (key == "job" || key.starts_with("fault.") ||
+               key.starts_with("opt.")) {
+      // job=V, fault.NAME=V and opt.NAME=V were --job V and --NAME V.
+      args.push_back("--" + key.substr(key.find('.') + 1));
+      args.push_back(line.substr(eq + 1));
     } else {
       throw SnapshotError("malformed run spec line: " + line);
     }
   }
-  if (!header || rs.cmd.empty()) {
-    throw SnapshotError("snapshot run spec is not in ccml-run-spec v1 format");
+  if (cmd != "scenario" && cmd != "faults" && cmd != "cluster") {
+    throw SnapshotError("snapshot records unbranchable command '" + cmd + "'");
   }
-  return rs;
+  try {
+    Options opts(cmd, args);
+    if (!opts.has("checkpoint-every")) {
+      throw SnapshotError(
+          "snapshot spec carries no --checkpoint-every; cannot replay");
+    }
+    return opts;
+  } catch (const UsageError& e) {
+    throw SnapshotError(std::string("snapshot run spec: ") + e.what());
+  }
 }
 
 int cmd_zoo() {
@@ -451,18 +697,14 @@ int cmd_transports() {
   return 0;
 }
 
-int cmd_profile(const std::map<std::string, std::string>& opts) {
+int cmd_profile(const Options& opts) {
   std::map<std::string, std::string> kv;
-  if (opts.contains("model")) kv["model"] = opts.at("model");
-  if (opts.contains("batch")) kv["batch"] = opts.at("batch");
+  if (opts.has("model")) kv["model"] = opts.text("model");
+  if (opts.has("batch")) kv["batch"] = opts.text("batch");
   const JobProfile job = job_profile_from(kv);
   ProfilerOptions popts;
-  if (opts.contains("iterations")) {
-    popts.iterations = std::atoi(opts.at("iterations").c_str());
-  }
-  if (opts.contains("policy")) {
-    popts.policy = parse_policy_kind(opts.at("policy"));
-  }
+  popts.iterations = opts.count("iterations");
+  popts.policy = parse_policy_kind(opts.text("policy"));
   const MeasuredProfile m = measure_profile(job, popts);
   std::printf("model %s (batch %d) under %s:\n", job.model.c_str(), job.batch,
               to_string(popts.policy));
@@ -479,11 +721,11 @@ int cmd_profile(const std::map<std::string, std::string>& opts) {
   return 0;
 }
 
-int cmd_solve(const std::vector<std::string>& job_args,
-              const std::map<std::string, std::string>& opts) {
+int cmd_solve(const Options& opts) {
+  const auto job_args = opts.list(kJob);
   if (job_args.size() < 2) usage("solve needs at least two --job");
   std::vector<CommProfile> profiles;
-  for (const auto& arg : job_args) {
+  for (const auto& [flag, arg] : job_args) {
     const auto kv = parse_kv(arg);
     if (kv.contains("period_ms")) {
       const double period = want_num(kv, "period_ms");
@@ -499,16 +741,10 @@ int cmd_solve(const std::vector<std::string>& job_args,
     }
   }
   SolverOptions sopts;
-  if (opts.contains("sectors")) sopts.sectors = want_count(opts, "sectors");
-  if (opts.contains("capacity-gbps")) {
-    const double gbps = want_num(opts, "capacity-gbps");
-    if (gbps <= 0) {
-      usage(("capacity-gbps=" + opts.at("capacity-gbps") +
-             ": expected a positive number")
-                .c_str());
-    }
+  if (opts.has("sectors")) sopts.sectors = opts.count("sectors");
+  if (opts.has("capacity-gbps")) {
     sopts.mode = SolverOptions::Mode::kBandwidth;
-    sopts.link_capacity = Rate::gbps(gbps);
+    sopts.link_capacity = Rate::gbps(opts.num("capacity-gbps"));
   }
   const SolverResult r = CompatibilitySolver(sopts).solve(profiles);
   std::printf("verdict: %s%s\n", r.compatible ? "COMPATIBLE" : "incompatible",
@@ -524,44 +760,23 @@ int cmd_solve(const std::vector<std::string>& job_args,
   return r.compatible ? 0 : 1;
 }
 
-/// Parses the --slo-* family into the engine's SLO gate config.
-SloConfig parse_slo(const std::map<std::string, std::string>& opts) {
-  SloConfig slo;
-  if (opts.contains("slo-min-fairness")) {
-    slo.min_fairness = std::atof(opts.at("slo-min-fairness").c_str());
-  }
-  if (opts.contains("slo-max-slowdown")) {
-    slo.max_mean_slowdown = std::atof(opts.at("slo-max-slowdown").c_str());
-  }
-  if (opts.contains("slo-max-p99-ms")) {
-    slo.max_p99_iteration_ms = std::atof(opts.at("slo-max-p99-ms").c_str());
-  }
-  if (opts.contains("slo-max-anomalies")) {
-    slo.max_anomalies = std::atoi(opts.at("slo-max-anomalies").c_str());
-  }
-  if (opts.contains("slo-require-anomaly")) {
-    slo.require_anomaly = std::atoi(opts.at("slo-require-anomaly").c_str()) != 0;
-  }
-  return slo;
-}
-
-/// True when the command line asks for run-health analytics.
-bool wants_analytics(const std::map<std::string, std::string>& opts) {
-  if (opts.contains("health-report")) return true;
-  for (const auto& [key, value] : opts) {
-    if (key.rfind("slo-", 0) == 0) return true;
-  }
-  return false;
-}
-
-/// Renders the run-health report to --health-report's destination ("-" or
-/// unset = stdout) and prints the lower-bound warning when the async ring
-/// dropped events.  Returns 1 when an SLO check failed, else 0.
-int emit_health_report(const AnalyticsEngine& engine,
-                       const std::map<std::string, std::string>& opts) {
-  const RunHealthReport report = engine.report(parse_slo(opts));
-  const std::string dest =
-      opts.contains("health-report") ? opts.at("health-report") : "-";
+/// Renders the run-health report to --health-report's destination ("-" =
+/// stdout), gated by the --slo-* flags, and prints the lower-bound warning
+/// when the async ring dropped events.  Returns 1 when an SLO check failed,
+/// else 0.
+int emit_health_report(const AnalyticsEngine& engine, const Options& opts) {
+  SloConfig slo;  // an absent gate keeps its "off" value
+  const auto gate = [&](const char* name, double off) {
+    return opts.has(name) ? opts.num(name) : off;
+  };
+  slo.min_fairness = gate("slo-min-fairness", slo.min_fairness);
+  slo.max_mean_slowdown = gate("slo-max-slowdown", slo.max_mean_slowdown);
+  slo.max_p99_iteration_ms = gate("slo-max-p99-ms", slo.max_p99_iteration_ms);
+  slo.max_anomalies =
+      static_cast<int>(gate("slo-max-anomalies", slo.max_anomalies));
+  slo.require_anomaly = gate("slo-require-anomaly", 0) != 0;
+  const RunHealthReport report = engine.report(slo);
+  const std::string dest = opts.text("health-report");
   if (dest == "-") {
     std::printf("%s", report.json.c_str());
   } else {
@@ -580,73 +795,15 @@ int emit_health_report(const AnalyticsEngine& engine,
   return report.pass ? 0 : 1;
 }
 
-/// Builds the trace bus, the optional file sink requested by --trace /
-/// --trace-format / --trace-cadence-ms, and the optional AnalyticsEngine
-/// requested by --health-report / --slo-*.  When both are present the
-/// engine is the bus's only sink and *chains* to the file sink, so derived
-/// anomaly.* events interleave deterministically with the raw stream.
-/// `configure` returns the bus to hang on the scenario config (nullptr when
-/// neither is requested); `finish` finalizes the file and prints the
-/// run-metrics summary; `health_exit_code` evaluates the SLO gates.
-struct TraceSetup {
-  /// Resume only: logical trace bytes at the snapshot's cursor.  Set before
-  /// configure(); the existing file is cut to exactly this many bytes and
-  /// re-opened for append, and the first resume_suppress bytes the replay
-  /// regenerates are discarded instead of re-written — the stitched file is
-  /// byte-identical to the one an uninterrupted run would have produced.
-  std::uint64_t resume_suppress = 0;
-
-  TraceBus* configure(const std::map<std::string, std::string>& opts) {
-    const bool want_file = opts.contains("trace");
-    const bool want_health = wants_analytics(opts);
-    if (!want_file && !want_health) return nullptr;
-    const Duration cadence = Duration::from_millis_f(
-        opts.contains("trace-cadence-ms")
-            ? std::atof(opts.at("trace-cadence-ms").c_str())
-            : 5.0);
-    if (want_file) {
-      path = opts.at("trace");
-      std::uint64_t suppress = 0;
-      std::error_code ec;
-      if (resume_suppress > 0 && std::filesystem::exists(path, ec)) {
-        const std::uint64_t size = std::filesystem::file_size(path);
-        if (size < resume_suppress) {
-          throw SnapshotError(
-              "trace file '" + path + "' has " + std::to_string(size) +
-              " bytes but the snapshot's cursor is at byte " +
-              std::to_string(resume_suppress) +
-              " — this is not the file the snapshotted run was writing");
-        }
-        // Drop bytes the killed run wrote past the checkpoint; the replay
-        // regenerates them (and everything after) deterministically.
-        if (size > resume_suppress) {
-          std::filesystem::resize_file(path, resume_suppress);
-        }
-        out.open(path, std::ios::binary | std::ios::app);
-        suppress = resume_suppress;
-      } else {
-        out.open(path, std::ios::binary | std::ios::trunc);
-      }
-      if (!out) usage(("cannot open trace file: " + path).c_str());
-      counting = std::make_unique<CountingBuf>(out.rdbuf(), suppress);
-      stream = std::make_unique<std::ostream>(counting.get());
-      const std::string format =
-          opts.contains("trace-format") ? opts.at("trace-format") : "chrome";
-      if (format == "chrome") {
-        ChromeTraceSinkOptions copts;
-        copts.sample_cadence = cadence;
-        sink = std::make_unique<ChromeTraceSink>(*stream, copts);
-      } else if (format == "jsonl") {
-        JsonlSinkOptions jopts;
-        jopts.sample_cadence = cadence;
-        sink = std::make_unique<JsonlSink>(*stream, jopts);
-      } else {
-        usage(("unknown trace format: " + format +
-               " (expected chrome or jsonl)")
-                  .c_str());
-      }
-    }
-    if (want_health) {
+/// A trace bus and its sinks: the file or in-memory sink and, when run-health
+/// analytics are on, an AnalyticsEngine in front of it.  The engine is then
+/// the bus's only sink and chains to the other, so derived anomaly.* events
+/// interleave deterministically with the raw stream.
+struct TraceChain {
+  TraceBus* connect(std::unique_ptr<TraceSink> out, bool health,
+                    Duration cadence) {
+    sink = std::move(out);
+    if (health) {
       AnalyticsConfig acfg;
       acfg.sample_cadence = cadence;
       engine = std::make_unique<AnalyticsEngine>(acfg);
@@ -655,71 +812,74 @@ struct TraceSetup {
     } else {
       bus.add_sink(*sink);
     }
-    if (opts.contains("trace-async")) {
-      TraceAsyncOptions aopts;
-      const std::string& mode = opts.at("trace-async");
-      if (mode == "drop") {
-        aopts.overflow = TraceOverflowPolicy::kDropNewest;
-      } else if (!mode.empty() && mode != "block") {
-        usage(("unknown --trace-async mode: " + mode +
-               " (expected block or drop)")
-                  .c_str());
-      }
-      bus.start_async(aopts);
-    }
-    enabled = true;
     return &bus;
   }
 
-  void finish() {
-    if (!enabled) return;
-    bus.flush();  // stops the async consumer (full drain) before finalizing
-    if (!path.empty()) {
-      stream->flush();
-      out.close();
-      std::printf("\ntrace written to %s\n", path.c_str());
-    }
-    std::printf("\n%s", bus.metrics_summary().c_str());
-  }
-
-  /// Call after finish(); 1 when an enabled SLO gate failed, else 0.
-  int health_exit_code(const std::map<std::string, std::string>& opts) const {
-    return engine ? emit_health_report(*engine, opts) : 0;
-  }
-
-  bool has_file() const { return counting != nullptr; }
-
-  /// Logical bytes the file sink has produced since t=0 of the run
-  /// (suppressed + written), flushed through to the OS first so a SIGKILL
-  /// after the snapshot lands can never lose bytes its cursor claims exist.
-  std::uint64_t logical_trace_bytes() {
-    if (stream) stream->flush();
-    return counting ? counting->logical_bytes() : 0;
-  }
-
-  bool enabled = false;
-  std::string path;
-  std::ofstream out;
-  std::unique_ptr<CountingBuf> counting;
-  std::unique_ptr<std::ostream> stream;
   TraceBus bus;
   std::unique_ptr<TraceSink> sink;
   std::unique_ptr<AnalyticsEngine> engine;
 };
 
-/// Parses --checkpoint-every / --checkpoint-dir / --resume into a
-/// CheckpointCoordinator.  On resume it loads and validates the snapshot,
-/// refuses a spec recorded by a different command line, and primes the
-/// TraceSetup with the cursor's trace-byte position for file stitching.
-struct CheckpointSetup {
-  std::unique_ptr<CheckpointCoordinator> ck;
-  bool resuming = false;
+/// The trace, run-health and checkpoint plumbing every live run (scenario,
+/// faults, cluster) shares.  The constructor hangs the checkpoint
+/// coordinator (--checkpoint-every, --resume) and the trace bus (--trace,
+/// --health-report, --slo-*) on the run's config; call verified() after the
+/// run and finish() after its report.
+class LiveRun {
+ public:
+  template <typename Config>
+  LiveRun(const Options& opts, Config& cfg) : opts_(opts) {
+    cfg.checkpoint = open_checkpoint();
+    cfg.trace = open_trace();
+    if (cfg.checkpoint != nullptr && counting_ != nullptr) {
+      cfg.checkpoint->set_trace_bytes_fn([this] {
+        // Flushed through to the OS first, so a SIGKILL after the snapshot
+        // lands can never lose bytes its cursor claims exist.
+        stream_->flush();
+        return counting_->logical_bytes();
+      });
+    }
+  }
+  /// The checkpoint's trace-byte callback holds `this`.
+  LiveRun(const LiveRun&) = delete;
+  LiveRun& operator=(const LiveRun&) = delete;
 
-  CheckpointCoordinator* configure(const std::string& spec,
-                                   const std::map<std::string, std::string>& opts,
-                                   TraceSetup& trace) {
-    const bool resume = opts.contains("resume");
-    if (!opts.contains("checkpoint-every")) {
+  /// A resume whose replay ended before ever reaching the cursor verified
+  /// nothing and must not pass silently.
+  void verified() const {
+    if (resuming_ && !ck_->verified()) {
+      throw ResumeDivergence(
+          "replay finished without reaching the snapshot's cursor (checkpoint " +
+          std::to_string(ck_->options().target_seq) +
+          ") — was the recorded run longer than this one?");
+    }
+    if (resuming_) {
+      std::fprintf(stderr, "resume verified byte-identical at the cursor; "
+                           "continued to completion\n");
+    }
+  }
+
+  /// Finalizes the trace file, prints the run metrics and emits the
+  /// run-health report; returns 1 when an SLO gate failed, else 0.
+  int finish() {
+    if (!enabled_) return 0;
+    chain_.bus.flush();  // stops the async consumer (full drain) first
+    if (!path_.empty()) {
+      stream_->flush();
+      out_.close();
+      std::printf("\ntrace written to %s\n", path_.c_str());
+    }
+    std::printf("\n%s", chain_.bus.metrics_summary().c_str());
+    return chain_.engine ? emit_health_report(*chain_.engine, opts_) : 0;
+  }
+
+ private:
+  /// On resume, loads and validates the snapshot, refuses a spec recorded
+  /// by a different command line, and notes the cursor's trace-byte
+  /// position for stitching the trace file.
+  CheckpointCoordinator* open_checkpoint() {
+    const bool resume = opts_.has("resume");
+    if (!opts_.has("checkpoint-every")) {
       if (resume) {
         usage("--resume needs the recording run's --checkpoint-every (re-issue "
               "the identical command line plus --resume)");
@@ -730,30 +890,23 @@ struct CheckpointSetup {
     // line-oriented lossless path: the chrome sink buffers everything until
     // the end of the run, and drop-mode async discards events the byte
     // counter never sees.
-    if (opts.contains("trace")) {
-      const std::string format =
-          opts.contains("trace-format") ? opts.at("trace-format") : "chrome";
-      if (format != "jsonl") {
-        usage("checkpointing a traced run requires --trace-format jsonl");
-      }
+    if (opts_.has("trace") && opts_.text("trace-format") != "jsonl") {
+      usage("checkpointing a traced run requires --trace-format jsonl");
     }
-    if (opts.contains("trace-async") && opts.at("trace-async") == "drop") {
+    if (opts_.has("trace-async") && opts_.text("trace-async") == "drop") {
       usage("--trace-async drop discards events nondeterministically and "
             "cannot be checkpointed; use block");
     }
-    const double every_ms = std::atof(opts.at("checkpoint-every").c_str());
-    if (every_ms <= 0) usage("--checkpoint-every must be a positive ms value");
-
     CheckpointCoordinator::Options co;
-    co.every = Duration::from_millis_f(every_ms);
-    co.dir = opts.contains("checkpoint-dir") ? opts.at("checkpoint-dir")
-                                             : "checkpoints";
-    co.run_spec = spec;
+    co.every = Duration::from_millis_f(opts_.num("checkpoint-every"));
+    co.dir = opts_.text("checkpoint-dir");
+    co.run_spec = opts_.run_spec();
     if (resume) {
-      Snapshot target = Snapshot::load(opts.at("resume"));
-      if (target.get("spec") != spec) {
+      const std::string from = opts_.text("resume");
+      Snapshot target = Snapshot::load(from);
+      if (target.get("spec") != co.run_spec) {
         throw SnapshotError(
-            "snapshot '" + opts.at("resume") +
+            "snapshot '" + from +
             "' was recorded by a different run: re-issue the identical "
             "command line plus --resume (output paths may differ; jobs, "
             "faults, seeds, durations and --checkpoint-every may not)");
@@ -762,41 +915,94 @@ struct CheckpointSetup {
       co.mode = CheckpointCoordinator::Mode::kReplayVerify;
       co.target_seq = cursor.seq;
       co.target = std::move(target);
-      trace.resume_suppress = cursor.trace_bytes;
-      resuming = true;
+      resume_suppress_ = cursor.trace_bytes;
+      resuming_ = true;
       std::fprintf(stderr,
                    "resuming from %s: checkpoint %llu at %.1f ms (%llu events, "
                    "%llu trace bytes); replaying to the cursor...\n",
-                   opts.at("resume").c_str(),
-                   static_cast<unsigned long long>(cursor.seq),
+                   from.c_str(), static_cast<unsigned long long>(cursor.seq),
                    static_cast<double>(cursor.time_ns) / 1e6,
                    static_cast<unsigned long long>(cursor.events_executed),
                    static_cast<unsigned long long>(cursor.trace_bytes));
     }
-    ck = std::make_unique<CheckpointCoordinator>(std::move(co));
-    return ck.get();
+    ck_ = std::make_unique<CheckpointCoordinator>(std::move(co));
+    return ck_.get();
   }
 
-  /// Call after the run: a resume whose replay ended before ever reaching
-  /// the cursor verified nothing and must not pass silently.
-  void check_verified() const {
-    if (resuming && ck && !ck->verified()) {
-      throw ResumeDivergence(
-          "replay finished without reaching the snapshot's cursor (checkpoint " +
-          std::to_string(ck->options().target_seq) +
-          ") — was the recorded run longer than this one?");
+  /// The bus, or nullptr when neither a trace file nor analytics is asked
+  /// for.  On resume the existing trace file is cut to the cursor's byte
+  /// count and appended to, and the first bytes the replay regenerates are
+  /// discarded instead of re-written — the stitched file is byte-identical
+  /// to the one an uninterrupted run would have produced.
+  TraceBus* open_trace() {
+    const bool health = opts_.health();
+    if (!opts_.has("trace") && !health) return nullptr;
+    const Duration cadence =
+        Duration::from_millis_f(opts_.num("trace-cadence-ms"));
+    std::unique_ptr<TraceSink> sink;
+    if (opts_.has("trace")) {
+      path_ = opts_.text("trace");
+      std::uint64_t suppress = 0;
+      std::error_code ec;
+      if (resume_suppress_ > 0 && std::filesystem::exists(path_, ec)) {
+        const std::uint64_t size = std::filesystem::file_size(path_);
+        if (size < resume_suppress_) {
+          throw SnapshotError(
+              "trace file '" + path_ + "' has " + std::to_string(size) +
+              " bytes but the snapshot's cursor is at byte " +
+              std::to_string(resume_suppress_) +
+              " — this is not the file the snapshotted run was writing");
+        }
+        // Drop bytes the killed run wrote past the checkpoint; the replay
+        // regenerates them (and everything after) deterministically.
+        if (size > resume_suppress_) {
+          std::filesystem::resize_file(path_, resume_suppress_);
+        }
+        out_.open(path_, std::ios::binary | std::ios::app);
+        suppress = resume_suppress_;
+      } else {
+        out_.open(path_, std::ios::binary | std::ios::trunc);
+      }
+      if (!out_) usage(("cannot open trace file: " + path_).c_str());
+      counting_ = std::make_unique<CountingBuf>(out_.rdbuf(), suppress);
+      stream_ = std::make_unique<std::ostream>(counting_.get());
+      if (opts_.text("trace-format") == "chrome") {
+        ChromeTraceSinkOptions copts;
+        copts.sample_cadence = cadence;
+        sink = std::make_unique<ChromeTraceSink>(*stream_, copts);
+      } else {
+        JsonlSinkOptions jopts;
+        jopts.sample_cadence = cadence;
+        sink = std::make_unique<JsonlSink>(*stream_, jopts);
+      }
     }
-    if (resuming && ck) {
-      std::fprintf(stderr, "resume verified byte-identical at the cursor; "
-                           "continued to completion\n");
+    TraceBus* bus = chain_.connect(std::move(sink), health, cadence);
+    if (opts_.has("trace-async")) {
+      TraceAsyncOptions aopts;
+      if (opts_.text("trace-async") == "drop") {
+        aopts.overflow = TraceOverflowPolicy::kDropNewest;
+      }
+      bus->start_async(aopts);
     }
+    enabled_ = true;
+    return bus;
   }
+
+  const Options& opts_;
+  std::unique_ptr<CheckpointCoordinator> ck_;
+  bool resuming_ = false;
+  std::uint64_t resume_suppress_ = 0;  ///< trace bytes at the cursor
+  bool enabled_ = false;
+  std::string path_;
+  std::ofstream out_;
+  std::unique_ptr<CountingBuf> counting_;
+  std::unique_ptr<std::ostream> stream_;
+  TraceChain chain_;
 };
 
-std::vector<ScenarioJob> parse_scenario_jobs(
-    const std::vector<std::string>& job_args) {
+std::vector<ScenarioJob> parse_scenario_jobs(const Options& opts) {
   std::vector<ScenarioJob> jobs;
-  for (const auto& arg : job_args) {
+  for (const auto& [flag, arg] : opts.list(kJob)) {
     const auto kv = parse_kv(arg);
     ScenarioJob job;
     job.profile = job_profile_from(kv);
@@ -819,79 +1025,12 @@ std::vector<ScenarioJob> parse_scenario_jobs(
   return jobs;
 }
 
-/// The --policy / --cc-policy-table / --seconds / --flow-schedule options
-/// shared by scenario, faults, sweep, and branch replays.
-void apply_scenario_opts(ScenarioConfig& cfg,
-                         const std::map<std::string, std::string>& opts) {
-  if (opts.contains("policy")) {
-    cfg.policy = parse_policy_kind(opts.at("policy"));
-  }
-  if (opts.contains("cc-policy-table")) {
-    cfg.transports.table.table =
-        CcPolicyTable::load(opts.at("cc-policy-table"));
-  }
-  cfg.duration =
-      Duration::seconds(opts.contains("seconds")
-                            ? std::atoi(opts.at("seconds").c_str())
-                            : 20);
-  if (opts.contains("flow-schedule")) {
-    cfg.flow_schedule = std::atoi(opts.at("flow-schedule").c_str()) != 0;
-  }
-}
-
-/// A post-warmup statistic in ms, or "n/a" when every iteration of the job
-/// fell inside the warmup and the sample is empty.
-std::string post_warmup_ms(const ScenarioJobStats& j, double ms) {
-  return j.cdf.empty() ? "n/a" : TextTable::num(ms, 1);
-}
-
-int cmd_scenario(const std::vector<std::string>& job_args,
-                 const std::map<std::string, std::string>& opts) {
-  if (job_args.empty()) usage("scenario needs at least one --job");
-  const std::vector<ScenarioJob> jobs = parse_scenario_jobs(job_args);
-  ScenarioConfig cfg;
-  apply_scenario_opts(cfg, opts);
-  const std::string spec = canonical_run_spec("scenario", job_args, {}, opts);
-  TraceSetup trace;
-  CheckpointSetup ckpt;
-  cfg.checkpoint = ckpt.configure(spec, opts, trace);
-  cfg.trace = trace.configure(opts);
-  if (cfg.checkpoint != nullptr && trace.has_file()) {
-    cfg.checkpoint->set_trace_bytes_fn(
-        [&trace] { return trace.logical_trace_bytes(); });
-  }
-  const auto result = run_dumbbell_scenario(jobs, cfg);
-  ckpt.check_verified();
-
-  std::printf("policy %s, %zu jobs, %.0f s simulated:\n\n",
-              to_string(cfg.policy), jobs.size(), cfg.duration.to_seconds());
-  TextTable table({"job", "iterations", "mean ms", "median ms", "p95 ms",
-                   "solo ms"});
-  const Rate goodput = scenario_goodput(cfg);
-  for (std::size_t i = 0; i < result.jobs.size(); ++i) {
-    const auto& j = result.jobs[i];
-    table.add_row({j.name, std::to_string(j.iterations),
-                   post_warmup_ms(j, j.mean_ms), post_warmup_ms(j, j.median_ms),
-                   post_warmup_ms(j, j.p95_ms),
-                   TextTable::num(
-                       jobs[i].profile.solo_iteration(goodput).to_millis(),
-                       1)});
-  }
-  std::printf("%s", table.render().c_str());
-  trace.finish();
-  return trace.health_exit_code(opts);
-}
-
-FaultPlan parse_fault_plan(
-    const std::vector<std::pair<std::string, std::string>>& fault_args,
-    std::size_t job_count, const std::map<std::string, std::string>& opts) {
+/// The fault script of `opts` (--flap ... --arrive, or branch's --with-*
+/// flags) in command-line order.  A link fault hits `default_link` unless
+/// it names another; a job fault must name one of `job_count` jobs.
+FaultPlan parse_faults(const Options& opts, const std::string& default_link,
+                       std::size_t job_count) {
   FaultPlan plan;
-  if (opts.contains("seed")) {
-    plan.seed = static_cast<std::uint64_t>(std::atoll(opts.at("seed").c_str()));
-  }
-  const auto at = [](const std::map<std::string, std::string>& kv) {
-    return TimePoint::origin() + Duration::from_millis_f(want_num(kv, "at_ms"));
-  };
   const auto job_id = [&](const std::map<std::string, std::string>& kv) {
     const int j = static_cast<int>(want_num(kv, "job"));
     if (j < 0 || static_cast<std::size_t>(j) >= job_count) {
@@ -901,65 +1040,102 @@ FaultPlan parse_fault_plan(
     }
     return JobId{j};
   };
-  for (const auto& [kind, arg] : fault_args) {
+  for (const auto& [flag, arg] : opts.list(kFault)) {
+    const std::string kind = flag.starts_with("with-") ? flag.substr(5) : flag;
     const auto kv = parse_kv(arg);
-    const std::string link = want_str(kv, "link", "swL->swR");
+    const auto at =
+        TimePoint::origin() + Duration::from_millis_f(want_num(kv, "at_ms"));
+    const std::string link = want_str(kv, "link", default_link);
     if (kind == "flap") {
-      plan.flap(at(kv), Duration::from_millis_f(want_num(kv, "for_ms")), link);
+      plan.flap(at, Duration::from_millis_f(want_num(kv, "for_ms")), link);
     } else if (kind == "brownout") {
-      plan.brownout(at(kv), Duration::from_millis_f(want_num(kv, "for_ms")),
-                    link, want_num(kv, "factor"));
+      plan.brownout(at, Duration::from_millis_f(want_num(kv, "for_ms")), link,
+                    want_num(kv, "factor"));
     } else if (kind == "straggler") {
-      plan.straggler(at(kv), Duration::from_millis_f(want_num(kv, "for_ms")),
+      plan.straggler(at, Duration::from_millis_f(want_num(kv, "for_ms")),
                      job_id(kv), want_num(kv, "slowdown", 1.5));
     } else if (kind == "pause") {
-      plan.pause(at(kv), Duration::from_millis_f(want_num(kv, "for_ms")),
+      plan.pause(at, Duration::from_millis_f(want_num(kv, "for_ms")),
                  job_id(kv));
     } else if (kind == "depart") {
-      plan.depart(at(kv), job_id(kv));
+      plan.depart(at, job_id(kv));
     } else if (kind == "arrive") {
-      plan.arrive(at(kv), job_id(kv));
+      plan.arrive(at, job_id(kv));
     }
   }
   return plan;
 }
 
-int cmd_faults(
-    const std::vector<std::string>& job_args,
-    const std::vector<std::pair<std::string, std::string>>& fault_args,
-    const std::map<std::string, std::string>& opts) {
-  if (job_args.empty()) usage("faults needs at least one --job");
-  if (fault_args.empty()) usage("faults needs at least one fault flag");
-  const std::vector<ScenarioJob> jobs = parse_scenario_jobs(job_args);
+/// The options every engine shares: the transport (--policy,
+/// --cc-policy-table) and the fault script with its --seed.
+void apply_run_options(RunOptions& run, const Options& opts,
+                       const std::string& default_link, std::size_t job_count) {
+  run.policy = parse_policy_kind(opts.text("policy"));
+  if (opts.has("cc-policy-table")) {
+    run.transports.table.table =
+        CcPolicyTable::load(opts.text("cc-policy-table"));
+  }
+  run.faults = parse_faults(opts, default_link, job_count);
+  if (opts.has("seed")) {
+    run.faults.seed = static_cast<std::uint64_t>(opts.num("seed"));
+  }
+}
+
+/// The dumbbell run of scenario, faults, sweep and their branch replays.
+ScenarioConfig scenario_config(const Options& opts, std::size_t job_count) {
   ScenarioConfig cfg;
-  apply_scenario_opts(cfg, opts);
-  cfg.faults = parse_fault_plan(fault_args, jobs.size(), opts);
-  const std::string spec = canonical_run_spec("faults", job_args, fault_args,
-                                              opts);
-  TraceSetup trace;
-  CheckpointSetup ckpt;
-  cfg.checkpoint = ckpt.configure(spec, opts, trace);
-  cfg.trace = trace.configure(opts);
-  if (cfg.checkpoint != nullptr && trace.has_file()) {
-    cfg.checkpoint->set_trace_bytes_fn(
-        [&trace] { return trace.logical_trace_bytes(); });
-  }
+  apply_run_options(cfg, opts, "swL->swR", job_count);
+  cfg.duration = Duration::seconds(opts.count("seconds"));
+  cfg.flow_schedule = opts.flag("flow-schedule");
+  return cfg;
+}
 
+/// A post-warmup statistic in ms, or "n/a" when every iteration of the job
+/// fell inside the warmup and the sample is empty.
+std::string post_warmup_ms(const ScenarioJobStats& j, double ms) {
+  return j.cdf.empty() ? "n/a" : TextTable::num(ms, 1);
+}
+
+/// scenario, and faults: a scenario with a fault script, whose report adds
+/// the applied events and the recovery metrics.
+int cmd_scenario(const Options& opts) {
+  const bool faults = opts.cmd == "faults";
+  if (opts.list(kJob).empty()) {
+    usage((opts.cmd + " needs at least one --job").c_str());
+  }
+  if (faults && opts.list(kFault).empty()) {
+    usage("faults needs at least one fault flag");
+  }
+  const std::vector<ScenarioJob> jobs = parse_scenario_jobs(opts);
+  ScenarioConfig cfg = scenario_config(opts, jobs.size());
+  LiveRun live(opts, cfg);
   const auto result = run_dumbbell_scenario(jobs, cfg);
-  ckpt.check_verified();
+  live.verified();
 
-  std::printf("policy %s, %zu jobs, %.0f s simulated, %zu fault events:\n\n",
-              to_string(cfg.policy), jobs.size(), cfg.duration.to_seconds(),
-              cfg.faults.events.size());
-  TextTable table({"job", "iterations", "mean ms", "median ms", "p95 ms"});
-  for (const auto& j : result.jobs) {
-    table.add_row({j.name, std::to_string(j.iterations),
-                   post_warmup_ms(j, j.mean_ms), post_warmup_ms(j, j.median_ms),
-                   post_warmup_ms(j, j.p95_ms)});
+  std::printf("policy %s, %zu jobs, %.0f s simulated", to_string(cfg.policy),
+              jobs.size(), cfg.duration.to_seconds());
+  if (faults) std::printf(", %zu fault events", cfg.faults.events.size());
+  std::printf(":\n\n");
+  std::vector<std::string> headers = {"job", "iterations", "mean ms",
+                                      "median ms", "p95 ms"};
+  if (!faults) headers.push_back("solo ms");
+  TextTable table(headers);
+  const Rate goodput = scenario_goodput(cfg);
+  for (std::size_t i = 0; i < result.jobs.size(); ++i) {
+    const auto& j = result.jobs[i];
+    std::vector<std::string> row = {
+        j.name, std::to_string(j.iterations), post_warmup_ms(j, j.mean_ms),
+        post_warmup_ms(j, j.median_ms), post_warmup_ms(j, j.p95_ms)};
+    if (!faults) {
+      row.push_back(TextTable::num(
+          jobs[i].profile.solo_iteration(goodput).to_millis(), 1));
+    }
+    table.add_row(row);
   }
-  std::printf("%s\n", table.render().c_str());
+  std::printf("%s", table.render().c_str());
+  if (!faults) return live.finish();
 
-  std::printf("applied events:\n");
+  std::printf("\napplied events:\n");
   for (const FaultEvent& ev : result.faults_applied) {
     std::printf("  %8.1f ms  %-13s %s\n",
                 (ev.at - TimePoint::origin()).to_millis(), to_string(ev.kind),
@@ -968,8 +1144,7 @@ int cmd_faults(
                     : jobs[static_cast<std::size_t>(ev.job.value)]
                           .name.c_str());
   }
-  trace.finish();
-  const int health_rc = trace.health_exit_code(opts);
+  const int health_rc = live.finish();
   if (result.recovery) {
     std::printf("\n%s", result.recovery->summary().c_str());
     if (!result.recovery->all_converged()) return 1;
@@ -977,33 +1152,20 @@ int cmd_faults(
   return health_rc;
 }
 
-int cmd_sweep(const std::vector<std::string>& job_args,
-              const std::map<std::string, std::string>& opts) {
-  if (job_args.empty()) usage("sweep needs at least one --job");
-  if (!opts.contains("param")) usage("sweep needs --param");
-  if (!opts.contains("values")) usage("sweep needs --values");
-  const std::string param = opts.at("param");
-  if (param != "timer_us" && param != "rai_mbps" && param != "start_ms" &&
-      param != "bottleneck_gbps") {
-    usage(("unknown sweep param: " + param).c_str());
-  }
+int cmd_sweep(const Options& opts) {
+  if (opts.list(kJob).empty()) usage("sweep needs at least one --job");
+  if (!opts.has("param")) usage("sweep needs --param");
+  if (!opts.has("values")) usage("sweep needs --values");
+  const std::string param = opts.text("param");
   std::vector<double> values;
-  {
-    std::stringstream ss(opts.at("values"));
-    std::string item;
-    while (std::getline(ss, item, ',')) values.push_back(std::atof(item.c_str()));
+  for (const std::string& v : split(opts.text("values"), ',')) {
+    values.push_back(std::strtod(v.c_str(), nullptr));
   }
-  if (values.empty()) usage("sweep needs at least one value");
 
-  const std::vector<ScenarioJob> base_jobs = parse_scenario_jobs(job_args);
-  ScenarioConfig base_cfg;
-  apply_scenario_opts(base_cfg, opts);
+  const std::vector<ScenarioJob> base_jobs = parse_scenario_jobs(opts);
+  const ScenarioConfig base_cfg = scenario_config(opts, base_jobs.size());
 
-  SweepOptions sw;
-  if (opts.contains("threads")) {
-    sw.threads = static_cast<unsigned>(std::atoi(opts.at("threads").c_str()));
-  }
-  SweepRunner pool(sw);
+  SweepRunner pool(SweepOptions{static_cast<unsigned>(opts.count("threads"))});
   // Every grid point simulates from its own copies of the job list and
   // config; results come back in grid order regardless of thread timing.
   const auto results = pool.run(values, [&](double v, std::size_t) {
@@ -1039,129 +1201,69 @@ int cmd_sweep(const std::vector<std::string>& job_args,
   return 0;
 }
 
-/// Everything an orchestrator run is built from, reconstructible from the
-/// option map alone — cmd_cluster parses it from the command line, branch
-/// replays parse it back out of a snapshot's stored spec.
+AdmissionPolicyKind admission_policy(const std::string& name) {
+  return name == "locality" ? AdmissionPolicyKind::kLocalityOnly
+                            : AdmissionPolicyKind::kCompatibilityAware;
+}
+
+/// Everything an orchestrator run is built from — cmd_cluster reads it from
+/// the command line, branch replays from a snapshot's stored spec.
 struct ClusterSetup {
   ArrivalConfig acfg;
   ArrivalSchedule schedule;
   Topology topo;
   OrchestratorConfig cfg;
-  int tors;
-  int hosts;
-  int spines;
 };
 
-ClusterSetup make_cluster_setup(
-    const std::vector<std::pair<std::string, std::string>>& fault_args,
-    const std::map<std::string, std::string>& opts) {
-  const auto num_opt = [&](const char* key, double fallback) {
-    const auto it = opts.find(key);
-    return it == opts.end() ? fallback : std::atof(it->second.c_str());
-  };
-
+ClusterSetup make_cluster_setup(const Options& opts) {
   ArrivalConfig acfg;
-  acfg.seed = static_cast<std::uint64_t>(num_opt("seed", 1));
-  acfg.rate_per_min = num_opt("rate", 12);
-  acfg.horizon = Duration::from_seconds_f(num_opt("seconds", 60));
-  acfg.mean_service_extra = Duration::from_seconds_f(num_opt("service-s", 12));
-  acfg.min_workers = static_cast<int>(num_opt("workers-min", 2));
-  acfg.max_workers = static_cast<int>(num_opt("workers-max", 4));
+  acfg.seed = static_cast<std::uint64_t>(opts.num("seed"));
+  acfg.rate_per_min = opts.num("rate");
+  acfg.horizon = Duration::from_seconds_f(opts.num("seconds"));
+  acfg.mean_service_extra = Duration::from_seconds_f(opts.num("service-s"));
+  acfg.min_workers = opts.count("workers-min");
+  acfg.max_workers = opts.count("workers-max");
   ArrivalSchedule schedule = generate_arrivals(acfg);
 
-  const int tors = static_cast<int>(num_opt("tors", 4));
-  const int hosts = static_cast<int>(num_opt("hosts", 4));
-  const int spines = static_cast<int>(num_opt("spines", 2));
   // --fabric-gbps sets the ToR->spine uplink rate; dropping it below the
   // 50 Gb/s host rate oversubscribes the fabric and makes spanning jobs
   // contend on MULTIPLE links of one route (the multi-bottleneck regime).
-  Topology topo = Topology::leaf_spine(tors, hosts, spines, Rate::gbps(50),
-                                       Rate::gbps(num_opt("fabric-gbps", 50)));
+  Topology topo = Topology::leaf_spine(
+      opts.count("tors"), opts.count("hosts"), opts.count("spines"),
+      Rate::gbps(50), Rate::gbps(opts.num("fabric-gbps")));
 
   OrchestratorConfig cfg;
-  if (opts.contains("policy")) {
-    cfg.policy = parse_policy_kind(opts.at("policy"));
-  }
-  if (opts.contains("cc-policy-table")) {
-    cfg.transports.table.table =
-        CcPolicyTable::load(opts.at("cc-policy-table"));
-  }
+  apply_run_options(cfg, opts, "tor0->spine0", 0);
   cfg.horizon = acfg.horizon;
-  cfg.flow_schedule = num_opt("flow-schedule", 1) != 0;
-  const std::string circle =
-      opts.contains("circle") ? opts.at("circle") : "graph";
-  if (circle == "single") {
-    cfg.circle = OrchestratorConfig::CircleMode::kSingleCircle;
-  } else if (circle == "graph") {
-    cfg.circle = OrchestratorConfig::CircleMode::kGraph;
-  } else {
-    usage(("unknown circle mode: " + circle +
-           " (expected single or graph)").c_str());
-  }
-  const std::string adm = opts.contains("admission") ? opts.at("admission")
-                                                     : "compat";
-  if (adm == "locality") {
-    cfg.admission.policy = AdmissionPolicyKind::kLocalityOnly;
-  } else if (adm == "compat") {
-    cfg.admission.policy = AdmissionPolicyKind::kCompatibilityAware;
-  } else {
-    usage(("unknown admission policy: " + adm +
-           " (expected locality or compat)").c_str());
-  }
-  cfg.admission.queue_capacity = static_cast<int>(num_opt("queue-cap", 16));
+  cfg.flow_schedule = opts.flag("flow-schedule");
+  cfg.circle = opts.text("circle") == "single"
+                   ? OrchestratorConfig::CircleMode::kSingleCircle
+                   : OrchestratorConfig::CircleMode::kGraph;
+  cfg.admission.policy = admission_policy(opts.text("admission"));
+  cfg.admission.queue_capacity = opts.count("queue-cap");
   cfg.admission.queue_timeout =
-      Duration::from_seconds_f(num_opt("queue-timeout-s", 30));
-
-  cfg.faults.seed = acfg.seed;
-  for (const auto& [kind, arg] : fault_args) {
-    const auto kv = parse_kv(arg);
-    const auto at =
-        TimePoint::origin() + Duration::from_millis_f(want_num(kv, "at_ms"));
-    const std::string link = want_str(kv, "link", "tor0->spine0");
-    if (kind == "flap") {
-      cfg.faults.flap(at, Duration::from_millis_f(want_num(kv, "for_ms")),
-                      link);
-    } else if (kind == "brownout") {
-      cfg.faults.brownout(at, Duration::from_millis_f(want_num(kv, "for_ms")),
-                          link, want_num(kv, "factor"));
-    } else {
-      usage(("cluster supports only link faults, not --" + kind).c_str());
-    }
-  }
-
+      Duration::from_seconds_f(opts.num("queue-timeout-s"));
   return ClusterSetup{std::move(acfg), std::move(schedule), std::move(topo),
-                      std::move(cfg),  tors,               hosts,
-                      spines};
+                      std::move(cfg)};
 }
 
-int cmd_cluster(
-    const std::vector<std::pair<std::string, std::string>>& fault_args,
-    const std::map<std::string, std::string>& opts) {
-  ClusterSetup cs = make_cluster_setup(fault_args, opts);
-  const std::string spec = canonical_run_spec("cluster", {}, fault_args, opts);
-  TraceSetup trace;
-  CheckpointSetup ckpt;
-  cs.cfg.checkpoint = ckpt.configure(spec, opts, trace);
-  cs.cfg.trace = trace.configure(opts);
-  if (cs.cfg.checkpoint != nullptr && trace.has_file()) {
-    cs.cfg.checkpoint->set_trace_bytes_fn(
-        [&trace] { return trace.logical_trace_bytes(); });
-  }
-
+int cmd_cluster(const Options& opts) {
+  ClusterSetup cs = make_cluster_setup(opts);
+  LiveRun live(opts, cs.cfg);
   Orchestrator orch(cs.topo, cs.schedule, cs.cfg);
   const ClusterRunReport report = orch.run();
-  ckpt.check_verified();
+  live.verified();
 
   std::printf(
       "online cluster: %dx%d hosts, %d spines | %s admission, %s policy | "
       "seed %llu, %.1f jobs/min, %.0f s horizon\n",
-      cs.tors, cs.hosts, cs.spines, to_string(cs.cfg.admission.policy),
+      opts.count("tors"), opts.count("hosts"), opts.count("spines"),
+      to_string(cs.cfg.admission.policy),
       to_string(cs.cfg.policy),
       static_cast<unsigned long long>(cs.acfg.seed), cs.acfg.rate_per_min,
       cs.cfg.horizon.to_seconds());
   std::printf("%s", report.summary().c_str());
-  trace.finish();
-  return trace.health_exit_code(opts);
+  return live.finish();
 }
 
 // --- What-if branching -------------------------------------------------------
@@ -1179,175 +1281,101 @@ struct BranchOutcome {
   std::string summary;  ///< one-line result stats
 };
 
-/// Replicates the recorded run's trace structure in memory.  The structure
-/// matters beyond diffing: a sampling sink schedules simulator events, so
-/// the replay only byte-matches the snapshot if the sampler cadence (or its
-/// absence) is exactly what the recording run had.  An un-traced recording
-/// gets a cadence-free JSONL sink, which adds no simulator events but still
-/// yields a diffable stream.
-struct BranchTrace {
-  explicit BranchTrace(const RunSpec& rs) {
-    const Duration cadence = Duration::from_millis_f(
-        rs.opts.contains("trace-cadence-ms")
-            ? std::atof(rs.opts.at("trace-cadence-ms").c_str())
-            : 5.0);
-    JsonlSinkOptions jopts;
-    if (rs.traced) jopts.sample_cadence = cadence;
-    sink = std::make_unique<JsonlSink>(oss, jopts);
-    if (rs.health) {
-      AnalyticsConfig acfg;
-      acfg.sample_cadence = cadence;
-      engine = std::make_unique<AnalyticsEngine>(acfg);
-      engine->set_output(sink.get());
-      bus.add_sink(*engine);
-    } else {
-      bus.add_sink(*sink);
-    }
-  }
+/// Replays the recorded run in memory to the snapshot's cursor, verifying
+/// it there, applies branch `b` and runs on to the original horizon.
+BranchOutcome run_branch(const Options& rs, const Snapshot& target,
+                         const BranchDef& b, std::size_t index) {
+  // Replicate the recorded run's trace structure in memory.  The structure
+  // matters beyond diffing: a sampling sink schedules simulator events, so
+  // the replay only byte-matches the snapshot if the sampler cadence (or its
+  // absence) is exactly what the recording run had.  An un-traced recording
+  // gets a cadence-free JSONL sink, which adds no simulator events but still
+  // yields a diffable stream.
+  const Duration cadence =
+      Duration::from_millis_f(rs.num("trace-cadence-ms"));
+  std::ostringstream jsonl;
+  JsonlSinkOptions jopts;
+  if (rs.has("trace")) jopts.sample_cadence = cadence;
+  TraceChain trace;
+  trace.connect(std::make_unique<JsonlSink>(jsonl, jopts), rs.health(),
+                cadence);
 
-  std::uint64_t bytes() { return static_cast<std::uint64_t>(oss.tellp()); }
-
-  std::ostringstream oss;
-  TraceBus bus;
-  std::unique_ptr<JsonlSink> sink;
-  std::unique_ptr<AnalyticsEngine> engine;
-};
-
-Duration checkpoint_cadence_of(const RunSpec& rs) {
-  if (!rs.opts.contains("checkpoint-every")) {
-    throw SnapshotError(
-        "snapshot spec carries no --checkpoint-every; cannot replay");
-  }
-  return Duration::from_millis_f(
-      std::atof(rs.opts.at("checkpoint-every").c_str()));
-}
-
-CheckpointCoordinator make_branch_coordinator(const RunSpec& rs,
-                                              const Snapshot& target) {
   CheckpointCoordinator::Options co;
-  co.every = checkpoint_cadence_of(rs);
+  co.every = Duration::from_millis_f(rs.num("checkpoint-every"));
   co.run_spec = target.get("spec");
   co.mode = CheckpointCoordinator::Mode::kReplayOnly;
   co.target = target;
   co.target_seq = CheckpointCoordinator::read_cursor(target).seq;
-  return CheckpointCoordinator(std::move(co));
-}
-
-void emit_branch_marker(TraceBus& bus, TimePoint now, std::size_t index,
-                        const BranchDef& b) {
-  TraceEvent ev;
-  ev.time = now;
-  ev.kind = TraceEventKind::kCkptBranch;
-  ev.value = static_cast<double>(index);
-  ev.detail = b.dimension.c_str();
-  bus.emit(ev);
-}
-
-BranchOutcome run_scenario_branch(const RunSpec& rs, const Snapshot& target,
-                                  const BranchDef& b, std::size_t index) {
-  const std::vector<ScenarioJob> jobs = parse_scenario_jobs(rs.job_args);
-  ScenarioConfig cfg;
-  apply_scenario_opts(cfg, rs.opts);
-  cfg.faults = parse_fault_plan(rs.fault_args, jobs.size(), rs.opts);
-
-  BranchTrace trace(rs);
-  CheckpointCoordinator ck = make_branch_coordinator(rs, target);
-  if (rs.traced) {
-    ck.set_trace_bytes_fn([&trace] { return trace.bytes(); });
+  CheckpointCoordinator ck(std::move(co));
+  if (rs.has("trace")) {
+    ck.set_trace_bytes_fn(
+        [&jsonl] { return static_cast<std::uint64_t>(jsonl.tellp()); });
   }
+
   std::unique_ptr<FaultInjector> extra;  // keeps cursor-applied faults alive
-  cfg.checkpoint = &ck;
-  cfg.trace = &trace.bus;
-  cfg.on_cursor = [&](Simulator& sim, Network& net) {
-    emit_branch_marker(trace.bus, sim.now(), index, b);
+  // At the cursor, on either engine: mark the fork, then apply a transport
+  // swap or arm the extra faults.
+  const auto vary = [&](Simulator& sim, Network& net,
+                        const TransportConfig& transports) {
+    TraceEvent marker;
+    marker.time = sim.now();
+    marker.kind = TraceEventKind::kCkptBranch;
+    marker.value = static_cast<double>(index);
+    marker.detail = b.dimension.c_str();
+    trace.bus.emit(marker);
     if (b.dimension == "transport") {
-      net.replace_policy(make_policy(parse_policy_kind(b.value), cfg.transports));
+      net.replace_policy(make_policy(parse_policy_kind(b.value), transports));
     } else if (b.dimension == "faults") {
       extra = std::make_unique<FaultInjector>(sim, net, b.extra);
       extra->arm();
     }
   };
 
-  const ScenarioResult result = run_dumbbell_scenario(jobs, cfg);
+  BranchOutcome out;
+  if (rs.cmd == "cluster") {
+    ClusterSetup cs = make_cluster_setup(rs);
+    cs.cfg.checkpoint = &ck;
+    cs.cfg.trace = &trace.bus;
+    cs.cfg.on_cursor = [&](OrchestratorCursorContext& ctx) {
+      vary(ctx.sim, ctx.net, cs.cfg.transports);
+      if (b.dimension == "admission") {
+        ctx.admission.set_policy(admission_policy(b.value));
+        ctx.drain_queue();
+      }
+    };
+    Orchestrator orch(cs.topo, cs.schedule, cs.cfg);
+    const ClusterRunReport report = orch.run();
+    char buf[160];
+    std::snprintf(buf, sizeof(buf),
+                  "%zu admitted, %zu rejected, %zu finished | mean slowdown "
+                  "%.3f, worst %.3f | mean queue %.1f ms",
+                  report.admitted, report.rejected, report.finished,
+                  report.mean_slowdown(), report.max_slowdown(),
+                  report.mean_queue_delay_ms());
+    out.summary = buf;
+  } else {
+    const std::vector<ScenarioJob> jobs = parse_scenario_jobs(rs);
+    ScenarioConfig cfg = scenario_config(rs, jobs.size());
+    cfg.checkpoint = &ck;
+    cfg.trace = &trace.bus;
+    cfg.on_cursor = [&](Simulator& sim, Network& net) {
+      vary(sim, net, cfg.transports);
+    };
+    const ScenarioResult result = run_dumbbell_scenario(jobs, cfg);
+    for (const auto& j : result.jobs) {
+      if (!out.summary.empty()) out.summary += " | ";
+      out.summary += j.name + ": " + std::to_string(j.iterations) +
+                     " iters, mean " + post_warmup_ms(j, j.mean_ms);
+      if (!j.cdf.empty()) out.summary += " ms";
+    }
+  }
   if (!ck.verified()) {
     throw ResumeDivergence("branch '" + b.name +
                            "' never reached the snapshot's cursor");
   }
   trace.bus.flush();
-
-  BranchOutcome out;
-  out.jsonl = trace.oss.str();
-  for (const auto& j : result.jobs) {
-    if (!out.summary.empty()) out.summary += " | ";
-    out.summary += j.name + ": " + std::to_string(j.iterations) +
-                   " iters, mean " + post_warmup_ms(j, j.mean_ms);
-    if (!j.cdf.empty()) out.summary += " ms";
-  }
+  out.jsonl = jsonl.str();
   return out;
-}
-
-BranchOutcome run_cluster_branch(const RunSpec& rs, const Snapshot& target,
-                                 const BranchDef& b, std::size_t index) {
-  ClusterSetup cs = make_cluster_setup(rs.fault_args, rs.opts);
-
-  BranchTrace trace(rs);
-  CheckpointCoordinator ck = make_branch_coordinator(rs, target);
-  if (rs.traced) {
-    ck.set_trace_bytes_fn([&trace] { return trace.bytes(); });
-  }
-  std::unique_ptr<FaultInjector> extra;
-  cs.cfg.checkpoint = &ck;
-  cs.cfg.trace = &trace.bus;
-  cs.cfg.on_cursor = [&](OrchestratorCursorContext& ctx) {
-    emit_branch_marker(trace.bus, ctx.sim.now(), index, b);
-    if (b.dimension == "admission") {
-      ctx.admission.set_policy(b.value == "locality"
-                                   ? AdmissionPolicyKind::kLocalityOnly
-                                   : AdmissionPolicyKind::kCompatibilityAware);
-      ctx.drain_queue();
-    } else if (b.dimension == "transport") {
-      ctx.net.replace_policy(
-          make_policy(parse_policy_kind(b.value), cs.cfg.transports));
-    } else if (b.dimension == "faults") {
-      extra = std::make_unique<FaultInjector>(ctx.sim, ctx.net, b.extra);
-      extra->arm();
-    }
-  };
-
-  Orchestrator orch(cs.topo, cs.schedule, cs.cfg);
-  const ClusterRunReport report = orch.run();
-  if (!ck.verified()) {
-    throw ResumeDivergence("branch '" + b.name +
-                           "' never reached the snapshot's cursor");
-  }
-  trace.bus.flush();
-
-  BranchOutcome out;
-  out.jsonl = trace.oss.str();
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "%zu admitted, %zu rejected, %zu finished | mean slowdown "
-                "%.3f, worst %.3f | mean queue %.1f ms",
-                report.admitted, report.rejected, report.finished,
-                report.mean_slowdown(), report.max_slowdown(),
-                report.mean_queue_delay_ms());
-  out.summary = buf;
-  return out;
-}
-
-std::vector<std::string> split_lines(const std::string& s) {
-  std::vector<std::string> lines;
-  std::size_t start = 0;
-  while (start < s.size()) {
-    const std::size_t nl = s.find('\n', start);
-    if (nl == std::string::npos) {
-      lines.push_back(s.substr(start));
-      break;
-    }
-    lines.push_back(s.substr(start, nl - start));
-    start = nl + 1;
-  }
-  return lines;
 }
 
 /// First line where a branch's stream diverges from the baseline's.  The
@@ -1383,24 +1411,17 @@ std::string truncated(const std::string& s, std::size_t max = 110) {
   return s.size() <= max ? s : s.substr(0, max) + "...";
 }
 
-int cmd_branch(
-    const std::vector<std::string>& vary_args,
-    const std::vector<std::pair<std::string, std::string>>& extra_fault_args,
-    const std::map<std::string, std::string>& opts) {
-  if (!opts.contains("from")) usage("branch needs --from SNAPSHOT");
-  const Snapshot target = Snapshot::load(opts.at("from"));
-  const RunSpec rs = parse_run_spec(target.get("spec"));
+int cmd_branch(const Options& opts) {
+  if (!opts.has("from")) usage("branch needs --from SNAPSHOT");
+  const Snapshot target = Snapshot::load(opts.text("from"));
+  const Options rs = parse_run_spec(target.get("spec"));
   const auto cursor = CheckpointCoordinator::read_cursor(target);
   const bool cluster = rs.cmd == "cluster";
-  if (!cluster && rs.cmd != "scenario" && rs.cmd != "faults") {
-    throw SnapshotError("snapshot records unbranchable command '" + rs.cmd +
-                        "'");
-  }
 
   // The unmodified continuation runs first: it is the diff baseline.
   std::vector<BranchDef> branches;
   branches.push_back(BranchDef{"baseline", "baseline", "", {}});
-  for (const std::string& v : vary_args) {
+  for (const auto& [flag, v] : opts.list(kList)) {
     const auto eq = v.find('=');
     if (eq == std::string::npos) {
       usage(("bad --vary (expected dimension=value): " + v).c_str());
@@ -1421,64 +1442,48 @@ int cmd_branch(
     }
     branches.push_back(BranchDef{v, dim, val, {}});
   }
-  if (!extra_fault_args.empty()) {
-    // All --with-* events fold into one extra fault plan, armed at the
-    // cursor; they must land on the continuation, not the shared history.
-    FaultPlan plan;
-    for (const auto& [kind, arg] : extra_fault_args) {
-      const auto kv = parse_kv(arg);
-      const double at_ms = want_num(kv, "at_ms");
-      if (at_ms * 1e6 <= static_cast<double>(cursor.time_ns)) {
-        usage(("--with-" + kind + " at_ms=" + std::to_string(at_ms) +
-               " is before the snapshot cursor (" +
-               std::to_string(static_cast<double>(cursor.time_ns) / 1e6) +
-               " ms); what-if faults must hit the continuation")
-                  .c_str());
-      }
-      const auto at =
-          TimePoint::origin() + Duration::from_millis_f(at_ms);
-      const std::string link =
-          want_str(kv, "link", cluster ? "tor0->spine0" : "swL->swR");
-      if (kind == "flap") {
-        plan.flap(at, Duration::from_millis_f(want_num(kv, "for_ms")), link);
-      } else {
-        plan.brownout(at, Duration::from_millis_f(want_num(kv, "for_ms")),
-                      link, want_num(kv, "factor"));
-      }
+  // All --with-* events fold into one extra fault plan, armed at the
+  // cursor; they must land on the continuation, not the shared history.
+  FaultPlan extra =
+      parse_faults(opts, cluster ? "tor0->spine0" : "swL->swR", 0);
+  for (const FaultEvent& ev : extra.events) {
+    if (ev.at.ns() <= static_cast<std::int64_t>(cursor.time_ns)) {
+      usage(("--with-* fault at " + std::to_string(ev.at.to_millis()) +
+             " ms is before the snapshot cursor (" +
+             std::to_string(static_cast<double>(cursor.time_ns) / 1e6) +
+             " ms); what-if faults must hit the continuation")
+                .c_str());
     }
-    branches.push_back(BranchDef{"faults", "faults", "", std::move(plan)});
+  }
+  if (!extra.empty()) {
+    branches.push_back(BranchDef{"faults", "faults", "", std::move(extra)});
   }
   if (branches.size() == 1) {
     usage("branch needs at least one --vary or --with-* variation");
   }
 
-  SweepOptions sw;
-  if (opts.contains("threads")) {
-    sw.threads = static_cast<unsigned>(std::atoi(opts.at("threads").c_str()));
-  }
-  SweepRunner pool(sw);
+  SweepRunner pool(SweepOptions{static_cast<unsigned>(opts.count("threads"))});
   const std::vector<BranchOutcome> outcomes =
       pool.run(branches, [&](const BranchDef& b, std::size_t i) {
-        return cluster ? run_cluster_branch(rs, target, b, i)
-                       : run_scenario_branch(rs, target, b, i);
+        return run_branch(rs, target, b, i);
       });
 
   std::printf(
       "branched %zu what-if continuations of '%s' from %s\n"
       "  cursor: checkpoint %llu at %.1f ms, %llu events replayed and "
       "verified byte-identical per branch\n\n",
-      branches.size(), rs.cmd.c_str(), opts.at("from").c_str(),
+      branches.size(), rs.cmd.c_str(), opts.text("from").c_str(),
       static_cast<unsigned long long>(cursor.seq),
       static_cast<double>(cursor.time_ns) / 1e6,
       static_cast<unsigned long long>(cursor.events_executed));
 
-  const std::vector<std::string> base_lines = split_lines(outcomes[0].jsonl);
+  const std::vector<std::string> base_lines = split(outcomes[0].jsonl, '\n');
   for (std::size_t i = 0; i < branches.size(); ++i) {
     std::printf("[%zu] %-24s %s\n", i, branches[i].name.c_str(),
                 outcomes[i].summary.c_str());
     if (i == 0) continue;
     const Divergence d =
-        first_divergence(base_lines, split_lines(outcomes[i].jsonl));
+        first_divergence(base_lines, split(outcomes[i].jsonl, '\n'));
     if (!d.found) {
       std::printf("     no divergence from baseline (%zu identical trace "
                   "lines)\n",
@@ -1493,12 +1498,11 @@ int cmd_branch(
   return 0;
 }
 
-int cmd_analyze(const std::vector<std::string>& positional,
-                const std::map<std::string, std::string>& opts) {
-  if (positional.size() != 1) {
+int cmd_analyze(const Options& opts) {
+  if (opts.positional.size() != 1) {
     usage("analyze needs exactly one trace file (JSONL format)");
   }
-  const std::string& file = positional[0];
+  const std::string& file = opts.positional[0];
   std::ifstream in(file);
   if (!in) usage(("cannot open trace file: " + file).c_str());
 
@@ -1522,49 +1526,21 @@ int cmd_analyze(const std::vector<std::string>& positional,
 
 int main(int argc, char** argv) {
   if (argc < 2) usage();
-  const std::string cmd = argv[1];
-  std::vector<std::string> job_args;
-  std::vector<std::pair<std::string, std::string>> fault_args;
-  std::vector<std::string> vary_args;
-  std::vector<std::pair<std::string, std::string>> with_fault_args;
-  std::vector<std::string> positional;
-  std::map<std::string, std::string> opts;
-  for (int i = 2; i < argc; ++i) {
-    std::string a = argv[i];
-    if (a.rfind("--", 0) != 0) {
-      // Only analyze takes a positional operand (the trace file).
-      if (cmd != "analyze") usage(("unexpected argument: " + a).c_str());
-      positional.push_back(a);
-      continue;
-    }
-    a = a.substr(2);
-    if (i + 1 >= argc) usage(("missing value for --" + a).c_str());
-    const std::string value = argv[++i];
-    if (a == "job") {
-      job_args.push_back(value);
-    } else if (a == "flap" || a == "brownout" || a == "straggler" ||
-               a == "pause" || a == "depart" || a == "arrive") {
-      // Fault flags repeat; order within the command line is preserved.
-      fault_args.emplace_back(a, value);
-    } else if (a == "vary") {
-      vary_args.push_back(value);
-    } else if (a == "with-flap" || a == "with-brownout") {
-      with_fault_args.emplace_back(a.substr(5), value);
-    } else {
-      opts[a] = value;
-    }
-  }
   try {
+    const Options opts(argv[1], {argv + 2, argv + argc});
+    const std::string& cmd = opts.cmd;
     if (cmd == "zoo") return cmd_zoo();
     if (cmd == "transports") return cmd_transports();
     if (cmd == "profile") return cmd_profile(opts);
-    if (cmd == "solve") return cmd_solve(job_args, opts);
-    if (cmd == "scenario") return cmd_scenario(job_args, opts);
-    if (cmd == "sweep") return cmd_sweep(job_args, opts);
-    if (cmd == "faults") return cmd_faults(job_args, fault_args, opts);
-    if (cmd == "cluster") return cmd_cluster(fault_args, opts);
-    if (cmd == "analyze") return cmd_analyze(positional, opts);
-    if (cmd == "branch") return cmd_branch(vary_args, with_fault_args, opts);
+    if (cmd == "solve") return cmd_solve(opts);
+    if (cmd == "scenario") return cmd_scenario(opts);
+    if (cmd == "sweep") return cmd_sweep(opts);
+    if (cmd == "faults") return cmd_scenario(opts);
+    if (cmd == "cluster") return cmd_cluster(opts);
+    if (cmd == "analyze") return cmd_analyze(opts);
+    return cmd_branch(opts);
+  } catch (const UsageError& e) {
+    usage(e.what());
   } catch (const ResumeDivergence& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 5;
@@ -1578,5 +1554,4 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
   }
-  usage(("unknown command: " + cmd).c_str());
 }
