@@ -96,7 +96,7 @@ constexpr long long kMaxThreads = 256;
 enum Domain {
   kPositiveInt,  ///< 1 .. INT_MAX
   kCount,        ///< 0 .. INT_MAX
-  kSeed,         ///< 0 .. 2^53, exact through the cluster's double parse
+  kSeed,         ///< 0 .. 2^53, the integers a double holds exactly
   kThreads,      ///< 0 .. kMaxThreads; 0 = one per hardware thread
   kPositive,     ///< a finite number > 0
   kNonNegative,  ///< a finite number >= 0
@@ -111,7 +111,7 @@ enum Domain {
 enum Spec {
   kValue,     ///< opt.NAME=VALUE
   kPresence,  ///< opt.NAME=1: an output path a resumed run may change
-  kOmit,      ///< left out: output paths, exit-code gates, thread counts
+  kOmit,      ///< left out: paths, exit-code gates, non-spec commands
   kJob,       ///< job=VALUE
   kFault,     ///< fault.NAME=VALUE: one line of the fault script
   kList,      ///< left out (--vary)
