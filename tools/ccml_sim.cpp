@@ -1444,17 +1444,18 @@ int cmd_branch(const Options& opts) {
   }
   // All --with-* events fold into one extra fault plan, armed at the
   // cursor; they must land on the continuation, not the shared history.
-  FaultPlan extra =
-      parse_faults(opts, cluster ? "tor0->spine0" : "swL->swR", 0);
-  for (const FaultEvent& ev : extra.events) {
-    if (ev.at.ns() <= static_cast<std::int64_t>(cursor.time_ns)) {
-      usage(("--with-* fault at " + std::to_string(ev.at.to_millis()) +
-             " ms is before the snapshot cursor (" +
+  for (const auto& [flag, arg] : opts.list(kFault)) {
+    const double at_ms = want_num(parse_kv(arg), "at_ms");
+    if (at_ms * 1e6 <= static_cast<double>(cursor.time_ns)) {
+      usage(("--" + flag + " at_ms=" + std::to_string(at_ms) +
+             " is before the snapshot cursor (" +
              std::to_string(static_cast<double>(cursor.time_ns) / 1e6) +
              " ms); what-if faults must hit the continuation")
                 .c_str());
     }
   }
+  FaultPlan extra =
+      parse_faults(opts, cluster ? "tor0->spine0" : "swL->swR", 0);
   if (!extra.empty()) {
     branches.push_back(BranchDef{"faults", "faults", "", std::move(extra)});
   }
