@@ -209,6 +209,47 @@ TEST(TransportZoo, KernelsMatchParentGoldens) {
   EXPECT_EQ(run_contest(PolicyKind::kSwift).state_hash, 0xd1acb5b10daed9f8ULL);
 }
 
+TEST(TransportZoo, RateMachinesMatchParentGoldens) {
+  // Captured on the last commit where TIMELY, Swift, BBR-lite and the table
+  // policy each carried their own copy of the per-flow lifecycle, before it
+  // moved into one scaffold (cc/policy/rate_machine.h).  Per transport: the
+  // plain, fused and brownout contest hashes and serialize_state().
+  struct Golden {
+    PolicyKind kind;
+    std::uint64_t plain, fused, brownout, state;
+  };
+  const Golden goldens[] = {
+      {PolicyKind::kBbr, 0x2f238c3919917c79ULL, 0x403d6bf824e9c446ULL,
+       0x7712a1556e9398ccULL, 0x03e170b808859f4eULL},
+      {PolicyKind::kTable, 0x9272e24c6043aa4aULL, 0x45695f56f94766daULL,
+       0x204c03a9d7f03ad5ULL, 0x2656186ba2b93ab3ULL},
+      {PolicyKind::kMltcpTimely, 0x7e2913de59abe801ULL, 0x165aaf6081aaa547ULL,
+       0x133cf6a715ab59d2ULL, 0x6631547ca9a2a942ULL},
+      {PolicyKind::kMltcpSwift, 0x469ea0c21992d9d7ULL, 0x39c3ddb2783c7d27ULL,
+       0xbd15e7935079060fULL, 0x897f60b3d02982cfULL},
+  };
+  for (const Golden& g : goldens) {
+    const TransportConfig tc =
+        g.kind == PolicyKind::kTable ? table_transports() : TransportConfig{};
+    const ContestResult plain = run_contest(g.kind, tc);
+    EXPECT_EQ(plain.hash, g.plain) << to_string(g.kind);
+    EXPECT_EQ(run_contest(g.kind, tc, {.observe = false}).hash, g.fused)
+        << to_string(g.kind);
+    EXPECT_EQ(run_contest(g.kind, tc, {.brownout = true}).hash, g.brownout)
+        << to_string(g.kind);
+    EXPECT_EQ(plain.state_hash, g.state) << to_string(g.kind);
+  }
+  // The random paths: Swift's target jitter and the table's exploration.
+  TransportConfig jitter;
+  jitter.swift.target_jitter_us = 5.0;
+  EXPECT_EQ(run_contest(PolicyKind::kSwift, jitter).state_hash,
+            0x8869450d8f189cd9ULL);
+  TransportConfig explore = table_transports();
+  explore.table.explore = 0.1;
+  EXPECT_EQ(run_contest(PolicyKind::kTable, explore).state_hash,
+            0xd2ab1923521e6040ULL);
+}
+
 // --- Decision-cadence edge cases -------------------------------------------
 
 TEST(TransportZoo, ZeroRttStartupProducesFiniteRates) {
