@@ -2,309 +2,153 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
-#include <utility>
-
-#include "ckpt/snapshot.h"
-#include "net/network.h"
-#include "obs/trace_bus.h"
 
 namespace ccml {
 
-namespace {
-
-// Out of line so the per-flow loop stays tight when tracing is off (same
-// split as the other transports' emit helpers).
-[[gnu::noinline]] void emit_phase_event(TraceBus& bus, Counter& counter,
-                                        TimePoint now, const Flow& flow,
-                                        BbrPolicy::Mode mode,
-                                        double rate_bps) {
-  TraceEvent ev;
-  ev.time = now;
-  ev.kind = TraceEventKind::kCcPhase;
-  ev.job = flow.spec.job;
-  ev.flow = flow.id;
-  ev.value = static_cast<double>(static_cast<std::int32_t>(mode));
-  ev.value2 = rate_bps;
-  ev.detail = BbrPolicy::mode_name(mode);
-  bus.emit(ev);
-  counter.add();
-}
-
-}  // namespace
-
-const char* BbrPolicy::mode_name(Mode m) {
-  switch (m) {
-    case Mode::kStartup: return "startup";
-    case Mode::kDrain: return "drain";
-    case Mode::kProbeBw: return "probe-bw";
-    case Mode::kProbeRtt: return "probe-rtt";
+const char* to_string(BbrMode mode) {
+  switch (mode) {
+    case BbrMode::kStartup: return "startup";
+    case BbrMode::kDrain: return "drain";
+    case BbrMode::kProbeBw: return "probe-bw";
+    case BbrMode::kProbeRtt: return "probe-rtt";
   }
   return "unknown";
 }
 
-BbrPolicy::BbrPolicy(BbrConfig config) : config_(config), rng_(config.seed) {
+BbrPolicy::BbrPolicy(BbrConfig config)
+    : RateMachine(config.min_rate, config.base_rtt, config.update_interval,
+                  "bbr.phase_changes", /*representation_byte=*/false),
+      config_(config),
+      rng_(config.seed) {
   assert(config_.update_interval.is_positive());
   assert(config_.startup_gain > 1.0);
   assert(config_.drain_gain > 0.0 && config_.drain_gain < 1.0);
   assert(config_.bw_window_rounds > 0);
 }
 
-void BbrPolicy::resize_soa(std::size_t n) {
-  rate_bps_.resize(n);
-  line_bps_.resize(n);
-  btl_bw_bps_.resize(n);
-  full_bw_bps_.resize(n);
-  deliv_b_.resize(n);
-  min_rtt_ns_.resize(n);
-  min_rtt_stamp_ns_.resize(n);
-  probe_rtt_end_ns_.resize(n);
-  interval_ns_.resize(n);
-  mode_col_.resize(n);
-  cycle_idx_.resize(n);
-  bw_age_.resize(n);
-  full_rounds_.resize(n);
-  cadence_.resize(n);
-}
-
-void BbrPolicy::on_flow_started(Network& net, Flow& flow) {
-  links_.ensure_links(net.topology().link_count());
-  const Rate line = route_line_rate(net, flow);
-  const std::uint32_t slot = net.slot_of(flow.id);
-  if (rate_bps_.size() <= slot) resize_soa(net.slab_size());
-  line_bps_[slot] = line.bits_per_sec();
-  rate_bps_[slot] = line.bits_per_sec();
+BbrFlow BbrPolicy::start_flow(const Flow& flow) {
   // The model starts empty: the first decision's delivery sample seeds the
   // max filter, so STARTUP paces off measured delivery rather than the
   // configured line rate.
-  btl_bw_bps_[slot] = 0.0;
-  full_bw_bps_[slot] = 0.0;
-  deliv_b_[slot] = 0.0;
-  min_rtt_ns_[slot] = std::numeric_limits<std::int64_t>::max();
-  min_rtt_stamp_ns_[slot] = 0;
-  probe_rtt_end_ns_[slot] = 0;
+  BbrFlow f;
   // Per-flow cadence knob: FlowSpec::cc_timer shortens (or stretches) the
   // decision interval, the same aggressiveness dial DCQCN's timer exposes.
-  interval_ns_[slot] = flow.spec.cc_timer.is_positive()
-                           ? flow.spec.cc_timer.ns()
-                           : config_.update_interval.ns();
-  mode_col_[slot] = static_cast<std::int32_t>(Mode::kStartup);
+  f.interval_ns = flow.spec.cc_timer.is_positive()
+                      ? flow.spec.cc_timer.ns()
+                      : config_.update_interval.ns();
   // Random PROBE_BW starting slot, drawn per flow from the seeded stream so
   // competing flows don't synchronize their probe pulses.
-  cycle_idx_[slot] = static_cast<std::int32_t>(rng_.uniform_int(0, 7));
-  bw_age_[slot] = 0;
-  full_rounds_[slot] = 0;
-  cadence_.reset(slot);
-  slots_[flow.id] = slot;
-  net.set_rate(slot, line);
+  f.cycle_idx = static_cast<std::int32_t>(rng_.uniform_int(0, 7));
+  return f;
 }
 
-void BbrPolicy::on_flow_finished(Network& /*net*/, const Flow& flow) {
-  // The slot's state is left stale; a reused slot is overwritten on start.
-  slots_.erase(flow.id);
-}
-
-void BbrPolicy::on_link_capacity_changed(Network& net, LinkId /*link*/) {
-  for (const std::uint32_t slot : net.active_slots()) {
-    const Flow& flow = net.flow_at(slot);
-    const Rate line = route_line_rate(net, flow);
-    line_bps_[slot] = line.bits_per_sec();
-    rate_bps_[slot] = std::min(rate_bps_[slot], line.bits_per_sec());
-    net.set_rate(slot, Rate::bps(rate_bps_[slot]));
+void BbrPolicy::observe_tick(const Network& net, std::uint32_t slot,
+                             double rate_bps, double dt_s) {
+  // Delivery accounting runs every tick: sent volume scaled by the worst
+  // drain fraction along the route.  Every route link of an active flow is
+  // in the queue pass's hot set (links_in_use), so the fractions are fresh.
+  double frac = 1.0;
+  for (const std::int32_t l : net.route_links(slot)) {
+    frac = std::min(frac, links_[l].drain_frac);
   }
+  flows_[slot].deliv_b += rate_bps * dt_s / 8.0 * frac;
 }
 
-void BbrPolicy::update_rates(Network& net, TimePoint now, Duration dt) {
-  links_.ensure_links(net.topology().link_count());
-  TraceBus* bus = net.trace_bus();
-  if (bus != bus_cache_) {
-    bus_cache_ = bus;
-    c_phase_ = bus ? &bus->counter("bbr.phase_changes") : nullptr;
+double BbrPolicy::decide(Network& net, TimePoint now, std::uint32_t slot,
+                         std::int64_t elapsed_ns) {
+  BbrFlow& f = flows_[slot];
+  // Bandwidth sample into the aging max filter.
+  const double sample_bps =
+      f.deliv_b * 8.0 / (static_cast<double>(elapsed_ns) * 1e-9);
+  f.deliv_b = 0.0;
+  ++f.bw_age;
+  if (sample_bps >= f.btl_bw_bps || f.bw_age >= config_.bw_window_rounds) {
+    f.btl_bw_bps = sample_bps;
+    f.bw_age = 0;
   }
 
-  // Queue pass: integrate each in-use link's backlog and record its drain
-  // fraction — the share of this tick's arrival that crosses the link
-  // instead of queueing.  Every route link of an active flow is in the hot
-  // set (links_in_use), so the fractions read below are always fresh.
-  const double dt_s = dt.to_seconds();
-  const auto integrate = [&](std::size_t l, double arrival_bps)
-      __attribute__((always_inline)) {
-    const double cap_bps =
-        net.effective_capacity(LinkId{static_cast<std::int32_t>(l)})
-            .bits_per_sec();
-    LinkState& ls = links_[l];
-    double q = ls.queue_b + (arrival_bps - cap_bps) * dt_s / 8.0;
-    if (q < 0.0) q = 0.0;
-    ls.queue_b = q;
-    ls.drain_frac = arrival_bps > cap_bps ? cap_bps / arrival_bps : 1.0;
-    return q != 0.0;
-  };
-  links_.step(net, net.links_in_use(), integrate);
-
-  const std::span<const std::uint32_t> slots = net.active_slots();
-  const std::span<double> rates = net.mutable_rates_bps();
-  const std::int64_t dt_ns = dt.ns();
+  // RTT sample and route backlog.
+  double backlog_b = 0.0;
+  const Duration rtt = sample_rtt(
+      net, slot, [&](const BbrLink& l) { backlog_b += l.queue_b; });
   const std::int64_t now_ns = now.since_origin().ns();
-  const double min_bps = config_.min_rate.bits_per_sec();
-  for (const std::uint32_t slot : slots) {
-    // Delivery accounting runs every tick: sent volume scaled by the worst
-    // drain fraction along the route.
-    double frac = 1.0;
-    for (const std::int32_t l : net.route_links(slot)) {
-      frac = std::min(frac, links_[l].drain_frac);
-    }
-    deliv_b_[slot] += rates[slot] * dt_s / 8.0 * frac;
+  if (rtt.ns() <= f.min_rtt_ns) {
+    f.min_rtt_ns = rtt.ns();
+    f.min_rtt_stamp_ns = now_ns;
+  }
 
-    const std::int64_t elapsed_ns = cadence_.since_ns(slot) + dt_ns;
-    if (!cadence_.due(slot, dt_ns, interval_ns_[slot])) {
-      rates[slot] = rate_bps_[slot];
-      continue;
-    }
-
-    // Bandwidth sample into the aging max filter.
-    const double sample_bps =
-        deliv_b_[slot] * 8.0 / (static_cast<double>(elapsed_ns) * 1e-9);
-    deliv_b_[slot] = 0.0;
-    ++bw_age_[slot];
-    if (sample_bps >= btl_bw_bps_[slot] ||
-        bw_age_[slot] >= config_.bw_window_rounds) {
-      btl_bw_bps_[slot] = sample_bps;
-      bw_age_[slot] = 0;
-    }
-
-    // RTT sample (base + route queueing delay) and route backlog.
-    Duration rtt = config_.base_rtt;
-    double backlog_b = 0.0;
-    for (const std::int32_t l : net.route_links(slot)) {
-      const Rate cap = net.effective_capacity(LinkId{l});
-      if (cap.is_positive()) {
-        rtt += transfer_time(Bytes::of(links_[l].queue_b), cap);
-      }
-      backlog_b += links_[l].queue_b;
-    }
-    if (rtt.ns() <= min_rtt_ns_[slot]) {
-      min_rtt_ns_[slot] = rtt.ns();
-      min_rtt_stamp_ns_[slot] = now_ns;
-    }
-
-    // State machine.
-    const Mode prev = static_cast<Mode>(mode_col_[slot]);
-    Mode mode = prev;
-    double gain = 1.0;
-    switch (mode) {
-      case Mode::kStartup:
-        gain = config_.startup_gain;
-        if (btl_bw_bps_[slot] >=
-            full_bw_bps_[slot] * config_.startup_growth) {
-          full_bw_bps_[slot] = btl_bw_bps_[slot];
-          full_rounds_[slot] = 0;
-        } else if (++full_rounds_[slot] >= config_.startup_full_rounds) {
-          mode = Mode::kDrain;  // pipe full: stop doubling, drain the queue
-          gain = config_.drain_gain;
-        }
-        break;
-      case Mode::kDrain:
+  // State machine.
+  const BbrMode prev = f.mode;
+  BbrMode mode = prev;
+  double gain = 1.0;
+  switch (mode) {
+    case BbrMode::kStartup:
+      gain = config_.startup_gain;
+      if (f.btl_bw_bps >= f.full_bw_bps * config_.startup_growth) {
+        f.full_bw_bps = f.btl_bw_bps;
+        f.full_rounds = 0;
+      } else if (++f.full_rounds >= config_.startup_full_rounds) {
+        mode = BbrMode::kDrain;  // pipe full: stop doubling, drain the queue
         gain = config_.drain_gain;
-        if (backlog_b == 0.0) {
-          mode = Mode::kProbeBw;
-          gain = cycle_gain(cycle_idx_[slot]);
-        }
-        break;
-      case Mode::kProbeBw:
-        if (now_ns - min_rtt_stamp_ns_[slot] > config_.min_rtt_window.ns()) {
-          mode = Mode::kProbeRtt;  // min-RTT sample stale: re-measure
-          probe_rtt_end_ns_[slot] = now_ns + config_.probe_rtt_duration.ns();
-          gain = config_.drain_gain;
-        } else {
-          gain = cycle_gain(cycle_idx_[slot]);
-          cycle_idx_[slot] = (cycle_idx_[slot] + 1) & 7;
-        }
-        break;
-      case Mode::kProbeRtt:
-        gain = config_.drain_gain;
-        if (now_ns >= probe_rtt_end_ns_[slot]) {
-          // Queues backed off for a full probe window; the current sample
-          // is as clean as this fluid model gets.
-          min_rtt_ns_[slot] = rtt.ns();
-          min_rtt_stamp_ns_[slot] = now_ns;
-          mode = Mode::kProbeBw;
-        }
-        break;
-    }
-
-    double rate = gain * btl_bw_bps_[slot];
-    if (rate < min_bps) rate = min_bps;
-    if (rate > line_bps_[slot]) rate = line_bps_[slot];
-    rate_bps_[slot] = rate;
-    rates[slot] = rate;
-
-    if (mode != prev) {
-      mode_col_[slot] = static_cast<std::int32_t>(mode);
-      if (bus_cache_ != nullptr) [[unlikely]] {
-        emit_phase_event(*bus_cache_, *c_phase_, now, net.flow_at(slot), mode,
-                         rate);
       }
+      break;
+    case BbrMode::kDrain:
+      gain = config_.drain_gain;
+      if (backlog_b == 0.0) {
+        mode = BbrMode::kProbeBw;
+        gain = cycle_gain(f.cycle_idx);
+      }
+      break;
+    case BbrMode::kProbeBw:
+      if (now_ns - f.min_rtt_stamp_ns > config_.min_rtt_window.ns()) {
+        mode = BbrMode::kProbeRtt;  // min-RTT sample stale: re-measure
+        f.probe_rtt_end_ns = now_ns + config_.probe_rtt_duration.ns();
+        gain = config_.drain_gain;
+      } else {
+        gain = cycle_gain(f.cycle_idx);
+        f.cycle_idx = (f.cycle_idx + 1) & 7;
+      }
+      break;
+    case BbrMode::kProbeRtt:
+      gain = config_.drain_gain;
+      if (now_ns >= f.probe_rtt_end_ns) {
+        // Queues backed off for a full probe window; the current sample is
+        // as clean as this fluid model gets.
+        f.min_rtt_ns = rtt.ns();
+        f.min_rtt_stamp_ns = now_ns;
+        mode = BbrMode::kProbeBw;
+      }
+      break;
+  }
+
+  const double rate = clamp_rate(gain * f.btl_bw_bps, slot);
+  if (mode != prev) {
+    f.mode = mode;
+    if (events_.on()) [[unlikely]] {
+      events_.emit(TraceEventKind::kCcPhase, now, net.flow_at(slot),
+                   static_cast<double>(static_cast<std::int32_t>(mode)), rate,
+                   to_string(mode));
     }
   }
+  return rate;
 }
 
-double BbrPolicy::rate_bound_bps(const Network& /*net*/,
-                                 std::uint32_t slot) const {
-  // Every decision clamps to [min_rate, line_rate]; min_rate can exceed the
-  // line rate of a browned-out route, so the bound covers both.
-  return std::max(line_bps_[slot], config_.min_rate.bits_per_sec());
+void BbrPolicy::put_flow(StateBuf& out, const BbrFlow& f,
+                         std::int64_t since_ns) const {
+  out.put_f64(f.btl_bw_bps);
+  out.put_f64(f.full_bw_bps);
+  out.put_f64(f.deliv_b);
+  out.put_i64(f.min_rtt_ns);
+  out.put_i64(f.min_rtt_stamp_ns);
+  out.put_i64(f.probe_rtt_end_ns);
+  out.put_i64(f.interval_ns);
+  out.put_i64(since_ns);
+  out.put_u32(static_cast<std::uint32_t>(f.mode));
+  out.put_u32(static_cast<std::uint32_t>(f.cycle_idx));
+  out.put_u32(static_cast<std::uint32_t>(f.bw_age));
+  out.put_u32(static_cast<std::uint32_t>(f.full_rounds));
 }
 
-Bytes BbrPolicy::link_queue(LinkId link) const {
-  if (!link.valid() || static_cast<std::size_t>(link.value) >= links_.size()) {
-    return Bytes::zero();
-  }
-  return Bytes::of(links_[link.value].queue_b);
-}
-
-BbrPolicy::FlowDiag BbrPolicy::diag(FlowId id) const {
-  const auto it = slots_.find(id);
-  assert(it != slots_.end());
-  const std::uint32_t slot = it->second;
-  FlowDiag d;
-  d.rate = Rate::bps(rate_bps_[slot]);
-  d.btl_bw = Rate::bps(btl_bw_bps_[slot]);
-  d.min_rtt = min_rtt_ns_[slot] == std::numeric_limits<std::int64_t>::max()
-                  ? Duration::zero()
-                  : Duration::nanos(min_rtt_ns_[slot]);
-  d.mode = static_cast<Mode>(mode_col_[slot]);
-  return d;
-}
-
-std::string BbrPolicy::serialize_state() const {
-  // Ascending flow id, same contract as the other transports.
-  const auto flows = sorted_flow_slots(slots_);
-
-  StateBuf out;
-  out.put_u64(flows.size());
-  for (const auto& [id, slot] : flows) {
-    out.put_i64(id);
-    out.put_u32(slot);
-    out.put_f64(rate_bps_[slot]);
-    out.put_f64(line_bps_[slot]);
-    out.put_f64(btl_bw_bps_[slot]);
-    out.put_f64(full_bw_bps_[slot]);
-    out.put_f64(deliv_b_[slot]);
-    out.put_i64(min_rtt_ns_[slot]);
-    out.put_i64(min_rtt_stamp_ns_[slot]);
-    out.put_i64(probe_rtt_end_ns_[slot]);
-    out.put_i64(interval_ns_[slot]);
-    out.put_i64(cadence_.since_ns(slot));
-    out.put_u32(static_cast<std::uint32_t>(mode_col_[slot]));
-    out.put_u32(static_cast<std::uint32_t>(cycle_idx_[slot]));
-    out.put_u32(static_cast<std::uint32_t>(bw_age_[slot]));
-    out.put_u32(static_cast<std::uint32_t>(full_rounds_[slot]));
-  }
-  out.put_u64(links_.size());
-  for (const LinkState& l : links_.links()) out.put_f64(l.queue_b);
-  out.put_u8(links_.queues_clear() ? 1 : 0);
-  out.put_bytes(rng_.save_state());
-  return out.take();
-}
+template class RateMachine<BbrPolicy, BbrLink, BbrFlow>;
 
 }  // namespace ccml

@@ -21,26 +21,20 @@
 // piling into its queue.
 //
 // BBR-lite has no additive-increase step, so there is no MLTCP wrap for it
-// (cc/factory.cpp rejects the combination).  Like every transport it has one
-// implementation, the SoA slab path; unlike DCQCN, TIMELY and Swift it has
-// no scalar oracle in tests/cc_kernel_parity_test.cpp.
+// (cc/factory.cpp rejects the combination).  Unlike DCQCN, TIMELY and Swift
+// it has no scalar oracle in tests/cc_kernel_parity_test.cpp; golden hashes
+// in tests/cc_transport_zoo_test.cpp pin its bytes.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
-#include <vector>
+#include <limits>
 
-#include "cc/policy/cadence.h"
-#include "cc/policy/slab.h"
-#include "net/policy.h"
+#include "cc/policy/rate_machine.h"
 #include "util/rng.h"
 #include "util/time.h"
 #include "util/units.h"
 
 namespace ccml {
-
-class Counter;
-class TraceBus;
 
 struct BbrConfig {
   Duration update_interval = Duration::micros(50);  ///< decision cadence
@@ -63,54 +57,59 @@ struct BbrConfig {
   std::uint64_t seed = 1;
 };
 
-class BbrPolicy final : public BandwidthPolicy {
- public:
-  /// BBR's four pacing phases; values are serialized and traced.
-  enum class Mode : std::int32_t {
-    kStartup = 0,
-    kDrain = 1,
-    kProbeBw = 2,
-    kProbeRtt = 3,
-  };
-  static const char* mode_name(Mode m);
+/// BBR's four pacing phases; values are serialized and traced.
+enum class BbrMode : std::int32_t {
+  kStartup = 0,
+  kDrain = 1,
+  kProbeBw = 2,
+  kProbeRtt = 3,
+};
+const char* to_string(BbrMode mode);
 
+/// BBR's per-flow path model and state machine.
+struct BbrFlow {
+  double btl_bw_bps = 0.0;   ///< max-filtered delivery rate
+  double full_bw_bps = 0.0;  ///< STARTUP growth reference
+  double deliv_b = 0.0;      ///< bytes delivered this decision epoch
+  std::int64_t min_rtt_ns = std::numeric_limits<std::int64_t>::max();
+  std::int64_t min_rtt_stamp_ns = 0;  ///< when min_rtt was sampled
+  std::int64_t probe_rtt_end_ns = 0;
+  std::int64_t interval_ns = 0;  ///< per-flow cadence (cc_timer)
+  BbrMode mode = BbrMode::kStartup;
+  std::int32_t cycle_idx = 0;
+  std::int32_t bw_age = 0;
+  std::int32_t full_rounds = 0;
+};
+
+/// A link's queue plus its drain fraction this tick.
+struct BbrLink : QueueLink {
+  double drain_frac = 1.0;  ///< capacity / arrival this tick, <= 1
+};
+
+class BbrPolicy final : public RateMachine<BbrPolicy, BbrLink, BbrFlow> {
+ public:
   explicit BbrPolicy(BbrConfig config = {});
 
   const char* name() const override { return "bbr"; }
 
-  void on_flow_started(Network& net, Flow& flow) override;
-  void on_flow_finished(Network& net, const Flow& flow) override;
-  void on_link_capacity_changed(Network& net, LinkId link) override;
-  void update_rates(Network& net, TimePoint now, Duration dt) override;
-  /// Pacing never exceeds the route line rate (every decision clamps there),
-  /// floored at min_rate.
-  double rate_bound_bps(const Network& net, std::uint32_t slot) const override;
-  Bytes link_queue(LinkId link) const override;
-  /// With all queues drained nothing evolves between steps while no flow is
-  /// active, so the kernel may fast-forward across compute phases.
-  bool quiescent() const override { return links_.queues_clear(); }
-  /// Path model, state machine, link queues and the cycle RNG stream in
-  /// ascending-flow-id order (see the BandwidthPolicy contract).
-  std::string serialize_state() const override;
-
   const BbrConfig& config() const { return config_; }
 
-  struct FlowDiag {
-    Rate rate;
-    Rate btl_bw;        ///< bottleneck-bandwidth estimate
-    Duration min_rtt;
-    Mode mode = Mode::kStartup;
-  };
-  FlowDiag diag(FlowId id) const;
-
  private:
-  struct LinkState {
-    double queue_b = 0.0;    ///< egress backlog, bytes
-    double drain_frac = 1.0; ///< capacity / arrival this tick, <= 1
-    std::uint64_t stamp = 0; ///< last queue pass that touched this link
-  };
+  friend RateMachine;
 
-  void resize_soa(std::size_t n);
+  BbrFlow start_flow(const Flow& flow);
+  std::int64_t interval_ns(std::uint32_t slot) const {
+    return flows_[slot].interval_ns;
+  }
+  void observe_tick(const Network& net, std::uint32_t slot, double rate_bps,
+                    double dt_s);
+  void mark_link(BbrLink& link, double cap_bps, double arrival_bps) const {
+    link.drain_frac = arrival_bps > cap_bps ? cap_bps / arrival_bps : 1.0;
+  }
+  double decide(Network& net, TimePoint now, std::uint32_t slot,
+                std::int64_t elapsed_ns);
+  void put_flow(StateBuf& out, const BbrFlow& f, std::int64_t since_ns) const;
+  void put_tail(StateBuf& out) const { out.put_bytes(rng_.save_state()); }
   double cycle_gain(std::int32_t idx) const {
     if (idx == 0) return config_.probe_up_gain;
     if (idx == 1) return config_.probe_down_gain;
@@ -119,28 +118,8 @@ class BbrPolicy final : public BandwidthPolicy {
 
   BbrConfig config_;
   Rng rng_;
-  std::unordered_map<FlowId, std::uint32_t> slots_;
-
-  // SoA columns, slot-indexed.
-  std::vector<double> rate_bps_;
-  std::vector<double> line_bps_;
-  std::vector<double> btl_bw_bps_;   ///< max-filtered delivery rate
-  std::vector<double> full_bw_bps_;  ///< STARTUP growth reference
-  std::vector<double> deliv_b_;      ///< bytes delivered this decision epoch
-  std::vector<std::int64_t> min_rtt_ns_;
-  std::vector<std::int64_t> min_rtt_stamp_ns_;  ///< when min_rtt was sampled
-  std::vector<std::int64_t> probe_rtt_end_ns_;
-  std::vector<std::int64_t> interval_ns_;  ///< per-flow cadence (cc_timer)
-  std::vector<std::int32_t> mode_col_;
-  std::vector<std::int32_t> cycle_idx_;
-  std::vector<std::int32_t> bw_age_;
-  std::vector<std::int32_t> full_rounds_;
-  DecisionCadence cadence_;  ///< shared fixed-cadence accumulator
-  /// Per-link queue + drain-fraction state behind the shared two-pass loop.
-  LinkQueueSlab<LinkState> links_;
-  // Re-resolved when the bound trace bus changes (same idiom as DCQCN).
-  TraceBus* bus_cache_ = nullptr;
-  Counter* c_phase_ = nullptr;
 };
+
+extern template class RateMachine<BbrPolicy, BbrLink, BbrFlow>;
 
 }  // namespace ccml

@@ -71,15 +71,6 @@ std::unique_ptr<BandwidthPolicy> make_policy(
   throw std::invalid_argument("unknown policy kind");
 }
 
-std::unique_ptr<BandwidthPolicy> make_policy(PolicyKind kind,
-                                             DcqcnConfig dcqcn,
-                                             TimelyConfig timely) {
-  TransportConfig transports;
-  transports.dcqcn = dcqcn;
-  transports.timely = timely;
-  return make_policy(kind, transports);
-}
-
 PolicyKind parse_policy_kind(const std::string& name) {
   for (const TransportInfo& t : transport_catalogue()) {
     if (name == t.name) return t.kind;

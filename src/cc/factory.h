@@ -51,13 +51,8 @@ struct TransportConfig {
 
 /// Builds a policy from the matching member of `transports`.  Throws
 /// std::invalid_argument for kTable with an empty (unloaded) table.
-std::unique_ptr<BandwidthPolicy> make_policy(PolicyKind kind,
-                                             const TransportConfig& transports);
-
-/// Legacy two-config shape (pre-zoo call sites and tests).
-std::unique_ptr<BandwidthPolicy> make_policy(PolicyKind kind,
-                                             DcqcnConfig dcqcn = {},
-                                             TimelyConfig timely = {});
+std::unique_ptr<BandwidthPolicy> make_policy(
+    PolicyKind kind, const TransportConfig& transports = {});
 
 /// Parses a registered transport name (cc/policy/registry.h lists them).
 /// Throws std::invalid_argument naming every registered transport on

@@ -1,6 +1,6 @@
 // The observation -> action vocabulary of the pluggable CC-policy subsystem.
 //
-// Every transport in src/cc decides at a fixed cadence (policy/cadence.h)
+// Every transport in src/cc decides at a fixed cadence (policy/rate_machine.h)
 // from the same small observation vector, and its decision is expressible as
 // a rate action.  The built-in machines (DCQCN, TIMELY, Swift, BBR-lite)
 // compute their decisions natively for speed, but the vocabulary is what
@@ -8,7 +8,7 @@
 // consumes a CcObservation verbatim and looks a CcAction up in an
 // externally-trained policy table, and Swift routes its whole kernel through
 // swift_decide(obs, ...) so the decision function is a pure observation ->
-// action map shared bit-for-bit by its SoA kernel and the scalar test oracle
+// action map shared bit-for-bit by its kernel and the scalar test oracle
 // (tests/cc_kernel_parity_test.cpp).
 //
 // The field set mirrors the RL gym interface sketched in SNIPPETS.md

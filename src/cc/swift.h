@@ -10,7 +10,7 @@
 //                    where amp in [1, 2] grows with a positive gradient.
 //
 // The decision function is a pure CcObservation -> rate map (swift_decide),
-// called by the SoA slab kernel and by the scalar test oracle in
+// called by the rate-machine kernel and by the scalar test oracle in
 // tests/cc_kernel_parity_test.cpp alike — the cleanest exhibit of the policy
 // subsystem's observation/action vocabulary (cc/policy/observation.h).
 //
@@ -20,21 +20,14 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
-#include <vector>
 
-#include "cc/policy/cadence.h"
 #include "cc/policy/observation.h"
-#include "cc/policy/slab.h"
-#include "net/policy.h"
+#include "cc/policy/rate_machine.h"
 #include "util/rng.h"
 #include "util/time.h"
 #include "util/units.h"
 
 namespace ccml {
-
-class Counter;
-class TraceBus;
 
 struct SwiftConfig {
   /// Absolute end-to-end RTT target (base propagation + queueing budget).
@@ -77,7 +70,15 @@ SwiftDecision swift_decide(const SwiftConfig& cfg, const CcObservation& obs,
                            double target_us, double rate_bps, double ai_bps,
                            double min_bps, double line_bps);
 
-class SwiftPolicy final : public BandwidthPolicy {
+/// Swift's per-flow state beyond the scaffold's rate, line rate and
+/// cadence.
+struct SwiftFlow {
+  double ai_bps = 0.0;  ///< additive step
+  RttGradient rtt;
+};
+
+class SwiftPolicy final
+    : public RateMachine<SwiftPolicy, QueueLink, SwiftFlow> {
  public:
   explicit SwiftPolicy(SwiftConfig config = {});
 
@@ -85,60 +86,25 @@ class SwiftPolicy final : public BandwidthPolicy {
     return config_.phase_scaling ? "mltcp-swift" : "swift";
   }
 
-  void on_flow_started(Network& net, Flow& flow) override;
-  void on_flow_finished(Network& net, const Flow& flow) override;
-  void on_link_capacity_changed(Network& net, LinkId link) override;
-  void update_rates(Network& net, TimePoint now, Duration dt) override;
-  /// Route line rate, floored at min_rate (the clamp swift_decide applies).
-  double rate_bound_bps(const Network& net, std::uint32_t slot) const override;
-  Bytes link_queue(LinkId link) const override;
-  /// With all queues drained nothing evolves between steps while no flow is
-  /// active, so the kernel may fast-forward across compute phases.
-  bool quiescent() const override { return links_.queues_clear(); }
-  /// Delay-target state, link queues and the jitter RNG stream in
-  /// ascending-flow-id order (see the BandwidthPolicy contract).
-  std::string serialize_state() const override;
-
   const SwiftConfig& config() const { return config_; }
 
-  struct FlowDiag {
-    Rate rate;
-    Duration last_rtt;
-    double gradient = 0.0;
-  };
-  FlowDiag diag(FlowId id) const;
-
  private:
-  struct LinkState {
-    Bytes queue = Bytes::zero();
-    std::uint64_t stamp = 0;  ///< last queue pass that touched this link
-  };
+  friend RateMachine;
 
-  void resize_soa(std::size_t n);
+  SwiftFlow start_flow(const Flow& flow) const;
+  double decide(Network& net, TimePoint now, std::uint32_t slot,
+                std::int64_t elapsed_ns);
+  void put_flow(StateBuf& out, const SwiftFlow& f,
+                std::int64_t since_ns) const;
+  void put_tail(StateBuf& out) const { out.put_bytes(rng_.save_state()); }
   /// The (possibly jittered) RTT target for one decision; draws from rng_
   /// only when target_jitter_us is nonzero.
   double decision_target_us();
 
   SwiftConfig config_;
   Rng rng_;
-  // Per-flow state indexed by the network's stable slab slot; `slots_` maps
-  // ids for the diag API (same layout rule as TIMELY).
-  std::unordered_map<FlowId, std::uint32_t> slots_;
-
-  // SoA columns, slot-indexed.
-  std::vector<double> rate_bps_;
-  std::vector<double> line_bps_;
-  std::vector<double> ai_bps_;        // per-flow additive step
-  std::vector<double> ewma_col_;      // smoothed d(rtt) per decision, in us
-  std::vector<double> grad_col_;      // last normalized gradient
-  std::vector<std::int64_t> prev_rtt_ns_;
-  DecisionCadence cadence_;  ///< shared fixed-cadence accumulator
-  /// Per-link queue state behind the shared two-pass step loop
-  /// (cc/policy/slab.h owns the wet-list bookkeeping and quiescence flag).
-  LinkQueueSlab<LinkState> links_;
-  // Re-resolved when the bound trace bus changes (same idiom as DCQCN).
-  TraceBus* bus_cache_ = nullptr;
-  Counter* c_decrease_ = nullptr;
 };
+
+extern template class RateMachine<SwiftPolicy, QueueLink, SwiftFlow>;
 
 }  // namespace ccml

@@ -8,10 +8,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "ckpt/snapshot.h"
-#include "net/network.h"
-#include "obs/trace_bus.h"
-
 namespace ccml {
 
 namespace {
@@ -44,22 +40,6 @@ std::int32_t parse_selector(const std::string& tok, int line) {
     parse_fail(line, "bin selector '" + tok + "' is not a non-negative int");
   }
   return i;
-}
-
-// Out of line so the per-flow loop stays tight when tracing is off.
-[[gnu::noinline]] void emit_decision_event(TraceBus& bus, Counter& counter,
-                                           TimePoint now, const Flow& flow,
-                                           double rate_bps,
-                                           std::int32_t rule_idx) {
-  TraceEvent ev;
-  ev.time = now;
-  ev.kind = TraceEventKind::kCcDecision;
-  ev.job = flow.spec.job;
-  ev.flow = flow.id;
-  ev.value = rate_bps;
-  ev.value2 = static_cast<double>(rule_idx);
-  bus.emit(ev);
-  counter.add();
 }
 
 constexpr const char* kDimNames[4] = {"rtt_us", "gradient", "ecn", "progress"};
@@ -225,7 +205,9 @@ std::string CcPolicyTable::summary() const {
 }
 
 TablePolicy::TablePolicy(TableConfig config)
-    : config_(std::move(config)),
+    : RateMachine(config.min_rate, config.base_rtt, config.table.cadence(),
+                  "table.decisions", /*representation_byte=*/false),
+      config_(std::move(config)),
       rng_(config_.seed),
       kmin_bytes_(config_.kmin.count()),
       kmax_bytes_(config_.kmax.count()) {
@@ -234,179 +216,55 @@ TablePolicy::TablePolicy(TableConfig config)
   mark_scale_ = config_.pmax / (kmax_bytes_ - kmin_bytes_);
 }
 
-void TablePolicy::resize_soa(std::size_t n) {
-  rate_bps_.resize(n);
-  line_bps_.resize(n);
-  ewma_col_.resize(n);
-  grad_col_.resize(n);
-  deliv_b_.resize(n);
-  prev_rtt_ns_.resize(n);
-  rule_col_.resize(n);
-  cadence_.resize(n);
+void TablePolicy::mark_link(TableLink& link, double /*cap_bps*/,
+                            double /*arrival_bps*/) const {
+  const double p = red_probability(link.queue_b);
+  link.log_keep = p > 0.0 ? std::log1p(-std::min(p, 1.0 - 1e-12)) : 0.0;
 }
 
-void TablePolicy::on_flow_started(Network& net, Flow& flow) {
-  links_.ensure_links(net.topology().link_count());
-  const Rate line = route_line_rate(net, flow);
-  const std::uint32_t slot = net.slot_of(flow.id);
-  if (rate_bps_.size() <= slot) resize_soa(net.slab_size());
-  line_bps_[slot] = line.bits_per_sec();
-  rate_bps_[slot] = line.bits_per_sec();
-  ewma_col_[slot] = 0.0;
-  grad_col_[slot] = 0.0;
-  deliv_b_[slot] = 0.0;
-  prev_rtt_ns_[slot] = 0;
-  rule_col_[slot] = -1;
-  cadence_.reset(slot);
-  slots_[flow.id] = slot;
-  net.set_rate(slot, line);
-}
+double TablePolicy::decide(Network& net, TimePoint now, std::uint32_t slot,
+                           std::int64_t /*elapsed_ns*/) {
+  TableFlow& f = flows_[slot];
+  // Observation assembly: RTT + gradient (TIMELY's filter with Swift's
+  // first-sample guard), route ECN fraction, delivery.
+  double sum_log_keep = 0.0;
+  const Duration rtt = sample_rtt(
+      net, slot, [&](const TableLink& l) { sum_log_keep += l.log_keep; });
+  CcObservation obs;
+  obs.rtt_us = rtt.to_micros();
+  obs.rtt_gradient =
+      f.rtt.update(rtt, config_.ewma_alpha, config_.base_rtt.to_micros(),
+                   /*guard_first=*/true);
+  obs.ecn_fraction = sum_log_keep < 0.0 ? 1.0 - std::exp(sum_log_keep) : 0.0;
+  obs.delivered_bytes = f.deliv_b;
+  obs.phase_progress = net.progress_at(slot);
+  f.deliv_b = 0.0;
 
-void TablePolicy::on_flow_finished(Network& /*net*/, const Flow& flow) {
-  // The slot's state is left stale; a reused slot is overwritten on start.
-  slots_.erase(flow.id);
-}
-
-void TablePolicy::on_link_capacity_changed(Network& net, LinkId /*link*/) {
-  for (const std::uint32_t slot : net.active_slots()) {
-    const Flow& flow = net.flow_at(slot);
-    const Rate line = route_line_rate(net, flow);
-    line_bps_[slot] = line.bits_per_sec();
-    rate_bps_[slot] = std::min(rate_bps_[slot], line.bits_per_sec());
-    net.set_rate(slot, Rate::bps(rate_bps_[slot]));
+  CcAction action;
+  f.rule = config_.table.lookup(obs, action);
+  if (config_.explore > 0.0) {
+    action.rate_multiplier *=
+        1.0 + config_.explore * (2.0 * rng_.uniform() - 1.0);
   }
-}
-
-void TablePolicy::update_rates(Network& net, TimePoint now, Duration dt) {
-  links_.ensure_links(net.topology().link_count());
-  TraceBus* bus = net.trace_bus();
-  if (bus != bus_cache_) {
-    bus_cache_ = bus;
-    c_decision_ = bus ? &bus->counter("table.decisions") : nullptr;
+  const double rate =
+      apply_cc_action(action, rate_bps_[slot], min_bps_, line_bps_[slot]);
+  if (events_.on()) [[unlikely]] {
+    events_.emit(TraceEventKind::kCcDecision, now, net.flow_at(slot), rate,
+                 static_cast<double>(f.rule));
   }
-
-  // Queue pass: integrate backlog and refresh each link's RED keep-log
-  // (log(1-p), summed along routes to the per-flow ECN fraction).
-  const double dt_s = dt.to_seconds();
-  const auto integrate = [&](std::size_t l, double arrival_bps)
-      __attribute__((always_inline)) {
-    const double cap_bps =
-        net.effective_capacity(LinkId{static_cast<std::int32_t>(l)})
-            .bits_per_sec();
-    LinkState& ls = links_[l];
-    double q = ls.queue_b + (arrival_bps - cap_bps) * dt_s / 8.0;
-    if (q < 0.0) q = 0.0;
-    ls.queue_b = q;
-    const double p = red_probability(q);
-    ls.log_keep = p > 0.0 ? std::log1p(-std::min(p, 1.0 - 1e-12)) : 0.0;
-    return q != 0.0;
-  };
-  links_.step(net, net.links_in_use(), integrate);
-
-  const std::span<const std::uint32_t> slots = net.active_slots();
-  const std::span<double> rates = net.mutable_rates_bps();
-  const std::int64_t dt_ns = dt.ns();
-  const std::int64_t interval_ns = config_.table.cadence().ns();
-  const double ewma_a = config_.ewma_alpha;
-  const double base_us = config_.base_rtt.to_micros();
-  const double min_bps = config_.min_rate.bits_per_sec();
-  const double explore = config_.explore;
-  for (const std::uint32_t slot : slots) {
-    deliv_b_[slot] += rates[slot] * dt_s / 8.0;
-    if (!cadence_.due(slot, dt_ns, interval_ns)) {
-      rates[slot] = rate_bps_[slot];
-      continue;
-    }
-
-    // Observation assembly: RTT + gradient (TIMELY's filter with Swift's
-    // zero-sentinel first-sample guard), route ECN fraction, delivery.
-    Duration rtt = config_.base_rtt;
-    double sum_log_keep = 0.0;
-    for (const std::int32_t l : net.route_links(slot)) {
-      const Rate cap = net.effective_capacity(LinkId{l});
-      if (cap.is_positive()) {
-        rtt += transfer_time(Bytes::of(links_[l].queue_b), cap);
-      }
-      sum_log_keep += links_[l].log_keep;
-    }
-    const std::int64_t prev_ns = prev_rtt_ns_[slot];
-    const double diff_us =
-        prev_ns == 0 ? 0.0
-                     : rtt.to_micros() - Duration::nanos(prev_ns).to_micros();
-    prev_rtt_ns_[slot] = rtt.ns();
-    ewma_col_[slot] = (1.0 - ewma_a) * ewma_col_[slot] + ewma_a * diff_us;
-    const double gradient = ewma_col_[slot] / base_us;
-    grad_col_[slot] = gradient;
-
-    CcObservation obs;
-    obs.rtt_us = rtt.to_micros();
-    obs.rtt_gradient = gradient;
-    obs.ecn_fraction = sum_log_keep < 0.0 ? 1.0 - std::exp(sum_log_keep) : 0.0;
-    obs.delivered_bytes = deliv_b_[slot];
-    obs.phase_progress = net.progress_at(slot);
-    deliv_b_[slot] = 0.0;
-
-    CcAction action;
-    const std::int32_t rule = config_.table.lookup(obs, action);
-    rule_col_[slot] = rule;
-    if (explore > 0.0) {
-      action.rate_multiplier *= 1.0 + explore * (2.0 * rng_.uniform() - 1.0);
-    }
-    const double rate =
-        apply_cc_action(action, rate_bps_[slot], min_bps, line_bps_[slot]);
-    rate_bps_[slot] = rate;
-    rates[slot] = rate;
-    if (bus_cache_ != nullptr) [[unlikely]] {
-      emit_decision_event(*bus_cache_, *c_decision_, now, net.flow_at(slot),
-                          rate, rule);
-    }
-  }
+  return rate;
 }
 
-double TablePolicy::rate_bound_bps(const Network& /*net*/,
-                                   std::uint32_t slot) const {
-  // apply_cc_action clamps to [min_rate, line_rate]; min_rate can exceed
-  // the line rate of a browned-out route, so the bound covers both.
-  return std::max(line_bps_[slot], config_.min_rate.bits_per_sec());
+void TablePolicy::put_flow(StateBuf& out, const TableFlow& f,
+                           std::int64_t since_ns) const {
+  out.put_f64(f.rtt.ewma_us);
+  out.put_f64(f.rtt.gradient(config_.base_rtt.to_micros()));
+  out.put_f64(f.deliv_b);
+  out.put_i64(f.rtt.prev_rtt_ns);
+  out.put_i64(since_ns);
+  out.put_u32(static_cast<std::uint32_t>(f.rule));
 }
 
-Bytes TablePolicy::link_queue(LinkId link) const {
-  if (!link.valid() || static_cast<std::size_t>(link.value) >= links_.size()) {
-    return Bytes::zero();
-  }
-  return Bytes::of(links_[link.value].queue_b);
-}
-
-TablePolicy::FlowDiag TablePolicy::diag(FlowId id) const {
-  const auto it = slots_.find(id);
-  assert(it != slots_.end());
-  const std::uint32_t slot = it->second;
-  return {Rate::bps(rate_bps_[slot]), grad_col_[slot], rule_col_[slot]};
-}
-
-std::string TablePolicy::serialize_state() const {
-  // Ascending flow id, same contract as the other transports.
-  const auto flows = sorted_flow_slots(slots_);
-
-  StateBuf out;
-  out.put_u64(flows.size());
-  for (const auto& [id, slot] : flows) {
-    out.put_i64(id);
-    out.put_u32(slot);
-    out.put_f64(rate_bps_[slot]);
-    out.put_f64(line_bps_[slot]);
-    out.put_f64(ewma_col_[slot]);
-    out.put_f64(grad_col_[slot]);
-    out.put_f64(deliv_b_[slot]);
-    out.put_i64(prev_rtt_ns_[slot]);
-    out.put_i64(cadence_.since_ns(slot));
-    out.put_u32(static_cast<std::uint32_t>(rule_col_[slot]));
-  }
-  out.put_u64(links_.size());
-  for (const LinkState& l : links_.links()) out.put_f64(l.queue_b);
-  out.put_u8(links_.queues_clear() ? 1 : 0);
-  out.put_bytes(rng_.save_state());
-  return out.take();
-}
+template class RateMachine<TablePolicy, TableLink, TableFlow>;
 
 }  // namespace ccml

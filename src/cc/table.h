@@ -28,21 +28,15 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "cc/policy/cadence.h"
 #include "cc/policy/observation.h"
-#include "cc/policy/slab.h"
-#include "net/policy.h"
+#include "cc/policy/rate_machine.h"
 #include "util/rng.h"
 #include "util/time.h"
 #include "util/units.h"
 
 namespace ccml {
-
-class Counter;
-class TraceBus;
 
 /// A parsed policy table: bin edges per observation dimension plus an
 /// ordered rule list.  Value type; cheap to copy into TableConfig.
@@ -109,43 +103,42 @@ struct TableConfig {
   std::uint64_t seed = 1;
 };
 
-class TablePolicy final : public BandwidthPolicy {
+/// The table policy's per-flow observation-assembly state.
+struct TableFlow {
+  RttGradient rtt;
+  double deliv_b = 0.0;    ///< bytes sent this decision epoch
+  std::int32_t rule = -1;  ///< last matched rule, -1 = default
+};
+
+/// A link's queue plus its RED keep-log, log(1 - mark probability), summed
+/// along routes to the per-flow ECN fraction.
+struct TableLink : QueueLink {
+  double log_keep = 0.0;
+};
+
+class TablePolicy final
+    : public RateMachine<TablePolicy, TableLink, TableFlow> {
  public:
   explicit TablePolicy(TableConfig config);
 
   const char* name() const override { return "table"; }
 
-  void on_flow_started(Network& net, Flow& flow) override;
-  void on_flow_finished(Network& net, const Flow& flow) override;
-  void on_link_capacity_changed(Network& net, LinkId link) override;
-  void update_rates(Network& net, TimePoint now, Duration dt) override;
-  /// apply_cc_action clamps to [min_rate, line_rate]; bound covers both.
-  double rate_bound_bps(const Network& net, std::uint32_t slot) const override;
-  Bytes link_queue(LinkId link) const override;
-  /// With all queues drained nothing evolves between steps while no flow is
-  /// active, so the kernel may fast-forward across compute phases.
-  bool quiescent() const override { return links_.queues_clear(); }
-  /// Observation-assembly state, link queues and the exploration RNG stream
-  /// in ascending-flow-id order (see the BandwidthPolicy contract).
-  std::string serialize_state() const override;
-
   const TableConfig& config() const { return config_; }
 
-  struct FlowDiag {
-    Rate rate;
-    double gradient = 0.0;
-    std::int32_t last_rule = -1;  ///< matched rule index, -1 = default
-  };
-  FlowDiag diag(FlowId id) const;
-
  private:
-  struct LinkState {
-    double queue_b = 0.0;   ///< egress backlog, bytes
-    double log_keep = 0.0;  ///< log(1 - mark probability), for route ECN
-    std::uint64_t stamp = 0;
-  };
+  friend RateMachine;
 
-  void resize_soa(std::size_t n);
+  TableFlow start_flow(const Flow& /*flow*/) const { return {}; }
+  void observe_tick(const Network& /*net*/, std::uint32_t slot,
+                    double rate_bps, double dt_s) {
+    flows_[slot].deliv_b += rate_bps * dt_s / 8.0;
+  }
+  void mark_link(TableLink& link, double cap_bps, double arrival_bps) const;
+  double decide(Network& net, TimePoint now, std::uint32_t slot,
+                std::int64_t elapsed_ns);
+  void put_flow(StateBuf& out, const TableFlow& f,
+                std::int64_t since_ns) const;
+  void put_tail(StateBuf& out) const { out.put_bytes(rng_.save_state()); }
   double red_probability(double queue_bytes) const {
     if (queue_bytes <= kmin_bytes_) return 0.0;
     if (queue_bytes >= kmax_bytes_) return 1.0;
@@ -154,25 +147,11 @@ class TablePolicy final : public BandwidthPolicy {
 
   TableConfig config_;
   Rng rng_;
-  std::unordered_map<FlowId, std::uint32_t> slots_;
-
-  // SoA columns, slot-indexed.
-  std::vector<double> rate_bps_;
-  std::vector<double> line_bps_;
-  std::vector<double> ewma_col_;
-  std::vector<double> grad_col_;
-  std::vector<double> deliv_b_;  ///< bytes sent this decision epoch
-  std::vector<std::int64_t> prev_rtt_ns_;
-  std::vector<std::int32_t> rule_col_;  ///< last matched rule, for diag
-  DecisionCadence cadence_;  ///< shared fixed-cadence accumulator
-  /// Per-link queue + marking state behind the shared two-pass step loop.
-  LinkQueueSlab<LinkState> links_;
   double kmin_bytes_ = 0.0;
   double kmax_bytes_ = 0.0;
   double mark_scale_ = 0.0;  // pmax / (kmax - kmin), per byte
-  // Re-resolved when the bound trace bus changes (same idiom as DCQCN).
-  TraceBus* bus_cache_ = nullptr;
-  Counter* c_decision_ = nullptr;
 };
+
+extern template class RateMachine<TablePolicy, TableLink, TableFlow>;
 
 }  // namespace ccml

@@ -18,19 +18,12 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
-#include <vector>
 
-#include "cc/policy/cadence.h"
-#include "cc/policy/slab.h"
-#include "net/policy.h"
+#include "cc/policy/rate_machine.h"
 #include "util/time.h"
 #include "util/units.h"
 
 namespace ccml {
-
-class Counter;
-class TraceBus;
 
 struct TimelyConfig {
   Duration t_low = Duration::micros(50);
@@ -52,28 +45,22 @@ struct TimelyConfig {
   bool phase_scaling = false;
 };
 
-class TimelyPolicy final : public BandwidthPolicy {
+/// TIMELY's per-flow state beyond the scaffold's rate, line rate and
+/// cadence.
+struct TimelyFlow {
+  double delta_bps = 0.0;  ///< additive step
+  RttGradient rtt;
+  std::int32_t good_rounds = 0;
+};
+
+class TimelyPolicy final
+    : public RateMachine<TimelyPolicy, QueueLink, TimelyFlow> {
  public:
   explicit TimelyPolicy(TimelyConfig config = {});
 
   const char* name() const override {
     return config_.phase_scaling ? "mltcp-timely" : "timely";
   }
-
-  void on_flow_started(Network& net, Flow& flow) override;
-  void on_flow_finished(Network& net, const Flow& flow) override;
-  void on_link_capacity_changed(Network& net, LinkId link) override;
-  void update_rates(Network& net, TimePoint now, Duration dt) override;
-  /// Route line rate, floored at min_rate (the clamp every rate update
-  /// applies), so Network::step_burst can fuse completion-free ticks.
-  double rate_bound_bps(const Network& net, std::uint32_t slot) const override;
-  Bytes link_queue(LinkId link) const override;
-  /// With all queues drained nothing evolves between steps while no flow is
-  /// active, so the kernel may fast-forward across compute phases.
-  bool quiescent() const override { return links_.queues_clear(); }
-  /// RTT-gradient state and link queues in ascending-flow-id order (see the
-  /// BandwidthPolicy contract in net/policy.h).
-  std::string serialize_state() const override;
 
   const TimelyConfig& config() const { return config_; }
 
@@ -85,33 +72,17 @@ class TimelyPolicy final : public BandwidthPolicy {
   FlowDiag diag(FlowId id) const;
 
  private:
-  struct LinkState {
-    Bytes queue = Bytes::zero();
-    std::uint64_t stamp = 0;  ///< last queue pass that touched this link
-  };
+  friend RateMachine;
 
-  void resize_soa(std::size_t n);
+  TimelyFlow start_flow(const Flow& flow) const;
+  double decide(Network& net, TimePoint now, std::uint32_t slot,
+                std::int64_t elapsed_ns);
+  void put_flow(StateBuf& out, const TimelyFlow& f,
+                std::int64_t since_ns) const;
 
   TimelyConfig config_;
-  // Per-flow state indexed by the network's stable slab slot (hash-free on
-  // the per-step path); `slots_` maps ids for the diag API.
-  std::unordered_map<FlowId, std::uint32_t> slots_;
-
-  // SoA columns, slot-indexed.
-  std::vector<double> rate_bps_;
-  std::vector<double> line_bps_;
-  std::vector<double> delta_bps_;     // per-flow additive step
-  std::vector<double> ewma_col_;      // smoothed d(rtt) per update, in us
-  std::vector<double> grad_col_;      // last normalized gradient
-  std::vector<std::int64_t> prev_rtt_ns_;
-  DecisionCadence cadence_;  ///< shared fixed-cadence accumulator
-  std::vector<std::int32_t> good_rounds_;
-  /// Per-link queue state behind the shared two-pass step loop
-  /// (cc/policy/slab.h owns the wet-list bookkeeping and quiescence flag).
-  LinkQueueSlab<LinkState> links_;
-  // Re-resolved when the bound trace bus changes (same idiom as DCQCN).
-  TraceBus* bus_cache_ = nullptr;
-  Counter* c_decrease_ = nullptr;
 };
+
+extern template class RateMachine<TimelyPolicy, QueueLink, TimelyFlow>;
 
 }  // namespace ccml

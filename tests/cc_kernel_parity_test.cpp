@@ -1,7 +1,7 @@
 // Independent scalar oracles for the three rate-machine transports.
 //
-// DCQCN, TIMELY and Swift each ship one production kernel: slot-indexed SoA
-// columns, a queue pass restricted to the links that can queue (DCQCN's
+// DCQCN, TIMELY and Swift each ship one production kernel: slot-indexed
+// state, a queue pass restricted to the links that can queue (DCQCN's
 // congestible cp_links, TIMELY's and Swift's links in use) plus the slab's
 // wet list, DCQCN's dry-link fast path and exp memo, and fused burst
 // stepping behind rate_bound_bps.  The oracles below derive each transport
