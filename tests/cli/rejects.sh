@@ -1,7 +1,8 @@
 #!/bin/sh
 # Passes when COMMAND is refused as a usage error: exit status 2 (not a
-# signal), nothing on stdout (no run started), and a stderr line
-# "error: ..." that contains PATTERN (the flag it names).
+# signal), nothing on stdout (no run started), a stderr line "error: ..."
+# that contains PATTERN (the flag it names), and at most two stderr lines,
+# so the error is not scrolled away by the full usage.
 #
 # usage: rejects.sh PATTERN COMMAND...
 pattern=$1
@@ -25,3 +26,9 @@ grep -q "^error: .*$pattern" "$err" || {
   cat "$err"
   exit 1
 }
+lines=$(wc -l <"$err")
+if [ "$lines" -gt 2 ]; then
+  echo "expected at most 2 stderr lines, got $lines:"
+  cat "$err"
+  exit 1
+fi

@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -239,8 +240,18 @@ std::optional<double> finite(const std::string& text) {
   return v;
 }
 
-/// What a value of `o` must be, or "" when `text` is one.
-std::string misfit(const Option& o, const std::string& text) {
+/// The row of `name` for the subcommand bit `command`, or nullptr.
+const Option* find_option(const std::string& name, unsigned command) {
+  for (const Option& o : kOptions) {
+    if (name == o.name && (o.commands & command) != 0) return &o;
+  }
+  return nullptr;
+}
+
+/// What a value of `o` must be under the subcommand bit `command`, or ""
+/// when `text` is one.
+std::string misfit(const Option& o, const std::string& text,
+                   unsigned command) {
   const std::optional<double> v = finite(text);
   switch (o.domain) {
     case kPositiveInt:
@@ -271,6 +282,11 @@ std::string misfit(const Option& o, const std::string& text) {
                  : o.arg;
     }
     case kPolicy:
+      // The table transport runs the rules of --cc-policy-table.
+      if (text == "table" &&
+          find_option("cc-policy-table", command) == nullptr) {
+        return "a transport other than table, which needs --cc-policy-table";
+      }
       for (const TransportInfo& t : transport_catalogue()) {
         if (text == t.name) return "";
       }
@@ -281,16 +297,8 @@ std::string misfit(const Option& o, const std::string& text) {
   return "";
 }
 
-/// The row of `name` for the subcommand bit `command`, or nullptr.
-const Option* find_option(const std::string& name, unsigned command) {
-  for (const Option& o : kOptions) {
-    if (name == o.name && (o.commands & command) != 0) return &o;
-  }
-  return nullptr;
-}
-
-/// A command line that kOptions does not accept; main() prints it with the
-/// usage and exits 2.
+/// A command line that kOptions does not accept; main() prints it and
+/// exits 2.
 class UsageError : public std::invalid_argument {
  public:
   using std::invalid_argument::invalid_argument;
@@ -328,7 +336,8 @@ class Options {
         throw UsageError("missing value for --" + name);
       }
       const std::string& value = args[++i];
-      if (const std::string want = misfit(*o, value); !want.empty()) {
+      if (const std::string want = misfit(*o, value, command_);
+          !want.empty()) {
         throw UsageError(name + "=" + value + ": expected " + want);
       }
       if (o->spec >= kJob) {
@@ -412,9 +421,9 @@ class Options {
   std::vector<std::pair<const Option*, std::string>> repeated_;
 };
 
-[[noreturn]] void usage(const char* msg = nullptr) {
-  if (msg) std::fprintf(stderr, "error: %s\n\n", msg);
-  std::fprintf(stderr, R"(usage: ccml_sim <command> [options]
+/// The full usage: every command, every row of kOptions and the key lists.
+void print_usage(std::FILE* out) {
+  std::fprintf(out, R"(usage: ccml_sim <command> [options]
 
 commands:
   zoo           list models and calibrated (model,batch) entries
@@ -444,10 +453,10 @@ options (accepted by the commands named; given once unless repeatable):
     if (o.fallback != nullptr) where += std::string("; default ") + o.fallback;
     if (o.spec >= kJob) where += "; repeatable";
     const std::string flag = std::string("--") + o.name + " " + o.arg;
-    std::fprintf(stderr, "  %-28s %s [%s]\n", flag.c_str(), o.help,
+    std::fprintf(out, "  %-28s %s [%s]\n", flag.c_str(), o.help,
                  where.c_str());
   }
-  std::fprintf(stderr, R"(
+  std::fprintf(out, R"(
 job keys: solve takes period_ms, comm_ms, [demand_gbps], or model+batch;
   the others take model, batch, [workers], name, compute_ms, comm_ms,
   timer_us, rai_mbps, priority, weight, start_ms
@@ -491,6 +500,20 @@ exit codes:
   5  resume divergence: the replay did not byte-reproduce the snapshot
      (changed binary, changed spec, or nondeterminism) (ResumeDivergence)
 )");
+}
+
+/// Exits 2 after a usage error: without `msg` (no command given) the full
+/// usage, with it only the error and a pointer to --help, so the error
+/// does not scroll away above the usage.
+[[noreturn]] void usage(const char* msg = nullptr) {
+  if (msg == nullptr) {
+    print_usage(stderr);
+  } else {
+    std::fprintf(stderr,
+                 "error: %s\nrun 'ccml_sim --help' for the commands and "
+                 "options\n",
+                 msg);
+  }
   std::exit(2);
 }
 
@@ -1527,6 +1550,10 @@ int cmd_analyze(const Options& opts) {
 
 int main(int argc, char** argv) {
   if (argc < 2) usage();
+  if (std::strcmp(argv[1], "--help") == 0 || std::strcmp(argv[1], "-h") == 0) {
+    print_usage(stdout);
+    return 0;
+  }
   try {
     const Options opts(argv[1], {argv + 2, argv + argc});
     const std::string& cmd = opts.cmd;
