@@ -132,8 +132,8 @@ class RateMachine : public BandwidthPolicy {
   RateMachine(Rate min_rate, Duration base_rtt, Duration interval,
               const char* counter, bool representation_byte)
       : min_bps_(min_rate.bits_per_sec()),
-        base_rtt_(base_rtt),
         events_(counter),
+        base_rtt_(base_rtt),
         interval_ns_(interval.ns()),
         representation_byte_(representation_byte) {}
 
@@ -176,7 +176,6 @@ class RateMachine : public BandwidthPolicy {
   void put_tail(StateBuf& /*out*/) const {}
 
   const double min_bps_;
-  const Duration base_rtt_;
   std::unordered_map<FlowId, std::uint32_t> slots_;
   // Slot-indexed columns (the network's stable slab slots, hash-free on the
   // per-step path); a finished flow's slot is left stale and overwritten
@@ -192,6 +191,7 @@ class RateMachine : public BandwidthPolicy {
   Derived& self() { return static_cast<Derived&>(*this); }
   const Derived& self() const { return static_cast<const Derived&>(*this); }
 
+  const Duration base_rtt_;
   const std::int64_t interval_ns_;
   const bool representation_byte_;
 };
@@ -239,9 +239,13 @@ void RateMachine<D, L, F>::on_link_capacity_changed(Network& net,
   }
 }
 
+// flatten: the slab pass and the transport's hooks inline into one loop,
+// as in the per-transport copies this replaced; left to the inliner,
+// decide() and the slab pass stayed out of line.
 template <typename D, typename L, typename F>
-void RateMachine<D, L, F>::update_rates(Network& net, TimePoint now,
-                                        Duration dt) {
+[[gnu::flatten]] void RateMachine<D, L, F>::update_rates(Network& net,
+                                                         TimePoint now,
+                                                         Duration dt) {
   D& d = self();
   links_.ensure_links(net.topology().link_count());
   events_.bind(net.trace_bus());
