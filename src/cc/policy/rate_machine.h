@@ -21,7 +21,7 @@
 //                 std::int64_t since_ns) const
 //       the transport's per-flow fields of the serialize_state() frame,
 //       `since_ns` being the cadence accumulator.
-// Optional hooks (the scaffold's no-op versions below apply otherwise):
+// Optional hooks (the scaffold's defaults below apply otherwise):
 //   interval_ns(slot), observe_tick(...), mark_link(...), put_tail(out).
 //
 // Bit-identity contract: the arithmetic and iteration order are those of

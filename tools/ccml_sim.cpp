@@ -1550,7 +1550,7 @@ int cmd_analyze(const Options& opts) {
 
 int main(int argc, char** argv) {
   if (argc < 2) usage();
-  if (std::strcmp(argv[1], "--help") == 0 || std::strcmp(argv[1], "-h") == 0) {
+  if (std::strcmp(argv[1], "--help") == 0) {
     print_usage(stdout);
     return 0;
   }
