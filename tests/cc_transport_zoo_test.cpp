@@ -8,6 +8,9 @@
 //    the fused contest, a brownout contest, Swift, and serialize_state()
 //    captured just before pin DCQCN, TIMELY and Swift (their scalar oracles
 //    live in tests/cc_kernel_parity_test.cpp);
+//  * folding TIMELY, Swift, BBR-lite and the table policy onto one
+//    rate-machine scaffold changed nothing: goldens captured before pin BBR,
+//    the table policy and both MLTCP wraps;
 //  * the decision-cadence edge cases hold: flows that start with no RTT
 //    sample yet produce finite rates, and a cadence longer than the whole
 //    burst window makes zero decisions instead of a partial-interval one;
