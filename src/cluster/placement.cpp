@@ -1,88 +1,8 @@
 #include "cluster/placement.h"
 
-#include <algorithm>
 #include <cassert>
-#include <map>
-#include <set>
-
-#include "core/interference_graph.h"
-#include "workload/job.h"
 
 namespace ccml {
-
-namespace {
-
-/// Host inventory grouped by ToR.
-struct Racks {
-  std::vector<NodeId> tors;
-  std::map<NodeId, std::vector<NodeId>> free_hosts;  // tor -> hosts
-
-  explicit Racks(const Topology& topo) {
-    for (const NodeId host : topo.hosts()) {
-      const auto& ups = topo.links_from(host);
-      assert(!ups.empty() && "host without uplink");
-      const NodeId tor = topo.link(ups.front()).dst;
-      if (!free_hosts.contains(tor)) tors.push_back(tor);
-      free_hosts[tor].push_back(host);
-    }
-  }
-
-  int free_in(NodeId tor) const {
-    const auto it = free_hosts.find(tor);
-    return it == free_hosts.end() ? 0 : static_cast<int>(it->second.size());
-  }
-
-  std::vector<NodeId> take(NodeId tor, int count) {
-    auto& pool = free_hosts[tor];
-    assert(static_cast<int>(pool.size()) >= count);
-    std::vector<NodeId> out(pool.begin(), pool.begin() + count);
-    pool.erase(pool.begin(), pool.begin() + count);
-    return out;
-  }
-
-  void give_back(NodeId tor, const std::vector<NodeId>& hosts) {
-    auto& pool = free_hosts[tor];
-    pool.insert(pool.begin(), hosts.begin(), hosts.end());
-  }
-
-  NodeId tor_of(const Topology& topo, NodeId host) const {
-    return topo.link(topo.links_from(host).front()).dst;
-  }
-};
-
-/// Greedy multi-rack allocation: fewest racks first, biggest pools first.
-std::optional<Placement> allocate(Racks& racks, int workers) {
-  // Single rack if possible.
-  for (const NodeId tor : racks.tors) {
-    if (racks.free_in(tor) >= workers) {
-      return Placement{racks.take(tor, workers), false};
-    }
-  }
-  // Otherwise span racks, taking from the fullest first (stable so that
-  // ties resolve in rack order — placement must be deterministic).
-  std::vector<NodeId> order = racks.tors;
-  std::stable_sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
-    return racks.free_in(a) > racks.free_in(b);
-  });
-  int total = 0;
-  for (const NodeId tor : order) total += racks.free_in(tor);
-  if (total < workers) return std::nullopt;
-  Placement p;
-  p.spans_fabric = true;
-  int need = workers;
-  for (const NodeId tor : order) {
-    const int take = std::min(need, racks.free_in(tor));
-    if (take > 0) {
-      const auto got = racks.take(tor, take);
-      p.hosts.insert(p.hosts.end(), got.begin(), got.end());
-      need -= take;
-    }
-    if (need == 0) break;
-  }
-  return p;
-}
-
-}  // namespace
 
 std::vector<JobPath> ring_paths(const Topology& topo, const Router& router,
                                 const std::vector<NodeId>& hosts,
@@ -98,195 +18,6 @@ std::vector<JobPath> ring_paths(const Topology& topo, const Router& router,
   }
   (void)topo;
   return paths;
-}
-
-namespace {
-
-/// Graph vertices for the placed jobs: each job's profile plus every link
-/// its ring traverses, with `index[k]` mapping vertex k back to its request.
-struct PlacedGraph {
-  std::vector<GraphJob> jobs;
-  std::vector<std::size_t> index;
-};
-
-PlacedGraph build_placed_graph(const Topology& topo, const Router& router,
-                               const std::vector<JobRequest>& requests,
-                               const std::vector<Placement>& placements) {
-  PlacedGraph g;
-  for (std::size_t j = 0; j < placements.size(); ++j) {
-    if (placements[j].hosts.empty()) continue;
-    std::set<std::int32_t> links;
-    for (const JobPath& p :
-         ring_paths(topo, router, placements[j].hosts, j)) {
-      for (const LinkId lid : p.route.links) links.insert(lid.value);
-    }
-    GraphJob gj;
-    gj.profile = requests[j].comm_profile;
-    gj.links.assign(links.begin(), links.end());
-    g.jobs.push_back(std::move(gj));
-    g.index.push_back(j);
-  }
-  return g;
-}
-
-}  // namespace
-
-std::vector<PlacementReport::SharedLink> audit_shared_links(
-    const Topology& topo, const Router& router,
-    const std::vector<JobRequest>& requests,
-    const std::vector<Placement>& placements, const SolverOptions& solver) {
-  const PlacedGraph g =
-      build_placed_graph(topo, router, requests, placements);
-  InterferenceGraphOptions options;
-  options.solver = solver;
-  const GraphResult r = InterferenceGraph(options).solve(g.jobs);
-  std::vector<PlacementReport::SharedLink> out;
-  out.reserve(r.links.size());
-  for (const LinkVerdict& v : r.links) {
-    PlacementReport::SharedLink sl;
-    sl.link = LinkId{v.link};
-    for (const std::size_t k : v.jobs) sl.jobs.push_back(g.index[k]);
-    sl.violation = v.violation_fraction;
-    sl.compatible = v.violation_fraction == 0.0;
-    out.push_back(std::move(sl));
-  }
-  return out;
-}
-
-PlacementReport LocalityPlacement::place(
-    const Topology& topo, std::vector<JobRequest> const& requests) {
-  Racks racks(topo);
-  PlacementReport report;
-  for (const JobRequest& req : requests) {
-    auto p = allocate(racks, req.workers);
-    if (!p) {
-      ++report.failed;
-      report.placements.push_back({});
-    } else {
-      report.placements.push_back(std::move(*p));
-    }
-  }
-  const Router router(topo);
-  report.shared_links =
-      audit_shared_links(topo, router, requests, report.placements, {});
-  return report;
-}
-
-CompatibilityAwarePlacement::CompatibilityAwarePlacement(SolverOptions solver)
-    : solver_options_(solver) {}
-
-PlacementReport CompatibilityAwarePlacement::place(
-    const Topology& topo, std::vector<JobRequest> const& requests) {
-  Racks racks(topo);
-  const Router router(topo);
-  PlacementReport report;
-  CompatibilitySolver cs(solver_options_);
-
-  // Place jobs one at a time.  Rack-local placements can never congest the
-  // fabric, so they are always accepted.  For spanning placements, try rack
-  // pairs in a deterministic order and accept the first whose induced link
-  // sharing is fully compatible; if none is, fall back to the least-bad one.
-  for (std::size_t jr = 0; jr < requests.size(); ++jr) {
-    const JobRequest& req = requests[jr];
-    // Rack-local first.
-    bool placed = false;
-    for (const NodeId tor : racks.tors) {
-      if (racks.free_in(tor) >= req.workers) {
-        report.placements.push_back({racks.take(tor, req.workers), false});
-        placed = true;
-        break;
-      }
-    }
-    if (placed) continue;
-
-    // Must span.  Enumerate ordered rack pairs that can hold the job and
-    // score each by its MARGINAL interference-graph cost: one joint solve
-    // over the tentative cluster, counting links the newcomer crosses that
-    // stay violated under globally consistent rotations, tie-broken by the
-    // summed residual violation (jobs already placed are a constant
-    // baseline, so comparing totals compares marginals).
-    struct Option {
-      std::vector<NodeId> hosts;
-      std::vector<std::pair<NodeId, int>> taken;  // for rollback
-      int incompatible_links = 0;
-      double graph_cost = 0.0;
-    };
-    std::optional<Option> best;
-    auto consider = [&](const std::vector<std::pair<NodeId, int>>& splits) {
-      Option opt;
-      for (const auto& [tor, cnt] : splits) {
-        const auto got = racks.take(tor, cnt);
-        opt.hosts.insert(opt.hosts.end(), got.begin(), got.end());
-        opt.taken.emplace_back(tor, cnt);
-      }
-      std::vector<Placement> tentative = report.placements;
-      tentative.push_back({opt.hosts, true});
-      std::vector<JobRequest> so_far(requests.begin(),
-                                     requests.begin() + jr + 1);
-      const PlacedGraph g =
-          build_placed_graph(topo, router, so_far, tentative);
-      InterferenceGraphOptions igo;
-      igo.solver = solver_options_;
-      const GraphResult r = InterferenceGraph(igo).solve(g.jobs);
-      opt.graph_cost = r.total_violation;
-      for (const LinkVerdict& v : r.links) {
-        if (v.violation_fraction == 0.0) continue;
-        const bool involves_new = std::any_of(
-            v.jobs.begin(), v.jobs.end(),
-            [&](std::size_t k) { return g.index[k] == jr; });
-        if (involves_new) ++opt.incompatible_links;
-      }
-      // Roll back; the winner is re-taken below.
-      for (auto it = opt.taken.rbegin(); it != opt.taken.rend(); ++it) {
-        std::vector<NodeId> back(opt.hosts.end() - it->second,
-                                 opt.hosts.end());
-        racks.give_back(it->first, back);
-        opt.hosts.resize(opt.hosts.size() - it->second);
-      }
-      // opt.hosts was consumed by rollback bookkeeping; re-derive on accept.
-      if (!best || opt.incompatible_links < best->incompatible_links ||
-          (opt.incompatible_links == best->incompatible_links &&
-           opt.graph_cost < best->graph_cost)) {
-        opt.hosts.clear();
-        best = opt;
-      }
-    };
-
-    for (std::size_t a = 0; a < racks.tors.size() && (!best || best->incompatible_links > 0); ++a) {
-      for (std::size_t b = 0; b < racks.tors.size(); ++b) {
-        if (a == b) continue;
-        const NodeId ta = racks.tors[a], tb = racks.tors[b];
-        const int fa = racks.free_in(ta);
-        if (fa == 0 || fa >= req.workers) continue;
-        const int need_b = req.workers - fa;
-        if (racks.free_in(tb) < need_b) continue;
-        consider({{ta, fa}, {tb, need_b}});
-        if (best && best->incompatible_links == 0) break;
-      }
-    }
-
-    if (best) {
-      Placement p;
-      p.spans_fabric = true;
-      for (const auto& [tor, cnt] : best->taken) {
-        const auto got = racks.take(tor, cnt);
-        p.hosts.insert(p.hosts.end(), got.begin(), got.end());
-      }
-      report.placements.push_back(std::move(p));
-    } else {
-      // No pair fits: greedy spanning fallback (same as locality).
-      auto p = allocate(racks, req.workers);
-      if (!p) {
-        ++report.failed;
-        report.placements.push_back({});
-      } else {
-        report.placements.push_back(std::move(*p));
-      }
-    }
-  }
-  report.shared_links = audit_shared_links(topo, router, requests,
-                                           report.placements, solver_options_);
-  return report;
 }
 
 }  // namespace ccml

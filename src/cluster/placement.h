@@ -1,18 +1,9 @@
-// Job placement over a cluster fabric (paper §4, "Placing compatible jobs on
-// links").
-//
-// Two policies are provided:
-//  * LocalityPlacement — today's practice (Themis/Gandiva-style): pack each
-//    job's workers under as few ToRs as possible, first-fit; ignores which
-//    jobs end up sharing fabric links.
-//  * CompatibilityAwarePlacement — same locality preference, but when a job
-//    must span ToRs (and thus share fabric links), it is only co-located with
-//    jobs whose communication profiles the CompatibilitySolver deems fully
-//    compatible; otherwise alternative ToR pairs are tried.
+// What a cluster job asks for and where it runs (paper §4, "Placing
+// compatible jobs on links").  Placement decisions belong to the online
+// AdmissionController (orch/admission.h): locality-only or
+// compatibility-aware, against the jobs already running.
 #pragma once
 
-#include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -35,55 +26,8 @@ struct JobRequest {
 };
 
 struct Placement {
-  std::vector<NodeId> hosts;  ///< one per worker; empty = placement failed
+  std::vector<NodeId> hosts;  ///< one per worker; empty until admitted
   bool spans_fabric = false;  ///< true when workers sit under multiple ToRs
-};
-
-struct PlacementReport {
-  std::vector<Placement> placements;  ///< per request, in order
-  /// For each fabric link that carries >= 2 jobs: the job indices sharing it.
-  /// Verdicts come from ONE interference-graph solve over all placed jobs
-  /// (core/interference_graph.h): every job uses a single rotation across
-  /// all its links, so a link is `compatible` only when it is violation-free
-  /// under that globally consistent assignment — per-link independent solves
-  /// could each pick a different rotation for the same job and over-report
-  /// compatibility.
-  struct SharedLink {
-    LinkId link;
-    std::vector<std::size_t> jobs;
-    bool compatible = false;    ///< violation-free under consistent rotations
-    double violation = 0.0;     ///< residual violated fraction on this link
-  };
-  std::vector<SharedLink> shared_links;
-  int failed = 0;  ///< requests that could not be placed
-};
-
-class PlacementPolicy {
- public:
-  virtual ~PlacementPolicy() = default;
-  virtual const char* name() const = 0;
-
-  /// Places all requests on the topology's hosts (one worker per host).
-  virtual PlacementReport place(const Topology& topo,
-                                std::vector<JobRequest> const& requests) = 0;
-};
-
-class LocalityPlacement final : public PlacementPolicy {
- public:
-  const char* name() const override { return "locality"; }
-  PlacementReport place(const Topology& topo,
-                        std::vector<JobRequest> const& requests) override;
-};
-
-class CompatibilityAwarePlacement final : public PlacementPolicy {
- public:
-  explicit CompatibilityAwarePlacement(SolverOptions solver = {});
-  const char* name() const override { return "compatibility-aware"; }
-  PlacementReport place(const Topology& topo,
-                        std::vector<JobRequest> const& requests) override;
-
- private:
-  SolverOptions solver_options_;
 };
 
 /// Ring-allreduce paths for a placed job: worker i sends to worker i+1
@@ -92,13 +36,5 @@ class CompatibilityAwarePlacement final : public PlacementPolicy {
 std::vector<JobPath> ring_paths(const Topology& topo, const Router& router,
                                 const std::vector<NodeId>& hosts,
                                 std::uint64_t ecmp_salt);
-
-/// Computes, for each link, which jobs' ring paths traverse it, and runs the
-/// solver on every group of >= 2 jobs.  Used by reports and by the
-/// compatibility-aware policy itself.
-std::vector<PlacementReport::SharedLink> audit_shared_links(
-    const Topology& topo, const Router& router,
-    const std::vector<JobRequest>& requests,
-    const std::vector<Placement>& placements, const SolverOptions& solver);
 
 }  // namespace ccml

@@ -75,8 +75,7 @@ void RunCore::emit(const char* counter, TraceEventKind kind,
 
 void RunCore::gate_group(const CompatibilitySolver& solver,
                          const std::vector<std::size_t>& members,
-                         std::span<const CommProfile> profiles, Gates& gates,
-                         std::vector<Duration>* starts) {
+                         std::span<const CommProfile> profiles, Gates& gates) {
   if (members.size() < 2) return;
   std::vector<CommProfile> group;
   for (const std::size_t j : members) group.push_back(profiles[j]);
@@ -86,7 +85,6 @@ void RunCore::gate_group(const CompatibilitySolver& solver,
   const FlowSchedule fs = make_flow_schedule(group, sr.rotations, sim.now());
   for (std::size_t k = 0; k < members.size(); ++k) {
     gates[members[k]] = slot_gate(fs, k);
-    if (starts) (*starts)[members[k]] = fs.slots[k].job_start_offset;
   }
 }
 

@@ -1,7 +1,6 @@
-// The run plumbing shared by the dumbbell scenario (cluster/scenario.h), the
-// static cluster experiment (cluster/experiment.h) and the online
-// orchestrator (orch/orchestrator.h).  Each harness keeps its own job set,
-// gate derivation and event order.
+// The run plumbing shared by the dumbbell scenario (cluster/scenario.h) and
+// the cluster orchestrator (orch/orchestrator.h).  Each harness keeps its own
+// job set, gate derivation and event order.
 #pragma once
 
 #include <algorithm>
@@ -95,14 +94,12 @@ class RunCore {
 
   /// Static job sets: solves the group `members` (indices into `profiles`
   /// and `gates`) on one unified circle, reports it under "solver.solves"
-  /// and, when compatible, writes each member's gate epoch'd at now (and
-  /// its recommended start into `starts`).  Lone jobs are left alone, and
-  /// incompatible groups ungated: a gated phase stretched past its slot
-  /// would wait a full period for the next one.
+  /// and, when compatible, writes each member's gate epoch'd at now.  Lone
+  /// jobs are left alone, and incompatible groups ungated: a gated phase
+  /// stretched past its slot would wait a full period for the next one.
   void gate_group(const CompatibilitySolver& solver,
                   const std::vector<std::size_t>& members,
-                  std::span<const CommProfile> profiles, Gates& gates,
-                  std::vector<Duration>* starts = nullptr);
+                  std::span<const CommProfile> profiles, Gates& gates);
 
   /// Static job sets: binds `jobs` (by JobId; null = unplaced) to the
   /// injector, recording departures in `departed`; with `regate`, an outage

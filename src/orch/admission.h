@@ -1,8 +1,8 @@
 // Online admission control: where (and whether) a newly arrived job may run.
 //
 // The controller owns the cluster's free-host inventory and answers one
-// question per arrival: admit now (and on which hosts), or defer?  Two
-// policies mirror the offline placement pair (cluster/placement.h):
+// question per arrival: admit now (and on which hosts), or defer?  It is the
+// cluster's only placement implementation, with two policies:
 //  * kLocalityOnly — today's practice: admit whenever capacity exists,
 //    packing under as few ToRs as possible, blind to link sharing.
 //  * kCompatibilityAware — rack-local placements are always safe; spanning

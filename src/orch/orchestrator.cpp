@@ -15,7 +15,7 @@ namespace ccml {
 
 namespace {
 
-/// Watchdog event budget: unlike static job sets, every churn run is guarded.
+/// Watchdog event budget: unlike the dumbbell scenario, every run is guarded.
 constexpr std::uint64_t kChurnRunMaxEvents = 50'000'000;
 
 char* append(char* p, char* end, const char* fmt, auto... args) {

@@ -1,14 +1,14 @@
 // The online cluster orchestrator: a long-horizon control loop above
 // placement and the compatibility solver.
 //
-// Where cluster/experiment.h runs a *static* job set to steady state, the
-// orchestrator drives a *dynamic* one: jobs arrive (orch/arrivals.h), are
-// admitted / queued / rejected (orch/admission.h), train for their service
-// time, and depart — while scripted link faults (src/faults) hit the fabric
-// on the same timeline.  On every churn or topology event the live jobs'
-// communication gates are re-derived through the IncrementalResolver
-// (orch/resolve.h), so unchanged sharing groups cost a cache lookup and
-// shrunken ones usually just a warm-start certificate.
+// Jobs arrive (orch/arrivals.h), are admitted / queued / rejected
+// (orch/admission.h), train for their service time, and depart — while
+// scripted link faults (src/faults) hit the fabric on the same timeline.  A
+// static job set is the schedule where every job arrives at t=0 and trains
+// past the horizon (bench/s5_cluster_placement).  On every churn or
+// topology event the live jobs' communication gates are re-derived through
+// the IncrementalResolver (orch/resolve.h), so unchanged sharing groups cost
+// a cache lookup and shrunken ones usually just a warm-start certificate.
 //
 // Determinism contract: a run is a pure function of (topology, arrival
 // schedule, config).  ClusterRunReport::summary() and any attached trace

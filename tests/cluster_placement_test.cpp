@@ -2,28 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
-
 namespace ccml {
 namespace {
-
-JobRequest request(const char* name, int workers, std::int64_t period_ms,
-                   std::int64_t compute_ms) {
-  JobRequest r;
-  r.name = name;
-  r.workers = workers;
-  r.profile = ModelZoo::synthetic(
-      name, Duration::millis(compute_ms),
-      Rate::gbps(42.5) * Duration::millis(period_ms - compute_ms));
-  r.comm_profile = CommProfile::single_phase(name, Duration::millis(period_ms),
-                                             Duration::millis(compute_ms),
-                                             Rate::gbps(42.5));
-  return r;
-}
-
-NodeId tor_of(const Topology& topo, NodeId host) {
-  return topo.link(topo.links_from(host).front()).dst;
-}
 
 TEST(RingPaths, ClosesTheRing) {
   const Topology topo =
@@ -45,146 +25,6 @@ TEST(RingPaths, SingleWorkerHasNoPaths) {
       Topology::leaf_spine(1, 2, 1, Rate::gbps(50), Rate::gbps(100));
   const Router router(topo);
   EXPECT_TRUE(ring_paths(topo, router, {topo.hosts()[0]}, 0).empty());
-}
-
-TEST(LocalityPlacement, PacksSingleRackWhenPossible) {
-  const Topology topo =
-      Topology::leaf_spine(4, 8, 2, Rate::gbps(50), Rate::gbps(100));
-  LocalityPlacement policy;
-  const auto report =
-      policy.place(topo, {request("a", 4, 100, 70), request("b", 8, 100, 70)});
-  ASSERT_EQ(report.placements.size(), 2u);
-  EXPECT_EQ(report.failed, 0);
-  for (const auto& p : report.placements) {
-    EXPECT_FALSE(p.spans_fabric);
-    std::set<std::int32_t> tors;
-    for (const NodeId h : p.hosts) tors.insert(tor_of(topo, h).value);
-    EXPECT_EQ(tors.size(), 1u);
-  }
-}
-
-TEST(LocalityPlacement, SpansWhenTooBigForOneRack) {
-  const Topology topo =
-      Topology::leaf_spine(4, 8, 2, Rate::gbps(50), Rate::gbps(100));
-  LocalityPlacement policy;
-  const auto report = policy.place(topo, {request("big", 12, 100, 70)});
-  ASSERT_EQ(report.placements.size(), 1u);
-  EXPECT_TRUE(report.placements[0].spans_fabric);
-  EXPECT_EQ(report.placements[0].hosts.size(), 12u);
-}
-
-TEST(LocalityPlacement, FailsWhenClusterFull) {
-  const Topology topo =
-      Topology::leaf_spine(2, 2, 1, Rate::gbps(50), Rate::gbps(100));
-  LocalityPlacement policy;
-  const auto report = policy.place(topo, {request("a", 3, 100, 70),
-                                          request("b", 3, 100, 70)});
-  EXPECT_EQ(report.failed, 1);
-  EXPECT_TRUE(report.placements[1].hosts.empty());
-}
-
-TEST(LocalityPlacement, NoHostReuse) {
-  const Topology topo =
-      Topology::leaf_spine(4, 4, 2, Rate::gbps(50), Rate::gbps(100));
-  LocalityPlacement policy;
-  const auto report = policy.place(
-      topo, {request("a", 4, 100, 70), request("b", 4, 100, 70),
-             request("c", 4, 100, 70), request("d", 4, 100, 70)});
-  std::set<std::int32_t> used;
-  for (const auto& p : report.placements) {
-    for (const NodeId h : p.hosts) {
-      EXPECT_TRUE(used.insert(h.value).second) << "host reused";
-    }
-  }
-  EXPECT_EQ(used.size(), 16u);
-}
-
-TEST(AuditSharedLinks, DetectsFabricSharing) {
-  const Topology topo =
-      Topology::leaf_spine(2, 2, 1, Rate::gbps(50), Rate::gbps(100));
-  const Router router(topo);
-  const auto hosts = topo.hosts();
-  // Two jobs, each spanning both racks: their ring paths must share fabric
-  // links (single spine).
-  std::vector<JobRequest> reqs = {request("a", 2, 100, 70),
-                                  request("b", 2, 100, 70)};
-  std::vector<Placement> placements = {{{hosts[0], hosts[2]}, true},
-                                       {{hosts[1], hosts[3]}, true}};
-  const auto shared = audit_shared_links(topo, router, reqs, placements, {});
-  EXPECT_FALSE(shared.empty());
-  for (const auto& sl : shared) {
-    EXPECT_EQ(sl.jobs.size(), 2u);
-    EXPECT_TRUE(sl.compatible);  // 0.3 + 0.3 comm fractions
-  }
-}
-
-TEST(AuditSharedLinks, RackLocalJobsDoNotShare) {
-  const Topology topo =
-      Topology::leaf_spine(2, 2, 1, Rate::gbps(50), Rate::gbps(100));
-  const Router router(topo);
-  const auto hosts = topo.hosts();
-  std::vector<JobRequest> reqs = {request("a", 2, 100, 70),
-                                  request("b", 2, 100, 70)};
-  // hosts 0,1 under tor0; hosts 2,3 under tor1.
-  std::vector<Placement> placements = {{{hosts[0], hosts[1]}, false},
-                                       {{hosts[2], hosts[3]}, false}};
-  const auto shared = audit_shared_links(topo, router, reqs, placements, {});
-  EXPECT_TRUE(shared.empty());
-}
-
-TEST(CompatibilityAwarePlacement, PrefersCompatiblePartners) {
-  // Cluster with 3 racks of 2.  Place: a heavy spanning job (3 workers),
-  // then another heavy job (3 workers).  Both must span; the second should
-  // still be placed (least-bad) and the report must flag the sharing.
-  const Topology topo =
-      Topology::leaf_spine(3, 2, 1, Rate::gbps(50), Rate::gbps(100));
-  CompatibilityAwarePlacement policy;
-  const auto report = policy.place(
-      topo, {request("heavy1", 3, 100, 30), request("heavy2", 3, 100, 30)});
-  EXPECT_EQ(report.failed, 0);
-  ASSERT_EQ(report.placements.size(), 2u);
-  for (const auto& sl : report.shared_links) {
-    EXPECT_FALSE(sl.compatible);  // 0.7 + 0.7 cannot be compatible
-  }
-}
-
-TEST(CompatibilityAwarePlacement, RackLocalStaysRackLocal) {
-  const Topology topo =
-      Topology::leaf_spine(4, 8, 2, Rate::gbps(50), Rate::gbps(100));
-  CompatibilityAwarePlacement policy;
-  const auto report =
-      policy.place(topo, {request("a", 8, 100, 30), request("b", 8, 100, 30)});
-  EXPECT_EQ(report.failed, 0);
-  for (const auto& p : report.placements) {
-    EXPECT_FALSE(p.spans_fabric);
-  }
-  EXPECT_TRUE(report.shared_links.empty());
-}
-
-TEST(CompatibilityAwarePlacement, AvoidsIncompatibleSharingWhenPossible) {
-  // 4 racks of 2 hosts.  Jobs: J0 spans racks (3 workers, heavy comm).
-  // J1 also spans (3 workers, heavy comm) but could land on racks not used
-  // by J0 — the compatibility-aware policy should prefer that split.
-  const Topology topo =
-      Topology::leaf_spine(4, 2, 1, Rate::gbps(50), Rate::gbps(100));
-  CompatibilityAwarePlacement policy;
-  const auto report = policy.place(
-      topo, {request("j0", 3, 100, 30), request("j1", 3, 100, 30)});
-  EXPECT_EQ(report.failed, 0);
-  // With a single spine, both jobs' fabric traffic meets at the spine only
-  // if they use overlapping tor uplinks; disjoint rack pairs avoid the
-  // *same directed links* entirely (different tor->spine uplinks).
-  for (const auto& sl : report.shared_links) {
-    EXPECT_TRUE(sl.compatible)
-        << "incompatible jobs share link " << sl.link.value;
-  }
-}
-
-TEST(PlacementPolicyNames, AreStable) {
-  LocalityPlacement l;
-  CompatibilityAwarePlacement c;
-  EXPECT_STREQ(l.name(), "locality");
-  EXPECT_STREQ(c.name(), "compatibility-aware");
 }
 
 }  // namespace
