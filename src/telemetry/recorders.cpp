@@ -146,42 +146,4 @@ std::vector<JobId> LinkThroughputRecorder::jobs_seen() const {
   return jobs_seen_;
 }
 
-// --- IterationRecorder -----------------------------------------------------
-
-void IterationRecorder::attach(TraceBus& bus) {
-  if (attached_) {
-    throw std::logic_error(
-        "IterationRecorder::attach: recorder is already attached to a trace "
-        "bus");
-  }
-  attached_ = true;
-  bus.add_sink(*this);
-}
-
-void IterationRecorder::on_event(const TraceEvent& ev) {
-  if (ev.kind != TraceEventKind::kIteration) return;
-  record(ev.job, Duration::from_millis_f(ev.value));
-}
-
-void IterationRecorder::record(JobId job, Duration iteration) {
-  cdfs_[job].add(iteration.to_millis());
-}
-
-const Cdf& IterationRecorder::cdf(JobId job) const {
-  const auto it = cdfs_.find(job);
-  if (it == cdfs_.end()) {
-    throw std::out_of_range(
-        "IterationRecorder::cdf: no iterations recorded for job " +
-        std::to_string(job.value) + " (recorded jobs: " +
-        std::to_string(cdfs_.size()) + ")");
-  }
-  return it->second;
-}
-
-std::vector<JobId> IterationRecorder::jobs() const {
-  std::vector<JobId> out;
-  for (const auto& [job, _] : cdfs_) out.push_back(job);
-  return out;
-}
-
 }  // namespace ccml

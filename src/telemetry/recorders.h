@@ -1,15 +1,15 @@
 // Telemetry recorders, fed by the observability bus (src/obs).
 //
-// These produce exactly the series the paper plots: per-job throughput over
-// time (Fig. 1b/1c), per-job link utilization across iterations (Fig. 2) and
-// iteration-time CDFs (Fig. 1d).
+// These produce the throughput series the paper plots: per-job throughput
+// over time (Fig. 1b/1c) and per-job link utilization across iterations
+// (Fig. 2).
 //
 // Split of responsibilities: TraceThroughputSampler is the one NetObserver
 // that integrates per-link/per-job bit progress every fluid step and
 // publishes time-weighted kLinkThroughput / kLinkQueue samples onto the bus;
-// LinkThroughputRecorder and IterationRecorder are plain TraceSinks that
-// consume bus events.  bind_trace_bus() wires a bus to a network and spins
-// up the sampler when any sink asks for sampled series.
+// LinkThroughputRecorder is a plain TraceSink that consumes them.
+// bind_trace_bus() wires a bus to a network and spins up the sampler when
+// any sink asks for sampled series.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +21,6 @@
 #include "net/network.h"
 #include "net/types.h"
 #include "obs/trace_bus.h"
-#include "util/stats.h"
 #include "util/time.h"
 #include "util/units.h"
 
@@ -102,32 +101,6 @@ class LinkThroughputRecorder : public TraceSink {
   Duration interval_;
   std::vector<Sample> samples_;
   std::vector<JobId> jobs_seen_;  // sorted
-  bool attached_ = false;
-};
-
-/// Collects iteration durations per job into CDFs.  Subscribe via attach()
-/// to consume kIteration events from a bus, or feed it manually with
-/// record().
-class IterationRecorder : public TraceSink {
- public:
-  /// Subscribes to `bus`; throws std::logic_error when attached twice.
-  void attach(TraceBus& bus);
-
-  void on_event(const TraceEvent& ev) override;
-
-  void record(JobId job, Duration iteration);
-
-  /// Throws std::out_of_range naming the job when it was never recorded.
-  const Cdf& cdf(JobId job) const;
-  bool has(JobId job) const { return cdfs_.contains(job); }
-  std::vector<JobId> jobs() const;
-
-  /// Median iteration time in milliseconds.
-  double median_ms(JobId job) const { return cdf(job).median(); }
-  double mean_ms(JobId job) const { return cdf(job).mean(); }
-
- private:
-  std::map<JobId, Cdf> cdfs_;
   bool attached_ = false;
 };
 

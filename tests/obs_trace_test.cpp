@@ -161,17 +161,24 @@ TEST(ObsScenario, FaultEventsReachTheBus) {
   EXPECT_EQ(bus.counter("faults.recovered").value(), 1);
 }
 
-TEST(ObsScenario, IterationRecorderFedByBus) {
+TEST(ObsScenario, IterationEventsCarryTheirJob) {
+  RingBufferSink sink(1 << 20);
   TraceBus bus;
-  IterationRecorder rec;
-  rec.attach(bus);
+  bus.add_sink(sink);
   auto cfg = short_config();
   cfg.trace = &bus;
   const ScenarioResult result = run_dumbbell_scenario(two_jobs(), cfg);
   bus.flush();
-  ASSERT_TRUE(rec.has(JobId{0}));
-  ASSERT_TRUE(rec.has(JobId{1}));
-  EXPECT_EQ(rec.cdf(JobId{0}).count(), result.jobs[0].iterations);
+  std::vector<std::size_t> iters(result.jobs.size(), 0);
+  for (const TraceEvent& ev : sink.events()) {
+    if (ev.kind != TraceEventKind::kIteration) continue;
+    ASSERT_LT(static_cast<std::size_t>(ev.job.value), iters.size());
+    ++iters[static_cast<std::size_t>(ev.job.value)];
+  }
+  for (std::size_t j = 0; j < iters.size(); ++j) {
+    EXPECT_GT(iters[j], 0u) << "job " << j;
+    EXPECT_EQ(iters[j], result.jobs[j].iterations) << "job " << j;
+  }
 }
 
 std::string run_jsonl_once() {

@@ -117,49 +117,6 @@ TEST(LinkThroughputRecorder, NonPositiveIntervalThrows) {
                std::invalid_argument);
 }
 
-TEST(IterationRecorder, DoubleAttachThrows) {
-  TraceBus bus;
-  IterationRecorder rec;
-  rec.attach(bus);
-  EXPECT_THROW(rec.attach(bus), std::logic_error);
-}
-
-TEST(IterationRecorder, CdfForUnknownJobThrowsDescriptively) {
-  IterationRecorder rec;
-  rec.record(JobId{1}, Duration::millis(10));
-  try {
-    rec.cdf(JobId{42});
-    FAIL() << "expected std::out_of_range";
-  } catch (const std::out_of_range& e) {
-    EXPECT_NE(std::string(e.what()).find("42"), std::string::npos);
-  }
-}
-
-TEST(IterationRecorder, ConsumesIterationEventsFromBus) {
-  TraceBus bus;
-  IterationRecorder rec;
-  rec.attach(bus);
-  TraceEvent ev;
-  ev.kind = TraceEventKind::kIteration;
-  ev.job = JobId{4};
-  ev.value = 12.5;  // milliseconds
-  bus.emit(ev);
-  ASSERT_TRUE(rec.has(JobId{4}));
-  EXPECT_DOUBLE_EQ(rec.mean_ms(JobId{4}), 12.5);
-}
-
-TEST(IterationRecorder, CollectsPerJob) {
-  IterationRecorder rec;
-  rec.record(JobId{0}, Duration::millis(10));
-  rec.record(JobId{0}, Duration::millis(20));
-  rec.record(JobId{1}, Duration::millis(5));
-  EXPECT_TRUE(rec.has(JobId{0}));
-  EXPECT_FALSE(rec.has(JobId{9}));
-  EXPECT_DOUBLE_EQ(rec.median_ms(JobId{0}), 15.0);
-  EXPECT_DOUBLE_EQ(rec.mean_ms(JobId{0}), 15.0);
-  EXPECT_EQ(rec.jobs().size(), 2u);
-}
-
 TEST(TextTable, RendersAlignedColumns) {
   TextTable t({"name", "value"});
   t.add_row({"a", "1"});
