@@ -92,6 +92,10 @@ enum : unsigned {
 /// an OS thread started up front.
 constexpr long long kMaxThreads = 256;
 
+/// Upper bound of --tors, --hosts and --spines: the fabric is allocated up
+/// front, so a typo'd size would be one huge allocation.
+constexpr long long kMaxClusterSize = 256;
+
 /// What an option's value must be.  Integers are plain decimal digits, so
 /// every accepted value means what it meant to the atoi/atof it replaced.
 enum Domain {
@@ -99,6 +103,7 @@ enum Domain {
   kCount,        ///< 0 .. INT_MAX
   kSeed,         ///< 0 .. 2^53, the integers a double holds exactly
   kThreads,      ///< 0 .. kMaxThreads; 0 = one per hardware thread
+  kClusterSize,  ///< 1 .. kMaxClusterSize
   kPositive,     ///< a finite number > 0
   kNonNegative,  ///< a finite number >= 0
   kNumbers,      ///< comma-separated finite numbers
@@ -172,9 +177,9 @@ constexpr Option kOptions[] = {
      "fewest workers of a job"},
     {"workers-max", kCluster, kPositiveInt, "N", "4", kValue,
      "most workers of a job"},
-    {"tors", kCluster, kPositiveInt, "N", "4", kValue, "ToR switches"},
-    {"hosts", kCluster, kPositiveInt, "N", "4", kValue, "hosts per ToR"},
-    {"spines", kCluster, kPositiveInt, "N", "2", kValue, "spines"},
+    {"tors", kCluster, kClusterSize, "N", "4", kValue, "ToR switches"},
+    {"hosts", kCluster, kClusterSize, "N", "4", kValue, "hosts per ToR"},
+    {"spines", kCluster, kClusterSize, "N", "2", kValue, "spines"},
     {"fabric-gbps", kCluster, kPositive, "G", "50", kValue,
      "ToR-spine rate; hosts run at 50"},
     {"admission", kCluster, kChoice, "locality|compat", "compat", kValue,
@@ -264,6 +269,11 @@ std::string misfit(const Option& o, const std::string& text,
       return integer_in(text, 0, kMaxThreads)
                  ? ""
                  : "an integer in [0, " + std::to_string(kMaxThreads) + "]";
+    case kClusterSize:
+      return integer_in(text, 1, kMaxClusterSize)
+                 ? ""
+                 : "an integer in [1, " + std::to_string(kMaxClusterSize) +
+                       "]";
     case kPositive:
       return v && *v > 0 ? "" : "a positive number";
     case kNonNegative:
@@ -1459,6 +1469,10 @@ int cmd_branch(const Options& opts) {
       }
     } else if (dim == "transport") {
       parse_policy_kind(val);  // throws on junk before any replay starts
+      if (val == "table" && !rs.has("cc-policy-table")) {
+        usage("--vary transport=table needs a snapshot recorded with "
+              "--cc-policy-table");
+      }
     } else {
       usage(("unknown --vary dimension: " + dim +
              " (expected admission or transport)").c_str());
