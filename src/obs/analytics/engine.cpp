@@ -182,6 +182,9 @@ struct SloRow {
   double threshold;
   double actual;
   bool pass;
+  /// False when the run measured nothing to check (no job finished an
+  /// iteration): the row fails and reports its actual as null.
+  bool sampled = true;
 };
 
 }  // namespace
@@ -338,18 +341,24 @@ RunHealthReport AnalyticsEngine::report(const SloConfig& slo) const {
                     actual >= slo.min_fairness});
   }
   if (slo.max_mean_slowdown >= 0.0) {
+    const bool sampled = slowdown_n > 0;
     rows.push_back({"max_mean_slowdown", slo.max_mean_slowdown, mean_slowdown,
-                    mean_slowdown <= slo.max_mean_slowdown});
+                    sampled && mean_slowdown <= slo.max_mean_slowdown,
+                    sampled});
   }
   if (slo.max_p99_iteration_ms >= 0.0) {
     double worst_p99 = 0.0;
+    bool sampled = false;
     for (const auto& [id, js] : iter_.jobs()) {
       if (js.hist.count() == 0) continue;
+      sampled = true;
       const double p99 = js.hist.percentile(99.0);
       if (p99 > worst_p99) worst_p99 = p99;
     }
     rows.push_back({"max_p99_iteration_ms", slo.max_p99_iteration_ms,
-                    worst_p99, worst_p99 <= slo.max_p99_iteration_ms});
+                    worst_p99,
+                    sampled && worst_p99 <= slo.max_p99_iteration_ms,
+                    sampled});
   }
   if (slo.max_anomalies >= 0) {
     rows.push_back({"max_anomalies", static_cast<double>(slo.max_anomalies),
@@ -367,9 +376,11 @@ RunHealthReport AnalyticsEngine::report(const SloConfig& slo) const {
   first_row = true;
   for (const SloRow& r : rows) {
     pass = pass && r.pass;
+    char actual[32] = "null";
+    if (r.sampled) std::snprintf(actual, sizeof(actual), "%.6g", r.actual);
     put(j, "%s\n    {\"name\": \"%s\", \"threshold\": %.6g, \"actual\": "
-           "%.6g, \"pass\": %s}",
-        first_row ? "" : ",", r.name, r.threshold, r.actual,
+           "%s, \"pass\": %s}",
+        first_row ? "" : ",", r.name, r.threshold, actual,
         r.pass ? "true" : "false");
     first_row = false;
   }

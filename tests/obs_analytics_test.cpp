@@ -311,6 +311,37 @@ TEST(Analytics, SloGatesEvaluate) {
   EXPECT_TRUE(engine.report(generous).pass);
 }
 
+TEST(Analytics, SloOverEmptySampleFails) {
+  // No job finished an iteration: the slowdown and p99 ceilings have nothing
+  // to check, so they fail and say so instead of passing on a 0.
+  AnalyticsEngine engine;
+  engine.on_event(ev_at(Duration::millis(10), TraceEventKind::kFlowStart));
+  SloConfig slo;
+  slo.max_mean_slowdown = 10.0;
+  slo.max_p99_iteration_ms = 1000.0;
+  const RunHealthReport empty = engine.report(slo);
+  EXPECT_FALSE(empty.pass);
+  EXPECT_NE(empty.json.find("\"name\": \"max_mean_slowdown\", "
+                            "\"threshold\": 10, \"actual\": null, "
+                            "\"pass\": false"),
+            std::string::npos)
+      << empty.json;
+  EXPECT_NE(empty.json.find("\"name\": \"max_p99_iteration_ms\", "
+                            "\"threshold\": 1000, \"actual\": null, "
+                            "\"pass\": false"),
+            std::string::npos)
+      << empty.json;
+
+  // One measured iteration is a sample: the same gates pass.
+  TraceEvent it = ev_at(Duration::millis(20), TraceEventKind::kIteration);
+  it.job = JobId{0};
+  it.value = 10.0;
+  engine.on_event(it);
+  const RunHealthReport measured = engine.report(slo);
+  EXPECT_TRUE(measured.pass) << measured.json;
+  EXPECT_EQ(measured.json.find("null"), std::string::npos);
+}
+
 TEST(Analytics, TraceDropsReportedAsLowerBound) {
   AnalyticsEngine engine;
   TraceEvent it = ev_at(Duration::millis(10), TraceEventKind::kIteration);
