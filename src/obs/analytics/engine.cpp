@@ -183,7 +183,8 @@ struct SloRow {
   double actual;
   bool pass;
   /// False when the run measured nothing to check (no job finished an
-  /// iteration): the row fails and reports its actual as null.
+  /// iteration, no fairness window closed): the row fails and reports its
+  /// actual as null.
   bool sampled = true;
 };
 
@@ -336,9 +337,10 @@ RunHealthReport AnalyticsEngine::report(const SloConfig& slo) const {
   // SLO evaluation.
   std::vector<SloRow> rows;
   if (slo.min_fairness >= 0.0) {
+    const bool sampled = fair_.windows() > 0;
     const double actual = fair_.jain_min_window();
     rows.push_back({"min_fairness", slo.min_fairness, actual,
-                    actual >= slo.min_fairness});
+                    sampled && actual >= slo.min_fairness, sampled});
   }
   if (slo.max_mean_slowdown >= 0.0) {
     const bool sampled = slowdown_n > 0;

@@ -77,9 +77,17 @@ std::string ClusterRunReport::summary() const {
                    submitted, admitted, 100.0 * admission_rate(), rejected,
                    finished, running_at_end, queued_at_end);
   out.append(line, p);
-  p = append(line, end,
-             "  queueing: mean %.2f ms | slowdown: mean %.3f worst %.3f\n",
-             mean_queue_delay_ms(), mean_slowdown(), max_slowdown());
+  // "n/a", never a 0.000, where no job was admitted or measured.
+  char queue[32] = "n/a", mean[32] = "n/a", worst[32] = "n/a";
+  if (admitted > 0) {
+    std::snprintf(queue, sizeof(queue), "%.2f ms", mean_queue_delay_ms());
+  }
+  if (max_slowdown() > 0.0) {
+    std::snprintf(mean, sizeof(mean), "%.3f", mean_slowdown());
+    std::snprintf(worst, sizeof(worst), "%.3f", max_slowdown());
+  }
+  p = append(line, end, "  queueing: mean %s | slowdown: mean %s worst %s\n",
+             queue, mean, worst);
   out.append(line, p);
   p = append(line, end,
              "  resolver: %llu solves, %llu cache hits (%.1f%%), %llu "

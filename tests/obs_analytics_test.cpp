@@ -312,8 +312,9 @@ TEST(Analytics, SloGatesEvaluate) {
 }
 
 TEST(Analytics, SloOverEmptySampleFails) {
-  // No job finished an iteration: the slowdown and p99 ceilings have nothing
-  // to check, so they fail and say so instead of passing on a 0.
+  // No job finished an iteration and no fairness window closed: the
+  // slowdown, p99 and fairness gates have nothing to check, so they fail and
+  // say so instead of passing on a 0 or a 1.
   AnalyticsEngine engine;
   engine.on_event(ev_at(Duration::millis(10), TraceEventKind::kFlowStart));
   SloConfig slo;
@@ -331,6 +332,12 @@ TEST(Analytics, SloOverEmptySampleFails) {
                             "\"pass\": false"),
             std::string::npos)
       << empty.json;
+  SloConfig fairness;  // no fairness window closed either
+  fairness.min_fairness = 0.5;
+  EXPECT_NE(engine.report(fairness).json.find(
+                "\"name\": \"min_fairness\", \"threshold\": 0.5, "
+                "\"actual\": null, \"pass\": false"),
+            std::string::npos);
 
   // One measured iteration is a sample: the same gates pass.
   TraceEvent it = ev_at(Duration::millis(20), TraceEventKind::kIteration);

@@ -380,6 +380,20 @@ TEST(Orchestrator, RunsChurnAndReportsOutcomes) {
   EXPECT_EQ(r.admitted, r.finished + r.running_at_end);
 }
 
+TEST(Orchestrator, SummaryPrintsNaWithoutData) {
+  ClusterRunReport r;  // nothing submitted
+  EXPECT_NE(r.summary().find("queueing: mean n/a | slowdown: mean n/a worst "
+                             "n/a\n"),
+            std::string::npos)
+      << r.summary();
+  r.submitted = r.admitted = 1;  // admitted, no iteration measured yet
+  r.jobs.emplace_back().state = ClusterJobOutcome::State::kRunning;
+  EXPECT_NE(r.summary().find("queueing: mean 0.00 ms | slowdown: mean n/a "
+                             "worst n/a\n"),
+            std::string::npos)
+      << r.summary();
+}
+
 TEST(Orchestrator, RejectsJobEventsInFaultPlan) {
   OrchestratorConfig cfg;
   cfg.faults.depart(TimePoint::origin() + Duration::seconds(1), JobId{0});

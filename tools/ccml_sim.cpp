@@ -1289,7 +1289,7 @@ int cmd_cluster(const Options& opts) {
 
   std::printf(
       "online cluster: %dx%d hosts, %d spines | %s admission, %s policy | "
-      "seed %llu, %.1f jobs/min, %.0f s horizon\n",
+      "seed %llu, %.1f jobs/min, %g s horizon\n",
       opts.count("tors"), opts.count("hosts"), opts.count("spines"),
       to_string(cs.cfg.admission.policy),
       to_string(cs.cfg.policy),
