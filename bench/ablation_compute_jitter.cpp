@@ -6,6 +6,7 @@
 //   * the unfairness payoff for a compatible pair (unfair DCQCN), and
 //   * the solver-driven flow schedule (whose fixed slots are brittler —
 //     a late phase must wait for the next slot).
+#include <algorithm>
 #include <cstdio>
 
 #include "bench/cli.h"
@@ -82,8 +83,11 @@ int main(int argc, char** argv) {
 
   TextTable table({"jitter stddev", "unfair DCQCN J1/J2 (ms)",
                    "flow schedule J1/J2 (ms)"});
+  double unfair_worst = 0;
   for (std::size_t i = 0; i < grid.size(); ++i) {
     const auto& [unfair, sched] = results[i];
+    unfair_worst = std::max(
+        {unfair_worst, unfair.jobs[0].mean_ms, unfair.jobs[1].mean_ms});
     char buf1[64], buf2[64];
     std::snprintf(buf1, sizeof(buf1), "%.0f / %.0f", unfair.jobs[0].mean_ms,
                   unfair.jobs[1].mean_ms);
@@ -92,13 +96,18 @@ int main(int argc, char** argv) {
     table.add_row({TextTable::num(grid[i], 0) + " ms", buf1, buf2});
   }
   std::printf("\n%s\n", table.render().c_str());
-  std::printf(
-      "expected shape: unfair DCQCN degrades gracefully — the slide "
-      "re-establishes itself after every perturbation, so means stay well "
-      "below the 1300 ms fair plateau even at heavy jitter.  The flow "
-      "schedule (slack-spread rotations + guard windows of ~200 ms) absorbs "
-      "jitter up to its guard band, then starts paying missed-slot "
-      "penalties.  Without guard windows (CommGate::window = 0) any jitter "
-      "at all costs a full extra period per miss.\n");
-  return 0;
+  // Unfair DCQCN's slide re-establishes itself after every perturbation.
+  // The flow schedule's slots carry ~200 ms guard windows; without them
+  // (CommGate::window = 0) any jitter would cost a full period per miss.
+  const auto& [heavy_unfair, heavy_sched] = results.back();
+  const auto slower = [](const ScenarioResult& r) {
+    return std::max(r.jobs[0].mean_ms, r.jobs[1].mean_ms);
+  };
+  bench::Claims claims;
+  claims.within("unfair DCQCN stays below the 1300 ms fair plateau at every "
+                "jitter level", {unfair_worst}, 0, 1300);
+  claims.within("at the heaviest jitter the flow schedule's slower job is "
+                "slower than unfair DCQCN's",
+                {slower(heavy_sched)}, slower(heavy_unfair), INFINITY);
+  return claims.exit_code();
 }

@@ -5,6 +5,7 @@
 // BOTH a GPU and a network link, and contrasts it with dedicated GPUs.
 #include <cstdio>
 
+#include "bench/cli.h"
 #include "core/solver.h"
 #include "telemetry/table.h"
 
@@ -39,23 +40,24 @@ int main() {
   std::printf("          ");
   for (int jf = 1; jf <= steps; ++jf) std::printf("%d", jf);
   std::printf("   (x10%%)\n");
+  int dedicated_misses = 0, shared_misses = 0;
   for (int i = 1; i <= steps; ++i) {
     std::printf("%3d%% ", i * 10);
     std::string left, right;
     for (int j = 1; j <= steps; ++j) {
       const std::vector<CommProfile> pair = {job("a", 100, i * 10),
                                              job("b", 100, j * 10)};
-      left += solve_dedicated.solve(pair).compatible ? '#' : '.';
-      right += solve_shared.solve(pair).compatible ? '#' : '.';
+      const bool dedicated_ok = solve_dedicated.solve(pair).compatible;
+      const bool shared_ok = solve_shared.solve(pair).compatible;
+      left += dedicated_ok ? '#' : '.';
+      right += shared_ok ? '#' : '.';
+      dedicated_misses += dedicated_ok != (i + j <= 10);
+      shared_misses += shared_ok != (i + j == 10);
     }
     std::printf("%s     %3d%% %s\n", left.c_str(), i * 10, right.c_str());
   }
 
-  std::printf(
-      "\nexpected: dedicated GPUs give the f1 + f2 <= 1 triangle; a shared "
-      "GPU adds compute_1 + compute_2 <= period, i.e. (1-f1) + (1-f2) <= 1, "
-      "leaving only the anti-diagonal band f1 + f2 = 1 feasible — sharing a "
-      "GPU forces the jobs into perfectly complementary schedules.\n\n");
+  std::printf("\n");
 
   // Mixed-period shared-GPU example.
   TextTable table({"case", "gpu", "verdict"});
@@ -71,6 +73,16 @@ int main() {
   table.add_row({"comm 60+60, period 100/150", "dedicated",
                  solve_dedicated.solve(mismatch).compatible ? "compatible"
                                                             : "incompatible"});
-  std::printf("%s", table.render().c_str());
-  return 0;
+  std::printf("%s\n", table.render().c_str());
+  // A shared GPU adds compute_1 + compute_2 <= period, i.e.
+  // (1-f1) + (1-f2) <= 1, which with f1 + f2 <= 1 forces the jobs into
+  // perfectly complementary schedules.
+  bench::Claims claims;
+  claims.check("dedicated GPUs give the f1 + f2 <= 1 triangle",
+               dedicated_misses == 0,
+               std::to_string(dedicated_misses) + " cells off it");
+  claims.check("a shared GPU leaves only the anti-diagonal f1 + f2 = 1",
+               shared_misses == 0,
+               std::to_string(shared_misses) + " cells off it");
+  return claims.exit_code();
 }

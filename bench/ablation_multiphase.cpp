@@ -73,24 +73,26 @@ int main(int argc, char** argv) {
 
   TextTable table({"J2 bursts", "solver verdict", "residual overlap"});
   CompatibilitySolver solver;
+  // k=1 cannot fit (J1 leaves two 72.5 ms gaps and an 80 ms burst fits in
+  // neither); k=2 and k=4 split into pieces that fit; k=8 fails again: with
+  // a burst every 25 ms, some burst always lands inside one of J1's 27.5 ms
+  // busy blocks.  Granularity interacts with the partner's structure in
+  // both directions.
+  std::string verdicts;
   for (const int k : {1, 2, 4, 8}) {
     const std::vector<CommProfile> pair = {partner(), seeker(k)};
     const SolverResult r = solver.solve(pair);
     table.add_row({std::to_string(k),
                    r.compatible ? "compatible" : "incompatible",
                    TextTable::num(r.violation_fraction, 3)});
+    verdicts += r.compatible ? 'y' : 'n';
   }
   std::printf("%s\n", table.render().c_str());
-  std::printf(
-      "expected: k=1 cannot fit (J1 leaves two 72.5 ms gaps and an 80 ms "
-      "burst fits in neither); k=2 and k=4 split into pieces that fit; k=8 "
-      "fails again — with a burst every 25 ms, some burst always lands "
-      "inside one of J1's 27.5 ms busy blocks.  Granularity interacts with "
-      "the partner's structure in both directions.\n\n");
 
   std::printf("Sliding with multi-burst jobs under unfair DCQCN "
               "(2 identical 2-burst jobs, comm fraction 0.4):\n\n");
   TextTable dyn({"scenario", "J1 mean ms", "J2 mean ms"});
+  ScenarioResult runs[2];
   for (const bool unfair : {false, true}) {
     std::vector<ScenarioJob> jobs = {{"J1", seeker_job(2)},
                                      {"J2", seeker_job(2)}};
@@ -108,9 +110,16 @@ int main(int argc, char** argv) {
     dyn.add_row({unfair ? "unfair DCQCN" : "fair DCQCN",
                  TextTable::num(r.jobs[0].mean_ms, 0),
                  TextTable::num(r.jobs[1].mean_ms, 0)});
+    runs[unfair] = r;
   }
   std::printf("%s\n", dyn.render().c_str());
-  std::printf("expected shape: fair ~ 280 ms (both bursts collide each "
-              "iteration), unfair ~ 200 ms solo time for both jobs.\n");
-  return 0;
+  const auto& [fair, unfair] = runs;
+  bench::Claims claims;
+  claims.check("only k = 2 and k = 4 bursts fit the partner's gaps",
+               verdicts == "nyyn", "compatible per k=1,2,4,8: " + verdicts);
+  claims.near("fair DCQCN: both bursts collide, ~280 ms (5%)",
+              bench::mean_ms(fair), 280, 0.05 * 280);
+  claims.near("unfair DCQCN: both jobs at the ~200 ms solo time (5%)",
+              bench::mean_ms(unfair), 200, 0.05 * 200);
+  return claims.exit_code();
 }

@@ -5,6 +5,7 @@
 // partner can interleave.  This sweep runs two compatible-at-1:1 jobs whose
 // rings cross an oversubscribed bottleneck and measures fair vs unfair
 // DCQCN at each ratio.
+#include <algorithm>
 #include <cstdio>
 
 #include "bench/cli.h"
@@ -62,6 +63,8 @@ int main(int argc, char** argv) {
   TextTable table({"oversub", "fabric", "solo ms", "comm fraction",
                    "fair J1/J2", "unfair J1/J2", "solver"});
   CompatibilitySolver solver;
+  std::string verdict_misses, recovery_misses, redistribution_misses;
+  std::vector<double> fractions;
   for (std::size_t i = 0; i < ratios.size(); ++i) {
     const double ratio = ratios[i];
     const double fabric = 50.0 / ratio;
@@ -83,13 +86,30 @@ int main(int argc, char** argv) {
                    TextTable::num(fabric, 1) + "G", TextTable::num(solo, 0),
                    TextTable::num(frac, 2), f, u,
                    compatible ? "compatible" : "incompatible"});
+    fractions.push_back(frac);
+    const std::string at = TextTable::num(ratio, 1) + ":1 ";
+    if (compatible != (frac <= 0.5)) verdict_misses += at;
+    if (compatible && std::max(unfair.jobs[0].mean_ms,
+                               unfair.jobs[1].mean_ms) > 1.05 * solo) {
+      recovery_misses += at;
+    }
+    if (!compatible && !(unfair.jobs[0].mean_ms < fair.jobs[0].mean_ms &&
+                         unfair.jobs[1].mean_ms > fair.jobs[1].mean_ms)) {
+      redistribution_misses += at;
+    }
   }
   std::printf("%s\n", table.render().c_str());
-  std::printf(
-      "expected shape: oversubscription stretches the comm fraction "
-      "(0.30 at 1:1 -> ~0.63 at 4:1).  While the pair stays compatible "
-      "(fraction <= 0.5, i.e. up to ~2.3:1) unfairness keeps recovering the "
-      "solo time; past the threshold the jobs become incompatible and "
-      "unfairness merely redistributes the pain.\n");
-  return 0;
+  bench::Claims claims;
+  claims.near("comm fraction 0.30 at 1:1 (5%)", {fractions.front()}, 0.30,
+              0.05 * 0.30);
+  claims.near("comm fraction ~0.63 at 4:1 (5%)", {fractions.back()}, 0.63,
+              0.05 * 0.63);
+  claims.check("compatible exactly while the fraction is <= 0.5",
+               verdict_misses.empty(), verdict_misses);
+  claims.check("while compatible, unfairness recovers solo (both jobs, 5%)",
+               recovery_misses.empty(), recovery_misses);
+  claims.check("past it, unfairness redistributes: J1 faster, J2 slower "
+               "than fair", redistribution_misses.empty(),
+               redistribution_misses);
+  return claims.exit_code();
 }

@@ -35,40 +35,37 @@ int main(int argc, char** argv) {
   std::printf("Ablation: unfairness payoff across transport families "
               "(2 x DLRM(2000), solo 1000 ms)\n\n");
 
+  const auto dcqcn_fair = run(PolicyKind::kDcqcn, Rate::zero(), Rate::zero(),
+                              Duration::zero(), Duration::zero(), seconds);
+  const auto dcqcn_unfair =
+      run(PolicyKind::kDcqcn, aggressive_knobs().rai, meek_knobs().rai,
+          aggressive_knobs().timer, meek_knobs().timer, seconds);
+  const auto timely_fair = run(PolicyKind::kTimely, Rate::zero(), Rate::zero(),
+                               Duration::zero(), Duration::zero(), seconds);
+  const auto timely_unfair = run(PolicyKind::kTimely, Rate::mbps(40),
+                                 Rate::mbps(5), Duration::zero(),
+                                 Duration::zero(), seconds);
+
   TextTable table({"transport", "knobs", "J1 mean ms", "J2 mean ms"});
-  {
-    const auto r = run(PolicyKind::kDcqcn, Rate::zero(), Rate::zero(),
-                       Duration::zero(), Duration::zero(), seconds);
-    table.add_row({"DCQCN (ECN-based)", "fair",
-                   TextTable::num(r.jobs[0].mean_ms, 0),
+  const auto row = [&](const char* transport, const char* knobs,
+                       const ScenarioResult& r) {
+    table.add_row({transport, knobs, TextTable::num(r.jobs[0].mean_ms, 0),
                    TextTable::num(r.jobs[1].mean_ms, 0)});
-  }
-  {
-    const auto r = run(PolicyKind::kDcqcn, aggressive_knobs().rai,
-                       meek_knobs().rai, aggressive_knobs().timer,
-                       meek_knobs().timer, seconds);
-    table.add_row({"DCQCN (ECN-based)", "unfair T/R_AI",
-                   TextTable::num(r.jobs[0].mean_ms, 0),
-                   TextTable::num(r.jobs[1].mean_ms, 0)});
-  }
-  {
-    const auto r = run(PolicyKind::kTimely, Rate::zero(), Rate::zero(),
-                       Duration::zero(), Duration::zero(), seconds);
-    table.add_row({"TIMELY (delay-based)", "fair",
-                   TextTable::num(r.jobs[0].mean_ms, 0),
-                   TextTable::num(r.jobs[1].mean_ms, 0)});
-  }
-  {
-    const auto r = run(PolicyKind::kTimely, Rate::mbps(40), Rate::mbps(5),
-                       Duration::zero(), Duration::zero(), seconds);
-    table.add_row({"TIMELY (delay-based)", "unfair delta 40/5",
-                   TextTable::num(r.jobs[0].mean_ms, 0),
-                   TextTable::num(r.jobs[1].mean_ms, 0)});
-  }
+  };
+  row("DCQCN (ECN-based)", "fair", dcqcn_fair);
+  row("DCQCN (ECN-based)", "unfair T/R_AI", dcqcn_unfair);
+  row("TIMELY (delay-based)", "fair", timely_fair);
+  row("TIMELY (delay-based)", "unfair delta 40/5", timely_unfair);
   std::printf("%s\n", table.render().c_str());
-  std::printf("expected shape: on BOTH transport families the unfair row "
-              "approaches the 1000 ms solo time for both jobs — the sliding "
-              "mechanism does not depend on how the transport detects "
-              "congestion, only on a persistent aggressiveness asymmetry.\n");
-  return 0;
+
+  // The sliding mechanism does not depend on how the transport detects
+  // congestion, only on a persistent aggressiveness asymmetry.
+  bench::Claims claims;
+  claims.near("DCQCN unfair T/R_AI: both jobs 1000 +- 40 ms",
+              bench::mean_ms(dcqcn_unfair), 1000, 40);
+  claims.within("TIMELY fair: the pair stays contended, above 1200 ms",
+                bench::mean_ms(timely_fair), 1200, INFINITY);
+  claims.near("TIMELY unfair delta 40/5: both jobs 1000 +- 60 ms",
+              bench::mean_ms(timely_unfair), 1000, 60);
+  return claims.exit_code();
 }

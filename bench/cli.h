@@ -1,6 +1,6 @@
 // Command-line handling shared by the bench and example mains: positional
-// positive integers (sim-seconds, thread counts, grid steps), --help, and
-// `--flag value` options.
+// positive integers (sim-seconds, thread counts, grid steps), --help,
+// `--flag value` options, and the paper claims a bench checks on exit.
 #pragma once
 
 #include <climits>
@@ -9,7 +9,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <set>
 #include <string>
+#include <vector>
 
 namespace ccml::bench {
 
@@ -39,11 +41,12 @@ inline int positive_count(const char* flag, const char* text) {
 }
 
 /// Reads the `--flag value` options of a bench main into `flags`, whose keys
-/// name the flags it accepts and whose values start as their defaults.  An
-/// unknown flag, or one without a value, prints an error naming it and
-/// exits 2.
-inline void read_flags(int argc, char** argv,
-                       std::map<std::string, std::string>& flags) {
+/// name the flags it accepts and whose values start as their defaults, and
+/// returns the flags given.  An unknown flag, or one without a value, prints
+/// an error naming it and exits 2.
+inline std::set<std::string> read_flags(
+    int argc, char** argv, std::map<std::string, std::string>& flags) {
+  std::set<std::string> given;
   for (int i = 1; i < argc; ++i) {
     const auto it = flags.find(argv[i]);
     if (it == flags.end() || i + 1 == argc) {
@@ -52,8 +55,56 @@ inline void read_flags(int argc, char** argv,
                    argv[i]);
       std::exit(2);
     }
+    given.insert(it->first);
     it->second = argv[++i];
   }
+  return given;
+}
+
+/// The paper claims a bench checks.  Each check prints one line,
+/// `claim: <statement>: ok` or `claim: <statement>: MISS (<actual>)`;
+/// a bench main returns exit_code(), which is 1 once any check missed.
+class Claims {
+ public:
+  void check(const std::string& statement, bool holds,
+             const std::string& actual) {
+    missed_ = missed_ || !holds;
+    std::printf("claim: %s: %s\n", statement.c_str(),
+                holds ? "ok" : ("MISS (" + actual + ")").c_str());
+  }
+
+  /// Every one of `values` lies in [lo, hi]; a miss prints them all.
+  void within(const std::string& statement, const std::vector<double>& values,
+              double lo, double hi) {
+    bool holds = true;
+    std::string actual;
+    for (const double v : values) {
+      holds = holds && v >= lo && v <= hi;
+      char text[32];
+      std::snprintf(text, sizeof(text), "%.4g ", v);
+      actual += text;
+    }
+    check(statement, holds, actual.substr(0, actual.size() - 1));
+  }
+
+  /// Every one of `values` lies within `tolerance` of `target`.
+  void near(const std::string& statement, const std::vector<double>& values,
+            double target, double tolerance) {
+    within(statement, values, target - tolerance, target + tolerance);
+  }
+
+  int exit_code() const { return missed_ ? 1 : 0; }
+
+ private:
+  bool missed_ = false;
+};
+
+/// Every job's mean iteration time (ms) in a run result, in job order.
+template <typename Result>
+std::vector<double> mean_ms(const Result& result) {
+  std::vector<double> means;
+  for (const auto& job : result.jobs) means.push_back(job.mean_ms);
+  return means;
 }
 
 /// The positional arguments of a bench or example main.  `synopsis` names

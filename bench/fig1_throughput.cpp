@@ -5,7 +5,9 @@
 // Prints the time series of each job's achieved throughput during the first
 // iterations plus an ASCII plot per scenario.
 #include <cstdio>
+#include <utility>
 
+#include "bench/cli.h"
 #include "cluster/scenario.h"
 #include "telemetry/plot.h"
 #include "telemetry/recorders.h"
@@ -48,11 +50,11 @@ Observed run(bool unfair) {
   return out;
 }
 
-void report(const char* title, const Observed& obs, double expect_j1,
-            double expect_j2) {
+/// Prints and returns each job's mean throughput while both are actively
+/// sending (the contention window), which is what Fig. 1b/1c report for the
+/// first iteration, and plots the first iterations.
+std::pair<double, double> report(const char* title, const Observed& obs) {
   std::printf("---- %s ----\n", title);
-  // Mean throughput while both jobs are actively sending (contention
-  // window), which is what Fig. 1b/1c report for the first iteration.
   Summary j1, j2;
   for (const auto& s : obs.samples) {
     const auto i1 = s.per_job.find(JobId{0});
@@ -64,10 +66,10 @@ void report(const char* title, const Observed& obs, double expect_j1,
       j2.add(r2);
     }
   }
+  const double m1 = j1.empty() ? 0.0 : j1.mean();
+  const double m2 = j2.empty() ? 0.0 : j2.mean();
   std::printf("mean throughput while contending:  J1 %.1f Gbps   J2 %.1f Gbps\n",
-              j1.empty() ? 0.0 : j1.mean(), j2.empty() ? 0.0 : j2.mean());
-  std::printf("paper:                             J1 %.0f Gbps   J2 %.0f Gbps\n",
-              expect_j1, expect_j2);
+              m1, m2);
 
   Series s1{"J1 (Gbps)", {}}, s2{"J2 (Gbps)", {}};
   for (const auto& s : obs.samples) {
@@ -81,6 +83,7 @@ void report(const char* title, const Observed& obs, double expect_j1,
   PlotOptions popt;
   popt.x_label = "time (ms)";
   std::printf("%s\n", render_plot({s1, s2}, popt).c_str());
+  return {m1, m2};
 }
 
 }  // namespace
@@ -88,9 +91,18 @@ void report(const char* title, const Observed& obs, double expect_j1,
 int main() {
   std::printf("Figure 1b/1c: throughput of two VGG19 jobs on a 50 Gbps "
               "bottleneck\n\n");
-  const Observed fair = run(/*unfair=*/false);
-  report("Fig 1b: fair DCQCN (both T=125us)", fair, 21, 21);
-  const Observed unfair = run(/*unfair=*/true);
-  report("Fig 1c: unfair DCQCN (J1 aggressive)", unfair, 30, 15);
-  return 0;
+  const auto [fair1, fair2] =
+      report("Fig 1b: fair DCQCN (both T=125us)", run(/*unfair=*/false));
+  const auto [unfair1, unfair2] =
+      report("Fig 1c: unfair DCQCN (J1 aggressive)", run(/*unfair=*/true));
+  bench::Claims claims;
+  claims.near("fair: both jobs within 3 Gbps of an even 21.25 Gbps (paper 21)",
+              {fair1, fair2}, 21.25, 3);
+  claims.within("unfair: aggressive J1 above 24 Gbps (paper 30)", {unfair1},
+                24, INFINITY);
+  claims.within("unfair: meek J2 below 18 Gbps (paper 15)", {unfair2},
+                -INFINITY, 18);
+  claims.near("unfair: J1 + J2 within 5 Gbps of the 42.5 Gbps goodput",
+              {unfair1 + unfair2}, 42.5, 5);
+  return claims.exit_code();
 }

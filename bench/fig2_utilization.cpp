@@ -5,6 +5,7 @@
 // communication phases have slid apart and interleave perpetually.
 #include <cstdio>
 
+#include "bench/cli.h"
 #include "cluster/scenario.h"
 #include "telemetry/plot.h"
 #include "telemetry/recorders.h"
@@ -13,7 +14,9 @@ using namespace ccml;
 
 namespace {
 
-void run_and_plot(bool unfair) {
+/// Runs and plots one panel; returns the contention ratio over its last two
+/// full 1-second windows, after the phases have had time to slide.
+double run_and_plot(bool unfair) {
   const auto dlrm = *ModelZoo::calibrated("DLRM", 2000);
   std::vector<ScenarioJob> jobs = {{"J1", dlrm}, {"J2", dlrm}};
   if (unfair) {
@@ -57,7 +60,8 @@ void run_and_plot(bool unfair) {
   const auto& samples = recorder.samples();
   const double window_s = 1.0;
   double t0 = 0;
-  int both = 0, any = 0;
+  int both = 0, any = 0, prev_both = 0, prev_any = 0;
+  double last_two = 0;
   for (const auto& s : samples) {
     const double t = (s.time - TimePoint::origin()).to_millis() / 1000.0;
     const auto i1 = s.per_job.find(JobId{0});
@@ -69,6 +73,11 @@ void run_and_plot(bool unfair) {
     if (t - t0 >= window_s) {
       std::printf("  [%4.1fs - %4.1fs]  %5.1f%%\n", t0, t,
                   any == 0 ? 0.0 : 100.0 * both / any);
+      last_two = prev_any + any == 0
+                     ? 0.0
+                     : static_cast<double>(prev_both + both) / (prev_any + any);
+      prev_both = both;
+      prev_any = any;
       t0 = t;
       both = any = 0;
     }
@@ -79,6 +88,7 @@ void run_and_plot(bool unfair) {
     std::printf(" mean %.0f", j.mean_ms);
   }
   std::printf("\n\n");
+  return last_two;
 }
 
 }  // namespace
@@ -86,10 +96,12 @@ void run_and_plot(bool unfair) {
 int main() {
   std::printf("Figure 2: link utilization across back-to-back iterations "
               "(2 x DLRM(2000))\n\n");
-  run_and_plot(/*unfair=*/false);
-  run_and_plot(/*unfair=*/true);
-  std::printf("expected shape: (a) contention stays ~100%%; (b) contention "
-              "decays to ~0%% within a few iterations as the phases slide "
-              "apart.\n");
-  return 0;
+  const double fair = run_and_plot(/*unfair=*/false);
+  const double unfair = run_and_plot(/*unfair=*/true);
+  bench::Claims claims;
+  claims.within("(a) fair: contention over 90% in the last two windows",
+                {fair}, 0.9, 1.0);
+  claims.within("(b) unfair: phases slid apart, contention under 5% in the "
+                "last two windows", {unfair}, 0.0, 0.05);
+  return claims.exit_code();
 }

@@ -6,6 +6,7 @@
 // time series rolled around the circle, (c) the resulting abstraction.
 #include <cstdio>
 
+#include "bench/cli.h"
 #include "core/profile.h"
 #include "telemetry/plot.h"
 #include "workload/model_zoo.h"
@@ -52,9 +53,13 @@ int main() {
   opts.warmup = 5;
   const MeasuredProfile measured = measure_profile(job, opts);
   std::printf("\nmeasured by the profiler (solo run under DCQCN):\n");
-  std::printf("  period %.1f ms (paper: 255), comm fraction %.2f "
-              "(paper: %.2f)\n",
-              measured.profile.period.to_millis(),
-              measured.profile.comm_fraction(), 114.0 / 255.0);
-  return 0;
+  const double period_ms = measured.profile.period.to_millis();
+  const double fraction = measured.profile.comm_fraction();
+  std::printf("  period %.1f ms, comm fraction %.2f\n", period_ms, fraction);
+  bench::Claims claims;
+  claims.near("the profiler measures the 255 ms period (5%)", {period_ms},
+              255, 0.05 * 255);
+  claims.near("and the 114/255 comm fraction (5%)", {fraction}, 114.0 / 255,
+              0.05 * 114.0 / 255);
+  return claims.exit_code();
 }

@@ -4,6 +4,7 @@
 // compatible.
 #include <cstdio>
 
+#include "bench/cli.h"
 #include "core/solver.h"
 #include "telemetry/plot.h"
 
@@ -44,5 +45,12 @@ int main() {
   std::printf("overlap after rotation: %.0f ms\n", overlap_rotated.to_millis());
   std::printf("solver verdict: %s\n",
               r.compatible ? "FULLY COMPATIBLE" : "incompatible");
-  return r.compatible && overlap_rotated.is_zero() ? 0 : 1;
+  bench::Claims claims;
+  claims.check("aligned, the communication arcs collide",
+               !overlap_aligned.is_zero(), "no overlap");
+  claims.check("the solver finds the pair fully compatible", r.compatible,
+               "incompatible");
+  claims.near("rotated, the arcs no longer collide (overlap 0 ms)",
+              {overlap_rotated.to_millis()}, 0, 0);
+  return claims.exit_code();
 }

@@ -26,6 +26,7 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -419,21 +420,20 @@ int run_json_mode(const std::string& path, double baseline_ms,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path;
-  double baseline_ms = 0.0;
-  unsigned sweep_threads = 4;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--baseline-ms") == 0 && i + 1 < argc) {
-      baseline_ms = bench::positive_number("--baseline-ms", argv[++i]);
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      sweep_threads = static_cast<unsigned>(
-          bench::positive_count("--threads", argv[++i]));
-    }
-  }
-  if (!json_path.empty()) {
-    return run_json_mode(json_path, baseline_ms, sweep_threads);
+  if (std::find_if(argv + 1, argv + argc, [](const char* arg) {
+        return std::strcmp(arg, "--json") == 0;
+      }) != argv + argc) {
+    std::map<std::string, std::string> flags = {
+        {"--json", ""}, {"--baseline-ms", ""}, {"--threads", "4"}};
+    const auto given = bench::read_flags(argc, argv, flags);
+    return run_json_mode(
+        flags["--json"],
+        given.count("--baseline-ms")
+            ? bench::positive_number("--baseline-ms",
+                                     flags["--baseline-ms"].c_str())
+            : 0.0,
+        static_cast<unsigned>(
+            bench::positive_count("--threads", flags["--threads"].c_str())));
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

@@ -3,6 +3,7 @@
 // communication phase only in its slot.  Congestion never happens, even
 // under a plain fair transport — at the cost of requiring tight clock
 // synchronization (we also quantify sensitivity to clock error).
+#include <algorithm>
 #include <cstdio>
 
 #include "bench/cli.h"
@@ -77,16 +78,27 @@ int main(int argc, char** argv) {
   // DLRM's schedule has 400 ms of slack per iteration; the solver spreads
   // it into two ~200 ms guard bands, so errors up to ~200 ms are absorbed
   // and larger ones degrade progressively as the windows re-collide.
+  double absorbed_worst = 0, largest_error_best = 0;
   for (const std::int64_t err_ms : {0, 5, 50, 150, 250, 350, 450, 550}) {
     const auto r = run_scheduled(dlrm, Duration::millis(err_ms),
                                  Duration::seconds(seconds));
     sweep.add_row({std::to_string(err_ms) + " ms",
                    TextTable::num(r.jobs[0].mean_ms, 0),
                    TextTable::num(r.jobs[1].mean_ms, 0)});
+    const auto [best, worst] =
+        std::minmax(r.jobs[0].mean_ms, r.jobs[1].mean_ms);
+    if (err_ms <= 150) absorbed_worst = std::max(absorbed_worst, worst);
+    largest_error_best = best;
   }
   std::printf("%s\n", sweep.render().c_str());
-  std::printf("expected shape: perfect clocks ~ solo (1000 ms); small errors "
-              "tolerated while the slack (compute - partner comm) absorbs "
-              "them; large errors re-introduce contention.\n");
-  return 0;
+  const double solo_ms = dlrm.solo_iteration(goodput).to_millis();
+  bench::Claims claims;
+  claims.near("perfect clocks: both jobs 1000 +- 30 ms",
+              bench::mean_ms(scheduled), 1000, 30);
+  claims.within("clock errors <= 150 ms, inside the guard bands: within 5% of "
+                "solo", {absorbed_worst}, 0, 1.05 * solo_ms);
+  claims.within("a 550 ms clock error re-introduces contention: both jobs "
+                "over 5% above solo", {largest_error_best}, 1.05 * solo_ms,
+                INFINITY);
+  return claims.exit_code();
 }

@@ -22,53 +22,46 @@ int main(int argc, char** argv) {
   std::printf("workload: DLRM(2000) x 2 (compatible); solo %.0f ms\n\n",
               dlrm.solo_iteration(goodput).to_millis());
 
-  TextTable table({"scheme", "J1 mean ms", "J2 mean ms", "note"});
+  const auto run = [&](PolicyKind policy,
+                       const std::vector<ScenarioJob>& jobs) {
+    ScenarioConfig cfg;
+    cfg.policy = policy;
+    cfg.duration = Duration::seconds(seconds);
+    return run_dumbbell_scenario(jobs, cfg);
+  };
+  const auto fair = run(PolicyKind::kDcqcn, {{"J1", dlrm}, {"J2", dlrm}});
+  std::vector<ScenarioJob> pair = {{"J1", dlrm}, {"J2", dlrm}};
+  pair[0].priority = 0;  // unique priorities, arbitrary order
+  pair[1].priority = 1;
+  const auto prio = run(PolicyKind::kPriority, pair);
+  // Scalability caveat from the paper: switches support few priority
+  // levels.  With 3 compatible light jobs and only unique priorities the
+  // interleaving still works.
+  const auto light = ModelZoo::synthetic(
+      "light", Duration::millis(700), Rate::gbps(42.5) * Duration::millis(300));
+  std::vector<ScenarioJob> three = {
+      {"J1", light}, {"J2", light}, {"J3", light}};
+  for (int i = 0; i < 3; ++i) three[i].priority = i;
+  const auto prio3 = run(PolicyKind::kPriority, three);
 
-  {
-    ScenarioConfig cfg;
-    cfg.policy = PolicyKind::kDcqcn;
-    cfg.duration = Duration::seconds(seconds);
-    const auto r = run_dumbbell_scenario({{"J1", dlrm}, {"J2", dlrm}}, cfg);
-    table.add_row({"fair DCQCN", TextTable::num(r.jobs[0].mean_ms, 0),
-                   TextTable::num(r.jobs[1].mean_ms, 0),
-                   "comm phases overlap"});
-  }
-  {
-    ScenarioConfig cfg;
-    cfg.policy = PolicyKind::kPriority;
-    cfg.duration = Duration::seconds(seconds);
-    std::vector<ScenarioJob> jobs = {{"J1", dlrm}, {"J2", dlrm}};
-    jobs[0].priority = 0;  // unique priorities, arbitrary order
-    jobs[1].priority = 1;
-    const auto r = run_dumbbell_scenario(jobs, cfg);
-    table.add_row({"priority queues", TextTable::num(r.jobs[0].mean_ms, 0),
-                   TextTable::num(r.jobs[1].mean_ms, 0),
-                   "phases interleave"});
-  }
-  {
-    // Scalability caveat from the paper: switches support few priority
-    // levels.  With 3 compatible light jobs and only unique priorities the
-    // interleaving still works.
-    ScenarioConfig cfg;
-    cfg.policy = PolicyKind::kPriority;
-    cfg.duration = Duration::seconds(seconds);
-    const auto light = ModelZoo::synthetic(
-        "light", Duration::millis(700),
-        Rate::gbps(42.5) * Duration::millis(300));
-    std::vector<ScenarioJob> jobs = {{"J1", light}, {"J2", light},
-                                     {"J3", light}};
-    for (int i = 0; i < 3; ++i) jobs[i].priority = i;
-    const auto r = run_dumbbell_scenario(jobs, cfg);
-    table.add_row({"priority queues (3 jobs)",
-                   TextTable::num(r.jobs[0].mean_ms, 0),
-                   TextTable::num(r.jobs[1].mean_ms, 0),
-                   "J3 " + TextTable::num(r.jobs[2].mean_ms, 0) + " ms"});
-  }
+  TextTable table({"scheme", "J1 mean ms", "J2 mean ms", "note"});
+  table.add_row({"fair DCQCN", TextTable::num(fair.jobs[0].mean_ms, 0),
+                 TextTable::num(fair.jobs[1].mean_ms, 0),
+                 "comm phases overlap"});
+  table.add_row({"priority queues", TextTable::num(prio.jobs[0].mean_ms, 0),
+                 TextTable::num(prio.jobs[1].mean_ms, 0), "phases interleave"});
+  table.add_row({"priority queues (3 jobs)",
+                 TextTable::num(prio3.jobs[0].mean_ms, 0),
+                 TextTable::num(prio3.jobs[1].mean_ms, 0),
+                 "J3 " + TextTable::num(prio3.jobs[2].mean_ms, 0) + " ms"});
   std::printf("%s\n", table.render().c_str());
-  std::printf("expected shape: priority rows ~ solo (%0.f ms); fair row ~ "
-              "%.0f ms.\n",
-              dlrm.solo_iteration(goodput).to_millis(),
-              dlrm.fwd_compute.to_millis() +
-                  2 * transfer_time(dlrm.comm_bytes, goodput).to_millis());
-  return 0;
+
+  bench::Claims claims;
+  claims.near("fair DCQCN: both jobs at the 1300 +- 40 ms plateau",
+              bench::mean_ms(fair), 1300, 40);
+  claims.near("priority queues: both jobs 1000 +- 30 ms (solo)",
+              bench::mean_ms(prio), 1000, 30);
+  claims.near("priority queues (3 jobs): all within 5% of the 1000 ms solo",
+              bench::mean_ms(prio3), 1000, 0.05 * 1000);
+  return claims.exit_code();
 }

@@ -82,24 +82,31 @@ int main(int argc, char** argv) {
     cfg.horizon = Duration::seconds(seconds);
     cfg.admission.policy = placement;
     cfg.flow_schedule = flow_schedule;
-    report(title, Orchestrator(topo, workload(cfg.horizon * 2), cfg).run());
+    const ClusterRunReport r =
+        Orchestrator(topo, workload(cfg.horizon * 2), cfg).run();
+    report(title, r);
+    return r;
   };
-  run("(a) locality placement, fair sharing",
-      AdmissionPolicyKind::kLocalityOnly, false);
-  run("(b) locality placement + flow scheduling (cluster-level "
-      "interference graph)",
-      AdmissionPolicyKind::kLocalityOnly, true);
-  run("(c) compatibility-aware placement, fair sharing",
-      AdmissionPolicyKind::kCompatibilityAware, false);
-  run("(d) compatibility-aware placement + flow scheduling",
-      AdmissionPolicyKind::kCompatibilityAware, true);
-  std::printf(
-      "expected shape: (a) heavy's incompatible sharing with lightB slows "
-      "the whole heavy-lightB-lightC chain; (b) the scheduler cannot gate an "
-      "incompatible group, so it matches (a); (c) placement moves the "
-      "sharing onto a *compatible* pair — still paying fair-sharing costs — "
-      "and (d) placement plus scheduling reaches 1.0x "
-      "for every job: compatibility-aware placement and an interleaving "
-      "mechanism only pay off together (the paper's §4 thesis).\n");
-  return 0;
+  const auto a = run("(a) locality placement, fair sharing",
+                     AdmissionPolicyKind::kLocalityOnly, false);
+  const auto b = run("(b) locality placement + flow scheduling (cluster-level "
+                     "interference graph)",
+                     AdmissionPolicyKind::kLocalityOnly, true);
+  const auto c = run("(c) compatibility-aware placement, fair sharing",
+                     AdmissionPolicyKind::kCompatibilityAware, false);
+  const auto d = run("(d) compatibility-aware placement + flow scheduling",
+                     AdmissionPolicyKind::kCompatibilityAware, true);
+  // (a) heavy's incompatible sharing with lightB slows the whole
+  // heavy-lightB-lightC chain; (c) placement moves the sharing onto a
+  // compatible pair, still paying fair-sharing costs.  Placement and an
+  // interleaving mechanism only pay off together (the paper's §4 thesis).
+  bench::Claims claims;
+  claims.within("(b) cannot gate an incompatible group: mean, max = (a)'s",
+                {b.mean_slowdown() - a.mean_slowdown(),
+                 b.max_slowdown() - a.max_slowdown()}, 0, 0);
+  claims.within("(c) mean slowdown at most (a)'s", {c.mean_slowdown()}, 0,
+                a.mean_slowdown());
+  claims.within("(d) 1.00x mean and max slowdown",
+                {d.mean_slowdown(), d.max_slowdown()}, 0, 1.005);
+  return claims.exit_code();
 }

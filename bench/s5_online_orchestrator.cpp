@@ -15,6 +15,7 @@
 // healthy fraction of its solve requests from the signature cache.
 #include <cstdio>
 
+#include "bench/cli.h"
 #include "orch/orchestrator.h"
 #include "telemetry/table.h"
 
@@ -81,10 +82,10 @@ int main() {
 
   std::printf("mean slowdown over seeds: locality %.3f, compat %.3f\n",
               locality_slowdown / 3.0, compat_slowdown / 3.0);
-  const bool compat_wins = compat_slowdown <= locality_slowdown;
-  std::printf("compat-aware %s locality-only on mean slowdown; solver cache "
-              "%s\n",
-              compat_wins ? "beats (or ties)" : "LOSES TO",
-              compat_cache_hits ? "hit on every seed" : "NEVER HIT");
-  return compat_wins && compat_cache_hits ? 0 : 1;
+  bench::Claims claims;
+  claims.within("compat-aware beats or ties locality-only on mean slowdown",
+                {compat_slowdown / 3.0}, 0, locality_slowdown / 3.0);
+  claims.check("the solver cache hits on every seed", compat_cache_hits,
+               "a seed had no hit");
+  return claims.exit_code();
 }

@@ -81,6 +81,8 @@ int main(int argc, char** argv) {
                    "fully compatible (solver)"});
   CompatibilitySolver solver;
   const Rate goodput = scenario_goodput();
+  std::string verdict_misses, speed_up_misses;
+  double bert_x = 0, vgg_x = 0;  // group 1's speed-ups from unfairness
 
   for (const GroupSpec& group : kGroups) {
     const auto fair = run_group(group, false, Duration::seconds(seconds));
@@ -98,6 +100,14 @@ int main(int argc, char** argv) {
       if (unfair.jobs[i].mean_ms >= fair.jobs[i].mean_ms * 0.999) {
         all_speed_up = false;
       }
+    }
+
+    const std::string first = fair.jobs[0].name + " ";
+    if (verdict.compatible != group.paper_compatible) verdict_misses += first;
+    if (all_speed_up != group.paper_compatible) speed_up_misses += first;
+    if (&group == &kGroups[0]) {
+      bert_x = fair.jobs[0].mean_ms / unfair.jobs[0].mean_ms;
+      vgg_x = fair.jobs[1].mean_ms / unfair.jobs[1].mean_ms;
     }
 
     for (std::size_t i = 0; i < group.members.size(); ++i) {
@@ -122,5 +132,15 @@ int main(int argc, char** argv) {
   std::printf("%s\n", table.render().c_str());
   std::printf("green criterion (paper): a group is fully compatible when "
               "unfairness speeds up ALL jobs in it.\n");
-  return 0;
+  bench::Claims claims;
+  claims.within("group 1: aggressive BERT speed-up over 1.03x (paper 1.17x)",
+                {bert_x}, 1.03, INFINITY);
+  claims.within("group 1: meek VGG19 speed-up under 1.02x (paper 0.94x)",
+                {vgg_x}, 0, 1.02);
+  claims.check("the solver's verdict matches the paper's in all five groups",
+               verdict_misses.empty(), "differs at " + verdict_misses);
+  claims.check("unfairness speeds up all jobs exactly in the paper's "
+               "compatible groups",
+               speed_up_misses.empty(), "differs at " + speed_up_misses);
+  return claims.exit_code();
 }

@@ -247,7 +247,7 @@ INSTANTIATE_TEST_SUITE_P(
                       DcqcnParams{50, 200, 0.002, 125}   // gentle marking
                       ));
 
-TEST(DcqcnConfigDefaults, MatchPaperTestbed) {
+TEST(DcqcnConfigDefaults, MatchPaperSetup) {
   const DcqcnConfig cfg;
   EXPECT_EQ(cfg.timer.ns(), Duration::micros(125).ns());  // paper's default T
   EXPECT_FALSE(cfg.adaptive_rai);
