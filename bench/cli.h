@@ -1,16 +1,20 @@
 // Command-line handling shared by the bench and example mains: positional
 // positive integers (sim-seconds, thread counts, grid steps), --help,
-// `--flag value` options, and the paper claims a bench checks on exit.
+// `--flag value` options, the paper claims a bench checks on exit, and the
+// `--json` report tools/check_perf.py gates.
 #pragma once
 
 #include <climits>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace ccml::bench {
@@ -61,6 +65,72 @@ inline std::set<std::string> read_flags(
   return given;
 }
 
+/// A JSON object built member by member, in insertion order.  An object
+/// with no object members renders on one line.
+class Json {
+ public:
+  Json& number(const std::string& key, double value) {
+    char text[32];
+    std::snprintf(text, sizeof(text), "%.6g", value);
+    return put(key, std::isfinite(value) ? text : "null");
+  }
+  Json& count(const std::string& key, std::uint64_t value) {
+    return put(key, std::to_string(value));
+  }
+  Json& flag(const std::string& key, bool value) {
+    return put(key, value ? "true" : "false");
+  }
+  Json& text(const std::string& key, const std::string& value) {
+    return put(key, quote(value));
+  }
+
+  /// Adds an empty object member `key` and returns it.
+  Json& object(const std::string& key) {
+    members_.push_back({key, "", std::make_unique<Json>()});
+    return *members_.back().object;
+  }
+
+  std::string render(const std::string& indent = "") const {
+    bool flat = true;
+    for (const Member& m : members_) flat = flat && !m.object;
+    const std::string inner = indent + "  ";
+    std::string out = "{";
+    for (std::size_t i = 0; i < members_.size(); ++i) {
+      const Member& m = members_[i];
+      if (i > 0) out += flat ? ", " : ",";
+      if (!flat) out += "\n" + inner;
+      out += quote(m.key) + ": " +
+             (m.object ? m.object->render(inner) : m.value);
+    }
+    return out + (flat ? "}" : "\n" + indent + "}");
+  }
+
+ private:
+  struct Member {
+    std::string key;
+    std::string value;  ///< rendered scalar; unused for an object member
+    /// Held by pointer, so the reference object() returns survives later
+    /// members' insertion.
+    std::unique_ptr<Json> object;
+  };
+
+  static std::string quote(const std::string& s) {
+    std::string out = "\"";
+    for (const char c : s) {
+      if (c == '"' || c == '\\') out += '\\';
+      out += c;
+    }
+    return out + "\"";
+  }
+
+  Json& put(const std::string& key, const std::string& value) {
+    members_.push_back({key, value, nullptr});
+    return *this;
+  }
+
+  std::vector<Member> members_;
+};
+
 /// The paper claims a bench checks.  Each check prints one line,
 /// `claim: <statement>: ok` or `claim: <statement>: MISS (<actual>)`;
 /// a bench main returns exit_code(), which is 1 once any check missed.
@@ -69,6 +139,7 @@ class Claims {
   void check(const std::string& statement, bool holds,
              const std::string& actual) {
     missed_ = missed_ || !holds;
+    outcomes_.emplace_back(statement, holds);
     std::printf("claim: %s: %s\n", statement.c_str(),
                 holds ? "ok" : ("MISS (" + actual + ")").c_str());
   }
@@ -95,8 +166,42 @@ class Claims {
 
   int exit_code() const { return missed_ ? 1 : 0; }
 
+  /// Writes each check's outcome into `block` as `"claims": {statement:
+  /// holds, ...}`.
+  void report(Json& block) const {
+    Json& claims = block.object("claims");
+    for (const auto& [statement, holds] : outcomes_) {
+      claims.flag(statement, holds);
+    }
+  }
+
  private:
   bool missed_ = false;
+  std::vector<std::pair<std::string, bool>> outcomes_;
+};
+
+/// A bench's `--json FILE` report, in the one shape tools/check_perf.py
+/// gates against BENCH_engine.json: `{"bench": <name>, <block>: {...}}`.
+/// A block may hold `sim_s_per_wall_s`, its throughput tripwire; `exact`,
+/// its deterministic work counters; and `claims` (Claims::report()).  Every
+/// other member is informational.
+class Report : public Json {
+ public:
+  explicit Report(const std::string& bench) { text("bench", bench); }
+
+  /// Writes the report to `path` and says so; an empty path writes nothing.
+  /// Returns false when the file cannot be written.
+  bool write(const std::string& path) const {
+    if (path.empty()) return true;
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    const bool written = f && std::fputs((render() + "\n").c_str(), f) >= 0;
+    if (!f || std::fclose(f) != 0 || !written) {
+      std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+      return false;
+    }
+    std::printf("wrote %s\n", path.c_str());
+    return true;
+  }
 };
 
 /// Every job's mean iteration time (ms) in a run result, in job order.

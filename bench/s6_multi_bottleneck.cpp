@@ -22,11 +22,12 @@
 // immediately and gates them — the lowest mean overall, strictly below
 // both baselines.
 //
-// --json FILE additionally records the bench's own engine throughput
-// (simulated seconds per wall second over all runs), a determinism probe
-// (same seed twice must give byte-identical reports) and the solver's work:
-// rotation assignments scored and wall ns per scoring.  CI gates all but
-// the ns via tools/check_perf.py --section multi_bottleneck.
+// The bench claims that compat-graph wins and that a determinism probe
+// (same seed twice) gives byte-identical reports, and exits 1 on a miss.
+// --json FILE writes its report (bench::Report): the engine throughput
+// (simulated seconds per wall second over all runs), the claims and the
+// solver's work, rotation assignments scored and wall ns per scoring; CI
+// gates all but the ns via tools/check_perf.py.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -226,16 +227,21 @@ int main(int argc, char** argv) {
 
   const double sim_s = runs * (seconds + 30.0);
   const double sim_per_wall = sim_s / wall_s;
+  const double graph = sum[2] / sweep.size();
+  const double locality = sum[0] / sweep.size();
+  const double single = sum[1] / sweep.size();
   std::printf("mean slowdown over the sweep: locality %.3f, compat-single "
               "%.3f, compat-graph %.3f\n",
-              sum[0] / sweep.size(), sum[1] / sweep.size(),
-              sum[2] / sweep.size());
-  const bool graph_wins = sum[2] < sum[0] && sum[2] < sum[1];
-  std::printf("compat-graph %s both baselines on mean slowdown\n",
-              graph_wins ? "strictly beats" : "DOES NOT BEAT");
+              locality, single, graph);
   std::printf("throughput: %d runs x %.0f sim-s in %.1f wall-s = %.0f "
               "sim-s/wall-s\n",
               runs, seconds + 30.0, wall_s, sim_per_wall);
+  bench::Claims claims;
+  claims.check(
+      "compat-graph is strictly below both baselines on mean slowdown",
+      graph < locality && graph < single,
+      TextTable::num(graph, 3) + " vs " + TextTable::num(locality, 3) +
+          " / " + TextTable::num(single, 3));
 
   // Determinism probe: the report is specified to be a pure function of
   // (topology, schedule, config); re-running the most contended point must
@@ -248,44 +254,23 @@ int main(int argc, char** argv) {
       run_policy(probe_topo, probe, kPolicies[2], run_horizon).summary();
   const std::string twice =
       run_policy(probe_topo, probe, kPolicies[2], run_horizon).summary();
-  const bool deterministic = once == twice;
-  std::printf("determinism probe: repeated 4:1 compat-graph run is %s\n",
-              deterministic ? "byte-identical" : "DIVERGENT");
+  claims.check("a repeated 4:1 compat-graph run is byte-identical",
+               once == twice, "divergent");
 
-  if (!json_path.empty()) {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
-      return 1;
-    }
-    std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"scenario\": \"leaf-spine oversubscription sweep "
-                    "1:1 -> 4:1, 3 policies, %zu seeds, %.0f sim-s\",\n",
-                 seeds.size(), seconds);
-    std::fprintf(f, "  \"multi_bottleneck\": {\n");
-    std::fprintf(f, "    \"runs\": %d,\n", runs);
-    std::fprintf(f, "    \"sim_s\": %.0f,\n", sim_s);
-    std::fprintf(f, "    \"wall_s\": %.2f,\n", wall_s);
-    std::fprintf(f, "    \"sim_s_per_wall_s\": %.1f,\n", sim_per_wall);
-    std::fprintf(f, "    \"mean_slowdown\": {\n");
-    std::fprintf(f, "      \"locality\": %.4f,\n", sum[0] / sweep.size());
-    std::fprintf(f, "      \"compat_single\": %.4f,\n", sum[1] / sweep.size());
-    std::fprintf(f, "      \"compat_graph\": %.4f\n", sum[2] / sweep.size());
-    std::fprintf(f, "    },\n");
-    std::fprintf(f, "    \"graph_wins\": %s,\n",
-                 graph_wins ? "true" : "false");
-    std::fprintf(f, "    \"deterministic\": %s,\n",
-                 deterministic ? "true" : "false");
-    std::fprintf(f, "    \"solver\": {\n");
-    std::fprintf(f, "      \"evaluations\": %llu,\n",
-                 static_cast<unsigned long long>(evaluations));
-    std::fprintf(f, "      \"ns_per_evaluation\": %.0f\n",
-                 evaluations > 0 ? solver_micros * 1e3 / evaluations : 0.0);
-    std::fprintf(f, "    }\n");
-    std::fprintf(f, "  }\n");
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", json_path.c_str());
-  }
-  return graph_wins && deterministic ? 0 : 1;
+  bench::Report report("s6_multi_bottleneck");
+  report.text("scenario", "leaf-spine oversubscription sweep 1:1 -> 4:1, "
+                          "3 policies, " + std::to_string(seeds.size()) +
+                          " seeds, " + TextTable::num(seconds, 0) + " sim-s");
+  bench::Json& block = report.object("multi_bottleneck");
+  block.number("sim_s_per_wall_s", sim_per_wall);
+  block.object("exact").count("solver_evaluations", evaluations);
+  claims.report(block);
+  block.count("runs", runs).number("sim_s", sim_s).number("wall_s", wall_s);
+  block.object("mean_slowdown")
+      .number("locality", locality)
+      .number("compat_single", single)
+      .number("compat_graph", graph);
+  block.number("ns_per_evaluation",
+               evaluations > 0 ? solver_micros * 1e3 / evaluations : 0.0);
+  return report.write(json_path) ? claims.exit_code() : 1;
 }

@@ -15,12 +15,13 @@
 // whose unfairness knobs reproduce the paper's compatible/incompatible
 // split interleaves job phases the way the geometric model predicts.
 //
-// --json FILE records the bench's engine throughput, a byte-determinism
-// probe (the most knob-sensitive configuration run twice must fingerprint
-// identically), a catalogue completeness check (every registered transport
-// name must round-trip through parse_policy_kind), and the per-family
-// stats above; CI gates the flags and the throughput floor via
-// tools/check_perf.py --section transport_zoo.
+// The bench claims a byte-determinism probe (the most knob-sensitive
+// configuration run twice must fingerprint identically), catalogue
+// completeness (every registered transport name must round-trip through
+// parse_policy_kind) and that every family reports measured means, and
+// exits 1 on a miss.  --json FILE writes its report (bench::Report): the
+// engine throughput, the claims and the per-family stats above; CI gates
+// the claims and the throughput floor via tools/check_perf.py.
 #include <cstdio>
 #include <chrono>
 #include <map>
@@ -190,6 +191,16 @@ int main(int argc, char** argv) {
   std::printf("\nthroughput: %d runs x %.0f sim-s in %.1f wall-s = %.0f "
               "sim-s/wall-s\n",
               runs, seconds, wall_s, sim_per_wall);
+  bench::Claims claims;
+  std::size_t measured = 0;
+  for (const FamilyStats& fs : stats) {
+    measured += fs.mean_fair_ms > 0.0 && fs.mean_unfair_ms > 0.0;
+  }
+  claims.check("every transport family reports measured fair and unfair "
+               "means",
+               measured == kFamilies.size(),
+               std::to_string(measured) + " of " +
+                   std::to_string(kFamilies.size()));
 
   // Determinism probe: the most knob-sensitive configuration (three jobs,
   // unfair ladder, random probe-cycle BBR) run twice must fingerprint
@@ -198,70 +209,48 @@ int main(int argc, char** argv) {
       fingerprint(run_group(PolicyKind::kBbr, kGroups[4], true, duration));
   const std::string twice =
       fingerprint(run_group(PolicyKind::kBbr, kGroups[4], true, duration));
-  const bool deterministic = once == twice;
-  std::printf("determinism probe: repeated unfair BBR 3-job run is %s\n",
-              deterministic ? "byte-identical" : "DIVERGENT");
+  claims.check("a repeated unfair BBR 3-job run is byte-identical",
+               once == twice, "divergent");
 
   // Catalogue completeness: every registered transport must round-trip
   // name -> kind -> name, so factory errors and `ccml_sim transports`
   // always describe the real set.
-  bool catalogue_complete = true;
   std::size_t catalogued = 0;
+  std::size_t round_trips = 0;
   for (const TransportInfo& info : transport_catalogue()) {
     ++catalogued;
     try {
-      if (std::string(to_string(parse_policy_kind(info.name))) != info.name) {
-        catalogue_complete = false;
-      }
+      round_trips += to_string(parse_policy_kind(info.name)) ==
+                     std::string(info.name);
     } catch (const std::exception&) {
-      catalogue_complete = false;
     }
   }
-  if (catalogued == 0) catalogue_complete = false;
-  std::printf("catalogue: %zu transports registered, round-trip %s\n",
-              catalogued, catalogue_complete ? "complete" : "BROKEN");
+  claims.check("every registered transport name round-trips through the "
+               "factory",
+               catalogued > 0 && round_trips == catalogued,
+               std::to_string(round_trips) + " of " +
+                   std::to_string(catalogued));
 
-  if (!json_path.empty()) {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
-      return 1;
-    }
-    std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"scenario\": \"Table-1 catalogue x %zu transport "
-                    "families, fair vs unfair, %.0f sim-s\",\n",
-                 kFamilies.size(), seconds);
-    std::fprintf(f, "  \"transport_zoo\": {\n");
-    std::fprintf(f, "    \"runs\": %d,\n", runs);
-    std::fprintf(f, "    \"sim_s\": %.0f,\n", sim_s);
-    std::fprintf(f, "    \"wall_s\": %.2f,\n", wall_s);
-    std::fprintf(f, "    \"sim_s_per_wall_s\": %.1f,\n", sim_per_wall);
-    std::fprintf(f, "    \"deterministic\": %s,\n",
-                 deterministic ? "true" : "false");
-    std::fprintf(f, "    \"catalogue_complete\": %s,\n",
-                 catalogue_complete ? "true" : "false");
-    std::fprintf(f, "    \"registered_transports\": %zu,\n", catalogued);
-    std::fprintf(f, "    \"families\": {\n");
-    for (std::size_t i = 0; i < stats.size(); ++i) {
-      const FamilyStats& fs = stats[i];
-      std::string key = fs.name;
-      for (char& c : key) {
-        if (c == '-') c = '_';
-      }
-      std::fprintf(f,
-                   "      \"%s\": {\"mean_fair_ms\": %.2f, "
-                   "\"mean_unfair_ms\": %.2f, \"mean_speedup\": %.4f, "
-                   "\"verdict_agreement\": %.2f}%s\n",
-                   key.c_str(), fs.mean_fair_ms, fs.mean_unfair_ms,
-                   fs.mean_speedup,
-                   static_cast<double>(fs.verdict_matches) / kGroups.size(),
-                   i + 1 < stats.size() ? "," : "");
-    }
-    std::fprintf(f, "    }\n");
-    std::fprintf(f, "  }\n");
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", json_path.c_str());
+  bench::Report report("s7_transport_zoo");
+  report.text("scenario", "Table-1 catalogue x " +
+                              std::to_string(kFamilies.size()) +
+                              " transport families, fair vs unfair, " +
+                              TextTable::num(seconds, 0) + " sim-s");
+  bench::Json& block = report.object("transport_zoo");
+  block.number("sim_s_per_wall_s", sim_per_wall);
+  claims.report(block);
+  block.count("runs", runs)
+      .number("sim_s", sim_s)
+      .number("wall_s", wall_s)
+      .count("registered_transports", catalogued);
+  bench::Json& families = block.object("families");
+  for (const FamilyStats& fs : stats) {
+    families.object(fs.name)
+        .number("mean_fair_ms", fs.mean_fair_ms)
+        .number("mean_unfair_ms", fs.mean_unfair_ms)
+        .number("mean_speedup", fs.mean_speedup)
+        .number("verdict_agreement",
+                static_cast<double>(fs.verdict_matches) / kGroups.size());
   }
-  return deterministic && catalogue_complete ? 0 : 1;
+  return report.write(json_path) ? claims.exit_code() : 1;
 }

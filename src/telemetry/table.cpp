@@ -51,7 +51,8 @@ std::string TextTable::render() const {
   for (const Row& r : rows_) {
     out += r.rule ? rule() : render_line(r.cells);
   }
-  out += rule();
+  // A rule as the last row already closes the table.
+  if (rows_.empty() || !rows_.back().rule) out += rule();
   return out;
 }
 

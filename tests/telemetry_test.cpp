@@ -132,6 +132,18 @@ TEST(TextTable, ShortRowsPadded) {
   EXPECT_NE(t.render().find("| only |"), std::string::npos);
 }
 
+TEST(TextTable, TrailingRuleClosesTableOnce) {
+  TextTable t({"a"});
+  t.add_row({"x"});
+  t.add_rule();
+  EXPECT_EQ(t.render(),
+            "+---+\n"
+            "| a |\n"
+            "+---+\n"
+            "| x |\n"
+            "+---+\n");
+}
+
 TEST(TextTable, NumFormatter) {
   EXPECT_EQ(TextTable::num(3.14159, 2), "3.14");
   EXPECT_EQ(TextTable::num(1000.0, 0), "1000");

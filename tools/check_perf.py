@@ -1,44 +1,24 @@
 #!/usr/bin/env python3
-"""Perf smoke gate: compare a fresh bench --json run to the checked-in
-floor in BENCH_engine.json.
+"""Gate a bench's --json report against its floor in BENCH_engine.json.
 
-CI hosts are shared and noisy, so this is deliberately a coarse tripwire,
-not a benchmark: the fresh run's sim_s_per_wall_s may be up to
---tolerance (default 30%) below the checked-in figure before the gate
-fails.  Catches order-of-magnitude regressions (an accidentally disabled
-fused path, a debug build, a hot-loop pessimization) while staying quiet
-under normal scheduling jitter.
+perf_engine, s6_multi_bottleneck and s7_transport_zoo write one report
+shape (bench::Report in bench/cli.h): {"bench": <name>, <block>: {...}},
+where a block may hold sim_s_per_wall_s (its throughput tripwire), exact
+(deterministic work counters) and claims (the outcome of each claim the
+bench checks).  BENCH_engine.json keys each bench's floor blocks by the
+bench's name, in the same shape.  One rule set applies to every bench:
 
-Three sections are understood, chosen with --section:
-  engine (default)  — perf_engine --json output; also re-asserts the
-    contract that makes speed claims meaningful: if either file's sweep
-    block says bit_identical is false, the run fails regardless of
-    throughput.  kernels.trace_events and kernels.trace_bytes (the JSONL
-    lines and bytes of one traced 4-sim-s run),
-    kernels.maxmin_allocations (the allocations the ideal max-min policy
-    computes over one 4-sim-s dumbbell run) and kernels.dcqcn_flow_ticks /
-    kernels.dcqcn_flow_ticks_lazy (the flow-ticks DCQCN steps over one
-    untraced leaf-spine run, and the share its pinned flows owe instead),
-    all deterministic work counters, must equal the floor's exactly.
-  multi_bottleneck  — s6_multi_bottleneck --json output; additionally
-    requires graph_wins (compat-graph strictly below both baselines on
-    mean completion slowdown) and deterministic to be true in the fresh
-    run — the bench's correctness claims are gated alongside its speed —
-    and solver.evaluations (rotation assignments scored, a deterministic
-    work counter) to equal the floor's exactly, whatever the host noise.
-  transport_zoo     — s7_transport_zoo --json output; additionally
-    requires deterministic (repeated run fingerprints byte-identically)
-    and catalogue_complete (every registered transport name round-trips
-    through the factory) to be true, and a non-empty families block.
+  * every floor block, and every key it names, is in the fresh report;
+  * every exact value equals the floor's;
+  * every claim in the fresh report is true;
+  * sim_s_per_wall_s is at least 70 % of the floor's.  CI hosts are shared
+    and noisy, so this is a coarse tripwire for order-of-magnitude
+    regressions (a disabled fast path, a debug build), not a benchmark.
 
 Usage:
   python3 tools/check_perf.py fresh.json [--floor BENCH_engine.json]
-                                         [--tolerance 0.30]
-                                         [--section engine|multi_bottleneck|
-                                                    transport_zoo]
 
-Exits 0 when fresh throughput >= floor * (1 - tolerance) and the
-section's correctness flags hold, 1 otherwise.
+Exits 0 when every rule holds, 1 otherwise, naming each failure.
 """
 
 import argparse
@@ -46,10 +26,7 @@ import json
 import os
 import sys
 
-
-def fail(msg):
-    print(f"check_perf: FAIL: {msg}", file=sys.stderr)
-    sys.exit(1)
+TRIPWIRE = 0.70  # fresh sim_s_per_wall_s >= TRIPWIRE x floor
 
 
 def load(path):
@@ -57,90 +34,67 @@ def load(path):
         with open(path) as f:
             return json.load(f)
     except (OSError, json.JSONDecodeError) as e:
-        fail(f"{path}: {e}")
+        sys.exit(f"check_perf: FAIL: {path}: {e}")
 
 
-def throughput(doc, path, section):
-    try:
-        v = doc[section]["sim_s_per_wall_s"]
-    except (KeyError, TypeError):
-        fail(f"{path}: missing {section}.sim_s_per_wall_s")
-    if not isinstance(v, (int, float)) or v <= 0:
-        fail(f"{path}: {section}.sim_s_per_wall_s must be positive, got {v!r}")
-    return float(v)
+def check(fresh, floors):
+    """The failures of `fresh` against `floors`, and the tripwire lines."""
+    bench = fresh.get("bench")
+    if bench not in floors:
+        return [f"bench {bench!r} has no floor"], []
+    failures, lines = [], []
+    for name, floor in floors[bench].items():
+        block = fresh.get(name)
+        if not isinstance(block, dict):
+            failures.append(f"block {name} missing")
+            continue
+        for field in ("exact", "claims"):
+            have = block.get(field, {})
+            for key, want in floor.get(field, {}).items():
+                if key not in have:
+                    failures.append(f"{name}.{field}.{key} missing")
+                elif field == "exact" and have[key] != want:
+                    failures.append(
+                        f"{name}.exact.{key} is {have[key]!r}, floor {want} "
+                        "— the run's work changed; update the floor only "
+                        "with a reason")
+        if "sim_s_per_wall_s" in floor:
+            have = block.get("sim_s_per_wall_s")
+            limit = TRIPWIRE * floor["sim_s_per_wall_s"]
+            if not isinstance(have, (int, float)):
+                failures.append(f"{name}.sim_s_per_wall_s missing")
+                continue
+            lines.append(f"{name}: {have:.1f} sim-s/wall-s vs floor "
+                         f"{floor['sim_s_per_wall_s']:.1f} (limit "
+                         f"{limit:.1f})")
+            if have < limit:
+                failures.append(f"{name}.sim_s_per_wall_s {have:.1f} is "
+                                f"below {limit:.1f}")
+    for name, block in fresh.items():
+        claims = block.get("claims", {}) if isinstance(block, dict) else {}
+        failures += [f"{name}: claim '{statement}' is {json.dumps(holds)}"
+                     for statement, holds in claims.items()
+                     if holds is not True]
+    return failures, lines
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("fresh", help="JSON written by perf_engine --json")
+    ap = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
+    ap.add_argument("fresh", help="report written by a bench's --json")
     ap.add_argument("--floor",
                     default=os.path.join(os.path.dirname(__file__), os.pardir,
                                          "BENCH_engine.json"),
-                    help="checked-in reference (default: repo BENCH_engine.json)")
-    ap.add_argument("--tolerance", type=float, default=0.30,
-                    help="allowed fractional drop below the floor (default 0.30)")
-    ap.add_argument("--section", default="engine",
-                    choices=["engine", "multi_bottleneck", "transport_zoo"],
-                    help="which JSON block to gate (default: engine)")
+                    help="checked-in floors (default: BENCH_engine.json)")
     args = ap.parse_args()
-    if not 0.0 <= args.tolerance < 1.0:
-        fail(f"--tolerance must be in [0, 1), got {args.tolerance}")
-
-    fresh = load(args.fresh)
-    floor = load(args.floor)
-    if args.section == "engine":
-        for doc, path in ((fresh, args.fresh), (floor, args.floor)):
-            ident = doc.get("sweep", {}).get("bit_identical")
-            if ident is not True:
-                fail(f"{path}: sweep.bit_identical is {ident!r}, not true — "
-                     "determinism broken, throughput numbers are meaningless")
-        for key in ("trace_events", "trace_bytes", "maxmin_allocations",
-                    "dcqcn_flow_ticks", "dcqcn_flow_ticks_lazy"):
-            want = floor.get("kernels", {}).get(key)
-            have = fresh.get("kernels", {}).get(key)
-            if not isinstance(want, int):
-                fail(f"{args.floor}: kernels.{key} missing")
-            if have != want:
-                fail(f"{args.fresh}: kernels.{key} is {have!r}, floor {want} "
-                     "— the run's work changed; update the floor only with "
-                     "a reason")
-    elif args.section == "multi_bottleneck":
-        block = fresh.get("multi_bottleneck", {})
-        for flag in ("graph_wins", "deterministic"):
-            if block.get(flag) is not True:
-                fail(f"{args.fresh}: multi_bottleneck.{flag} is "
-                     f"{block.get(flag)!r}, not true — the oversubscription "
-                     "sweep's correctness claim does not hold")
-        want = floor.get("multi_bottleneck", {}).get("solver", {}) \
-            .get("evaluations")
-        have = block.get("solver", {}).get("evaluations")
-        if not isinstance(want, int):
-            fail(f"{args.floor}: multi_bottleneck.solver.evaluations missing")
-        if have != want:
-            fail(f"{args.fresh}: multi_bottleneck.solver.evaluations is "
-                 f"{have!r}, floor {want} — the solver's work changed; "
-                 "update the floor only with a reason")
-    else:
-        block = fresh.get("transport_zoo", {})
-        for flag in ("deterministic", "catalogue_complete"):
-            if block.get(flag) is not True:
-                fail(f"{args.fresh}: transport_zoo.{flag} is "
-                     f"{block.get(flag)!r}, not true — the transport "
-                     "catalogue's reproducibility claim does not hold")
-        families = block.get("families")
-        if not isinstance(families, dict) or not families:
-            fail(f"{args.fresh}: transport_zoo.families must be a non-empty "
-                 "object (one entry per transport family)")
-
-    have = throughput(fresh, args.fresh, args.section)
-    want = throughput(floor, args.floor, args.section)
-    limit = want * (1.0 - args.tolerance)
-    verdict = "OK" if have >= limit else "FAIL"
-    print(f"check_perf: {verdict}: fresh {have:.1f} sim-s/wall-s vs floor "
-          f"{want:.1f} (limit {limit:.1f}, tolerance {args.tolerance:.0%})",
-          file=sys.stderr if verdict == "FAIL" else sys.stdout)
-    if have < limit:
+    failures, lines = check(load(args.fresh), load(args.floor))
+    for line in lines:
+        print(f"check_perf: {line}")
+    for failure in failures:
+        print(f"check_perf: FAIL: {args.fresh}: {failure}", file=sys.stderr)
+    if failures:
         sys.exit(1)
+    print("check_perf: OK")
 
 
 if __name__ == "__main__":
