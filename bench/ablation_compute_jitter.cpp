@@ -88,12 +88,11 @@ int main(int argc, char** argv) {
     const auto& [unfair, sched] = results[i];
     unfair_worst = std::max(
         {unfair_worst, unfair.jobs[0].mean_ms, unfair.jobs[1].mean_ms});
-    char buf1[64], buf2[64];
-    std::snprintf(buf1, sizeof(buf1), "%.0f / %.0f", unfair.jobs[0].mean_ms,
-                  unfair.jobs[1].mean_ms);
-    std::snprintf(buf2, sizeof(buf2), "%.0f / %.0f", sched.jobs[0].mean_ms,
-                  sched.jobs[1].mean_ms);
-    table.add_row({TextTable::num(grid[i], 0) + " ms", buf1, buf2});
+    table.add_row({TextTable::num(grid[i], 0) + " ms",
+                   bench::mean_cell(unfair.jobs[0]) + " / " +
+                       bench::mean_cell(unfair.jobs[1]),
+                   bench::mean_cell(sched.jobs[0]) + " / " +
+                       bench::mean_cell(sched.jobs[1])});
   }
   std::printf("\n%s\n", table.render().c_str());
   // Unfair DCQCN's slide re-establishes itself after every perturbation.

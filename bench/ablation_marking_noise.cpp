@@ -35,8 +35,8 @@ int main(int argc, char** argv) {
     const auto r = run_dumbbell_scenario({{"J1", dlrm}, {"J2", dlrm}}, cfg);
     table.add_row({seed == 0 ? "deterministic" : "stochastic",
                    seed == 0 ? "-" : std::to_string(seed),
-                   TextTable::num(r.jobs[0].mean_ms, 0),
-                   TextTable::num(r.jobs[1].mean_ms, 0),
+                   bench::mean_cell(r.jobs[0]),
+                   bench::mean_cell(r.jobs[1]),
                    r.jobs[0].mean_ms > 1200 ? "overlapped" : "slid apart"});
     if (seed == 0) {
       deterministic = r;

@@ -108,8 +108,8 @@ int main(int argc, char** argv) {
     cfg.warmup_iterations = 10;
     const auto r = run_dumbbell_scenario(jobs, cfg);
     dyn.add_row({unfair ? "unfair DCQCN" : "fair DCQCN",
-                 TextTable::num(r.jobs[0].mean_ms, 0),
-                 TextTable::num(r.jobs[1].mean_ms, 0)});
+                 bench::mean_cell(r.jobs[0]),
+                 bench::mean_cell(r.jobs[1])});
     runs[unfair] = r;
   }
   std::printf("%s\n", dyn.render().c_str());

@@ -77,15 +77,13 @@ int main(int argc, char** argv) {
 
     const auto& fair = results[i].fair;
     const auto& unfair = results[i].unfair;
-    char f[48], u[48];
-    std::snprintf(f, sizeof(f), "%.0f / %.0f", fair.jobs[0].mean_ms,
-                  fair.jobs[1].mean_ms);
-    std::snprintf(u, sizeof(u), "%.0f / %.0f", unfair.jobs[0].mean_ms,
-                  unfair.jobs[1].mean_ms);
-    table.add_row({TextTable::num(ratio, 1) + ":1",
-                   TextTable::num(fabric, 1) + "G", TextTable::num(solo, 0),
-                   TextTable::num(frac, 2), f, u,
-                   compatible ? "compatible" : "incompatible"});
+    table.add_row(
+        {TextTable::num(ratio, 1) + ":1", TextTable::num(fabric, 1) + "G",
+         TextTable::num(solo, 0), TextTable::num(frac, 2),
+         bench::mean_cell(fair.jobs[0]) + " / " + bench::mean_cell(fair.jobs[1]),
+         bench::mean_cell(unfair.jobs[0]) + " / " +
+             bench::mean_cell(unfair.jobs[1]),
+         compatible ? "compatible" : "incompatible"});
     fractions.push_back(frac);
     const std::string at = TextTable::num(ratio, 1) + ":1 ";
     if (compatible != (frac <= 0.5)) verdict_misses += at;

@@ -49,8 +49,8 @@ int main(int argc, char** argv) {
   TextTable table({"transport", "knobs", "J1 mean ms", "J2 mean ms"});
   const auto row = [&](const char* transport, const char* knobs,
                        const ScenarioResult& r) {
-    table.add_row({transport, knobs, TextTable::num(r.jobs[0].mean_ms, 0),
-                   TextTable::num(r.jobs[1].mean_ms, 0)});
+    table.add_row({transport, knobs, bench::mean_cell(r.jobs[0]),
+                   bench::mean_cell(r.jobs[1])});
   };
   row("DCQCN (ECN-based)", "fair", dcqcn_fair);
   row("DCQCN (ECN-based)", "unfair T/R_AI", dcqcn_unfair);

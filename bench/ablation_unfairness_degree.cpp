@@ -63,8 +63,8 @@ int main(int argc, char** argv) {
     if (fair_baseline == 0) fair_baseline = r.jobs[0].mean_ms;
     const bool both = r.jobs[0].mean_ms < fair_baseline * 0.98 &&
                       r.jobs[1].mean_ms < fair_baseline * 0.98;
-    table.add_row({grid[i].label, TextTable::num(r.jobs[0].mean_ms, 0),
-                   TextTable::num(r.jobs[1].mean_ms, 0),
+    table.add_row({grid[i].label, bench::mean_cell(r.jobs[0]),
+                   bench::mean_cell(r.jobs[1]),
                    fair_baseline == r.jobs[0].mean_ms ? "baseline"
                                                       : (both ? "yes" : "no")});
     if (i > 0) {

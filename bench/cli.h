@@ -1,9 +1,11 @@
 // Command-line handling shared by the bench and example mains: positional
 // positive integers (sim-seconds, thread counts, grid steps), --help,
-// `--flag value` options, the paper claims a bench checks on exit, and the
-// `--json` report tools/check_perf.py gates.
+// `--flag value` options, the paper claims a bench checks on exit, the
+// `--json` report tools/check_perf.py gates, and the rep timer of the perf
+// benches.
 #pragma once
 
+#include <chrono>
 #include <climits>
 #include <cmath>
 #include <cstdint>
@@ -16,6 +18,8 @@
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "util/stats.h"
 
 namespace ccml::bench {
 
@@ -46,12 +50,26 @@ inline int positive_count(const char* flag, const char* text) {
 
 /// Reads the `--flag value` options of a bench main into `flags`, whose keys
 /// name the flags it accepts and whose values start as their defaults, and
-/// returns the flags given.  An unknown flag, or one without a value, prints
-/// an error naming it and exits 2.
+/// returns the flags given.  `--help` or `-h` prints the usage with each
+/// flag's default and exits 0; an unknown flag, or one without a value,
+/// prints an error naming it and exits 2.
 inline std::set<std::string> read_flags(
     int argc, char** argv, std::map<std::string, std::string>& flags) {
   std::set<std::string> given;
   for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--help") == 0 ||
+        std::strcmp(argv[i], "-h") == 0) {
+      std::printf("usage: %s", argv[0]);
+      for (const auto& [flag, value] : flags) {
+        std::printf(" [%s VALUE]", flag.c_str());
+      }
+      std::printf("\n");
+      for (const auto& [flag, value] : flags) {
+        std::printf("  %-10s default: %s\n", flag.c_str(),
+                    value.empty() ? "none" : value.c_str());
+      }
+      std::exit(0);
+    }
     const auto it = flags.find(argv[i]);
     if (it == flags.end() || i + 1 == argc) {
       std::fprintf(stderr, "error: %s %s\n",
@@ -203,6 +221,47 @@ class Report : public Json {
     return true;
   }
 };
+
+/// Wall time of repeated calls, in ms: the best call, the least
+/// load-contaminated sample, and the median and quartiles that show the
+/// spread.
+struct Timing {
+  double best, q1, median, q3;
+  int reps;
+
+  /// Writes the timing into `block` as `key: {best, q1, median, q3, reps}`.
+  void report(Json& block, const std::string& key) const {
+    block.object(key)
+        .number("best", best)
+        .number("q1", q1)
+        .number("median", median)
+        .number("q3", q3)
+        .count("reps", static_cast<std::uint64_t>(reps));
+  }
+};
+
+/// Times `reps` calls of `fn`, each on its own.
+template <typename Fn>
+Timing time_reps(int reps, Fn&& fn) {
+  Cdf ms;
+  for (int i = 0; i < reps; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    fn();
+    ms.add(std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - t0)
+               .count());
+  }
+  return {ms.min(), ms.percentile(25.0), ms.median(), ms.percentile(75.0),
+          reps};
+}
+
+/// A job's mean iteration time as a table cell in whole ms, or "n/a" when
+/// the job has no post-warmup iteration (post_warmup_ms in
+/// cluster/scenario.h, the rule ccml_sim's tables use).
+template <typename Job>
+std::string mean_cell(const Job& job) {
+  return post_warmup_ms(job, job.mean_ms, 0);
+}
 
 /// Every job's mean iteration time (ms) in a run result, in job order.
 template <typename Result>

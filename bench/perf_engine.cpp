@@ -16,7 +16,6 @@
 // (bench::Report) that tools/check_perf.py gates against
 // BENCH_engine.json; the bench exits 1 when the sweep's claim misses.
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <map>
@@ -36,9 +35,10 @@
 #include "obs/trace_bus.h"
 #include "sim/simulator.h"
 #include "sim/sweep.h"
-#include "util/stats.h"
 
 using namespace ccml;
+using bench::Timing;
+using bench::time_reps;
 
 namespace {
 
@@ -53,39 +53,6 @@ ScenarioResult run_dlrm_dumbbell(PolicyKind kind, TraceBus* trace = nullptr) {
   cfg.warmup_iterations = 0;
   cfg.trace = trace;
   return run_dumbbell_scenario({{"J1", dlrm}, {"J2", dlrm}}, cfg);
-}
-
-/// Wall time of repeated calls, in ms: the best call, the least
-/// load-contaminated sample, and the median and quartiles that show the
-/// spread.
-struct Timing {
-  double best, q1, median, q3;
-  int reps;
-};
-
-/// Times `reps` calls of `fn`, each on its own.
-template <typename Fn>
-Timing time_reps(int reps, Fn&& fn) {
-  Cdf ms;
-  for (int i = 0; i < reps; ++i) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    ms.add(std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - t0)
-               .count());
-  }
-  return {ms.min(), ms.percentile(25.0), ms.median(), ms.percentile(75.0),
-          reps};
-}
-
-void report_timing(bench::Json& block, const std::string& key,
-                   const Timing& t) {
-  block.object(key)
-      .number("best", t.best)
-      .number("q1", t.q1)
-      .number("median", t.median)
-      .number("q3", t.q3)
-      .count("reps", static_cast<std::uint64_t>(t.reps));
 }
 
 /// The leaf-spine fabric of the kernel measurements: 4 ToRs x 8 hosts at
@@ -193,7 +160,7 @@ int main(int argc, char** argv) {
               engine.best, engine.median, engine.q1, engine.q3, sim_per_wall);
   bench::Json& engine_block = report.object("engine");
   engine_block.number("sim_s_per_wall_s", sim_per_wall);
-  report_timing(engine_block, "wall_ms", engine);
+  engine.report(engine_block, "wall_ms");
 
   // Per-kernel breakdown: the max-min dumbbell, the trace path's cost over
   // the untraced run above, one water-fill pass and DCQCN's fabric work.
@@ -239,9 +206,9 @@ int main(int argc, char** argv) {
       .count("maxmin_allocations", static_cast<std::uint64_t>(allocations))
       .count("dcqcn_flow_ticks", dcqcn_work.flow_ticks)
       .count("dcqcn_flow_ticks_lazy", dcqcn_work.flow_ticks_lazy);
-  report_timing(kernels, "maxmin_wall_ms", maxmin);
-  report_timing(kernels, "traced_wall_ms", traced);
-  report_timing(kernels, "waterfill_pass_ms", waterfill);
+  maxmin.report(kernels, "maxmin_wall_ms");
+  traced.report(kernels, "traced_wall_ms");
+  waterfill.report(kernels, "waterfill_pass_ms");
   kernels.number("maxmin_sim_s_per_wall_s", kSimSeconds / (maxmin.best / 1000.0))
       .number("trace_overhead_ms", overhead_ms)
       .number("trace_ns_per_event",

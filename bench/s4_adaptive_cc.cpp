@@ -78,10 +78,10 @@ std::array<Runs, 3> report(const char* title, const JobProfile& a,
                     Duration::zero());
     stag = run_pair(a, b, row.policy, row.static_unfair, duration,
                     Duration::millis(40));
-    table.add_row({row.label, TextTable::num(sync.jobs[0].mean_ms, 0),
-                   TextTable::num(sync.jobs[1].mean_ms, 0),
-                   TextTable::num(stag.jobs[0].mean_ms, 0),
-                   TextTable::num(stag.jobs[1].mean_ms, 0)});
+    table.add_row({row.label, bench::mean_cell(sync.jobs[0]),
+                   bench::mean_cell(sync.jobs[1]),
+                   bench::mean_cell(stag.jobs[0]),
+                   bench::mean_cell(stag.jobs[1])});
     const std::size_t c0 = stag.jobs[0].converged_after(solo_ms);
     const std::size_t c1 = stag.jobs[1].converged_after(solo_ms);
     const std::size_t worst = std::max(c0, c1);

@@ -61,14 +61,14 @@ int main(int argc, char** argv) {
     cfg.duration = Duration::seconds(seconds);
     const auto r = run_dumbbell_scenario({{"J1", dlrm}, {"J2", dlrm}}, cfg);
     table.add_row({"fair sharing, no schedule",
-                   TextTable::num(r.jobs[0].mean_ms, 0),
-                   TextTable::num(r.jobs[1].mean_ms, 0)});
+                   bench::mean_cell(r.jobs[0]),
+                   bench::mean_cell(r.jobs[1])});
   }
   const auto scheduled =
       run_scheduled(dlrm, Duration::zero(), Duration::seconds(seconds));
   table.add_row({"flow schedule (perfect clocks)",
-                 TextTable::num(scheduled.jobs[0].mean_ms, 0),
-                 TextTable::num(scheduled.jobs[1].mean_ms, 0)});
+                 bench::mean_cell(scheduled.jobs[0]),
+                 bench::mean_cell(scheduled.jobs[1])});
   std::printf("%s\n", table.render().c_str());
 
   // Clock-synchronization sensitivity: the paper flags sub-ms clock sync as
@@ -83,8 +83,8 @@ int main(int argc, char** argv) {
     const auto r = run_scheduled(dlrm, Duration::millis(err_ms),
                                  Duration::seconds(seconds));
     sweep.add_row({std::to_string(err_ms) + " ms",
-                   TextTable::num(r.jobs[0].mean_ms, 0),
-                   TextTable::num(r.jobs[1].mean_ms, 0)});
+                   bench::mean_cell(r.jobs[0]),
+                   bench::mean_cell(r.jobs[1])});
     const auto [best, worst] =
         std::minmax(r.jobs[0].mean_ms, r.jobs[1].mean_ms);
     if (err_ms <= 150) absorbed_worst = std::max(absorbed_worst, worst);

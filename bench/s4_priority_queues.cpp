@@ -45,15 +45,15 @@ int main(int argc, char** argv) {
   const auto prio3 = run(PolicyKind::kPriority, three);
 
   TextTable table({"scheme", "J1 mean ms", "J2 mean ms", "note"});
-  table.add_row({"fair DCQCN", TextTable::num(fair.jobs[0].mean_ms, 0),
-                 TextTable::num(fair.jobs[1].mean_ms, 0),
+  table.add_row({"fair DCQCN", bench::mean_cell(fair.jobs[0]),
+                 bench::mean_cell(fair.jobs[1]),
                  "comm phases overlap"});
-  table.add_row({"priority queues", TextTable::num(prio.jobs[0].mean_ms, 0),
-                 TextTable::num(prio.jobs[1].mean_ms, 0), "phases interleave"});
+  table.add_row({"priority queues", bench::mean_cell(prio.jobs[0]),
+                 bench::mean_cell(prio.jobs[1]), "phases interleave"});
   table.add_row({"priority queues (3 jobs)",
-                 TextTable::num(prio3.jobs[0].mean_ms, 0),
-                 TextTable::num(prio3.jobs[1].mean_ms, 0),
-                 "J3 " + TextTable::num(prio3.jobs[2].mean_ms, 0) + " ms"});
+                 bench::mean_cell(prio3.jobs[0]),
+                 bench::mean_cell(prio3.jobs[1]),
+                 "J3 " + bench::mean_cell(prio3.jobs[2]) + " ms"});
   std::printf("%s\n", table.render().c_str());
 
   bench::Claims claims;

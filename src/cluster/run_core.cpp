@@ -73,13 +73,12 @@ void RunCore::emit(const char* counter, TraceEventKind kind,
   if (counter != nullptr) trace_->counter(counter).add();
 }
 
-void RunCore::gate_group(const CompatibilitySolver& solver,
-                         const std::vector<std::size_t>& members,
+void RunCore::gate_group(const std::vector<std::size_t>& members,
                          std::span<const CommProfile> profiles, Gates& gates) {
   if (members.size() < 2) return;
   std::vector<CommProfile> group;
   for (const std::size_t j : members) group.push_back(profiles[j]);
-  const SolverResult sr = solver.solve(group);
+  const SolverResult sr = CompatibilitySolver().solve(group);
   emit_solve("solver.solves", sr.compatible, sr.violation_fraction);
   if (!sr.compatible) return;
   const FlowSchedule fs = make_flow_schedule(group, sr.rotations, sim.now());

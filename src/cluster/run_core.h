@@ -30,8 +30,6 @@ struct RunOptions {
   /// Tunables for every transport family (cc/factory.h); make_policy picks
   /// the member matching `policy`.
   TransportConfig transports;
-  /// Solver options for gate derivation and mid-run re-solves.
-  SolverOptions solver;
   /// Scripted faults (src/faults); empty = fault-free run.
   FaultPlan faults;
   /// Wedge guards; zero fields get defaults scaled to the run length (see
@@ -93,12 +91,12 @@ class RunCore {
   }
 
   /// Static job sets: solves the group `members` (indices into `profiles`
-  /// and `gates`) on one unified circle, reports it under "solver.solves"
-  /// and, when compatible, writes each member's gate epoch'd at now.  Lone
-  /// jobs are left alone, and incompatible groups ungated: a gated phase
-  /// stretched past its slot would wait a full period for the next one.
-  void gate_group(const CompatibilitySolver& solver,
-                  const std::vector<std::size_t>& members,
+  /// and `gates`) on one unified circle with the default solver, reports
+  /// it under "solver.solves" and, when compatible, writes each member's
+  /// gate epoch'd at now.  Lone jobs are left alone, and incompatible groups
+  /// ungated: a gated phase stretched past its slot would wait a full
+  /// period for the next one.
+  void gate_group(const std::vector<std::size_t>& members,
                   std::span<const CommProfile> profiles, Gates& gates);
 
   /// Static job sets: binds `jobs` (by JobId; null = unplaced) to the

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "ckpt/snapshot.h"
+#include "telemetry/table.h"
 #include "workload/profiler.h"
 
 namespace ccml {
@@ -84,6 +85,11 @@ std::size_t ScenarioJobStats::converged_after(double target_ms,
   return first;
 }
 
+std::string post_warmup_ms(const ScenarioJobStats& j, double ms,
+                           int decimals) {
+  return j.cdf.empty() ? "n/a" : TextTable::num(ms, decimals);
+}
+
 ScenarioResult run_dumbbell_scenario(const std::vector<ScenarioJob>& setups,
                                      const ScenarioConfig& config) {
   validate_scenario(setups, config);
@@ -110,8 +116,7 @@ ScenarioResult run_dumbbell_scenario(const std::vector<ScenarioJob>& setups,
     for (std::size_t i = 0; i < setups.size(); ++i) {
       if (!departed[i]) members.push_back(i);
     }
-    core.gate_group(CompatibilitySolver(config.solver), members, profiles,
-                    gates);
+    core.gate_group(members, profiles, gates);
     return gates;
   };
   const RunCore::Gates scheduled =

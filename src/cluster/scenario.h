@@ -81,6 +81,12 @@ struct ScenarioJobStats {
   std::size_t converged_after(double target_ms, double tolerance = 0.05) const;
 };
 
+/// Job `j`'s post-warmup statistic `ms` (its mean, median or p95) with
+/// `decimals` decimals, or "n/a" when every iteration of the job fell inside
+/// the warmup and the sample is empty.
+std::string post_warmup_ms(const ScenarioJobStats& j, double ms,
+                           int decimals = 1);
+
 struct ScenarioResult {
   std::vector<ScenarioJobStats> jobs;
   /// Recovery metrics; present when the config carried a fault plan.

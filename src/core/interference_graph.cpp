@@ -1,19 +1,24 @@
 #include "core/interference_graph.h"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cmath>
-#include <cstdio>
 #include <deque>
 #include <map>
+#include <string>
 
 #include "util/circular.h"
-#include "util/rng.h"
 #include "util/union_find.h"
 
 namespace ccml {
 
 namespace {
+
+/// The largest disagreement between a job's assigned and implied rotations
+/// that still counts as consistent (the circle quantum: finer disagreements
+/// are noise).
+constexpr Duration kConsistencyTolerance = Duration::millis(1);
+
+/// Steps of the joint refinement walk.
+constexpr int kRefineIterations = 20'000;
 
 /// Shortest circular distance between two points on a circle of `perimeter`.
 Duration circular_distance(Duration a, Duration b, Duration perimeter) {
@@ -70,7 +75,7 @@ std::vector<std::size_t> component_labels(
 
 }  // namespace
 
-InterferenceGraph::InterferenceGraph(InterferenceGraphOptions options)
+InterferenceGraph::InterferenceGraph(SolverOptions options)
     : options_(std::move(options)) {}
 
 std::vector<std::size_t> InterferenceGraph::components(
@@ -100,24 +105,15 @@ std::string InterferenceGraph::component_signature(
   std::string sig;
   sig.reserve(jobs.size() * 64);
   std::map<std::int32_t, int> dense;  // link key -> first-appearance index
-  char buf[64];
   for (const GraphJob& job : jobs) {
-    const CommProfile& p = job.profile;
-    std::snprintf(buf, sizeof(buf), "p%" PRId64 "d%.0f", p.period.ns(),
-                  p.demand.bits_per_sec());
-    sig += buf;
-    for (const Arc& arc : p.arcs) {
-      std::snprintf(buf, sizeof(buf), "a%" PRId64 "+%" PRId64, arc.start.ns(),
-                    arc.length.ns());
-      sig += buf;
-    }
+    job.profile.append_signature(sig);
     sig += 'L';
     bool first = true;
     for (const std::int32_t key : normalized_links(job)) {
       const auto [it, fresh] =
           dense.emplace(key, static_cast<int>(dense.size()));
-      std::snprintf(buf, sizeof(buf), first ? "%d" : ",%d", it->second);
-      sig += buf;
+      if (!first) sig += ',';
+      sig += std::to_string(it->second);
       first = false;
     }
     sig += ';';
@@ -142,7 +138,7 @@ GraphResult InterferenceGraph::solve(std::span<const GraphJob> jobs,
     std::vector<CommProfile> profiles;
     profiles.reserve(js.size());
     for (const std::size_t j : js) profiles.push_back(jobs[j].profile);
-    UnifiedCircle circle(profiles, options_.solver.circle);
+    UnifiedCircle circle(profiles, options_.circle);
     for (const std::size_t j : js) job_shared[j].push_back(shared.size());
     shared.push_back(SharedLink{key, js, std::move(profiles),
                                 std::move(circle), SolverResult{}});
@@ -150,7 +146,7 @@ GraphResult InterferenceGraph::solve(std::span<const GraphJob> jobs,
 
   // Per-link scoring: the link's members' global rotations wrapped onto
   // their own periods, scored on the link's circle.
-  const CircleLimit limit = violation_limit(options_.solver);
+  const CircleLimit limit = violation_limit(options_);
   std::vector<Duration> rots;
   const auto link_rotations = [&](const SharedLink& sl,
                                   std::span<const Duration> global) {
@@ -234,7 +230,7 @@ GraphResult InterferenceGraph::solve(std::span<const GraphJob> jobs,
     sl.local = link_solve_
                    ? link_solve_(sl.profiles, std::move(warm))
                    : [&] {
-                       SolverOptions o = options_.solver;
+                       SolverOptions o = options_;
                        o.warm_start = std::move(warm);
                        return CompatibilitySolver(std::move(o))
                            .solve(sl.profiles);
@@ -284,7 +280,7 @@ GraphResult InterferenceGraph::solve(std::span<const GraphJob> jobs,
           } else {
             const Duration mismatch =
                 circular_distance(global[v], implied, period);
-            if (mismatch > options_.consistency_tolerance) {
+            if (mismatch > kConsistencyTolerance) {
               out.conflicts.push_back(RotationConflict{v, sl.key, mismatch});
             }
           }
@@ -297,11 +293,12 @@ GraphResult InterferenceGraph::solve(std::span<const GraphJob> jobs,
 
   // Stage 3: joint refinement.  When some link is provably infeasible on its
   // own no rotation assignment can fix it, so skip the walk.
-  if (!out.compatible && options_.refine && !any_proven_incompatible &&
-      options_.refine_iterations > 0) {
+  if (!out.compatible && !any_proven_incompatible) {
     std::vector<std::size_t> movable;
+    std::vector<Duration> periods(n);
     for (std::size_t j = 0; j < n; ++j) {
       if (!job_shared[j].empty()) movable.push_back(j);
+      periods[j] = jobs[j].profile.period;
     }
     std::vector<double> link_viol(shared.size(), 0.0);
     double current = 0.0;
@@ -322,41 +319,24 @@ GraphResult InterferenceGraph::solve(std::span<const GraphJob> jobs,
                  scorers[li].violated_ns(link_rotations(sl, global), k)) /
              static_cast<double>(sl.circle.perimeter().ns());
     };
-    std::vector<Duration> best = global;
-    double best_total = current;
-    Rng rng(options_.solver.seed);
-    const int iters = options_.refine_iterations;
-    for (int i = 0; i < iters && best_total > 0.0; ++i) {
-      const double temp = 0.3 * (1.0 - static_cast<double>(i) / iters) + 1e-4;
-      const std::size_t j = movable[static_cast<std::size_t>(rng.uniform_int(
-          0, static_cast<std::int64_t>(movable.size()) - 1))];
-      const Duration period = jobs[j].profile.period;
-      const Duration old = global[j];
-      const double sigma = std::max(0.02, temp) * period.to_seconds();
-      global[j] = wrap_to_circle(
-          old + Duration::from_seconds_f(rng.gaussian(0.0, sigma)), period);
-      double delta_obj = 0.0;
-      std::vector<double> touched(job_shared[j].size());
-      for (std::size_t t = 0; t < job_shared[j].size(); ++t) {
-        touched[t] = rescore(job_shared[j][t], j);
-        delta_obj += touched[t] - link_viol[job_shared[j][t]];
-      }
-      if (delta_obj <= 0.0 ||
-          rng.chance(std::exp(-delta_obj / std::max(temp, 1e-6)))) {
-        current += delta_obj;
-        for (std::size_t t = 0; t < job_shared[j].size(); ++t) {
-          link_viol[job_shared[j][t]] = touched[t];
-        }
-        if (current < best_total) {
-          best_total = current;
-          best = global;
-        }
-      } else {
-        global[j] = old;
-      }
-    }
+    std::vector<double> touched;  // the moved job's links, re-scored
+    anneal(
+        global, movable, periods, current, options_.seed, kRefineIterations,
+        [&](std::size_t j, double value) {
+          double delta = 0.0;
+          touched.resize(job_shared[j].size());
+          for (std::size_t t = 0; t < job_shared[j].size(); ++t) {
+            touched[t] = rescore(job_shared[j][t], j);
+            delta += touched[t] - link_viol[job_shared[j][t]];
+          }
+          return AnnealMove{delta, value + delta};
+        },
+        [&](std::size_t j) {
+          for (std::size_t t = 0; t < job_shared[j].size(); ++t) {
+            link_viol[job_shared[j][t]] = touched[t];
+          }
+        });
     for (const CircleScorer& sc : scorers) out.evaluations += sc.evaluations();
-    global = std::move(best);
     finalize(global);
   }
 
@@ -364,29 +344,6 @@ GraphResult InterferenceGraph::solve(std::span<const GraphJob> jobs,
   // A zero-violation assignment on exact circles is its own certificate; an
   // incompatible verdict is proven only via a link's local refutation.
   out.proven = out.compatible ? out.circle_exact : any_proven_incompatible;
-  return out;
-}
-
-SolverResult CompatibilitySolver::solve_multi(
-    std::span<const CommProfile> jobs,
-    std::span<const std::vector<std::int32_t>> job_links) const {
-  InterferenceGraphOptions opts;
-  opts.solver = options_;
-  std::vector<GraphJob> graph_jobs;
-  graph_jobs.reserve(jobs.size());
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    graph_jobs.push_back(GraphJob{
-        jobs[j], j < job_links.size() ? job_links[j]
-                                      : std::vector<std::int32_t>{}});
-  }
-  const GraphResult g = InterferenceGraph(std::move(opts)).solve(graph_jobs);
-  SolverResult out;
-  out.compatible = g.compatible;
-  out.proven = g.proven;
-  out.rotations = g.rotations;
-  out.violation_fraction = g.worst_violation;
-  out.overlap_fraction = g.worst_violation;
-  out.circle_exact = g.circle_exact;
   return out;
 }
 

@@ -17,12 +17,12 @@
 //     for every member j.  A BFS over the bipartite graph fixes the deltas
 //     along a spanning tree and derives one global rotation g_j per job;
 //     every non-tree incidence is a cycle whose implied rotation must agree
-//     with the assigned one — a mismatch beyond the tolerance is recorded as
-//     a RotationConflict and scored by its circular distance.
+//     with the assigned one — a mismatch beyond 1 ms (the circle quantum)
+//     is recorded as a RotationConflict and scored by its circular distance.
 //  3. Joint refinement: when the propagated assignment still violates some
-//     link (conflicting cycles, or clamped circles), a deterministic
-//     annealing walk over the global rotations minimizes the summed
-//     per-link violation.
+//     link (conflicting cycles, or clamped circles), the solver's annealing
+//     walk (20,000 steps, seeded from SolverOptions::seed) over the global
+//     rotations minimizes the summed per-link violation.
 //
 // Compatibility is judged on the *global* assignment: the component is
 // compatible iff every link's circle is violation-free under the consistent
@@ -49,21 +49,6 @@ namespace ccml {
 struct GraphJob {
   CommProfile profile;
   std::vector<std::int32_t> links;
-};
-
-struct InterferenceGraphOptions {
-  /// Per-link circle solves and the violation evaluation mode.
-  SolverOptions solver;
-
-  /// Two implied rotations for the job closing a cycle are consistent when
-  /// their circular distance on the job's own period is at most this (the
-  /// same order as the circle quantum: finer disagreements are noise).
-  Duration consistency_tolerance = Duration::millis(1);
-
-  /// Joint annealing over the global rotations when propagation leaves
-  /// residual violation.  Deterministic (seeded from solver.seed).
-  bool refine = true;
-  int refine_iterations = 20'000;
 };
 
 /// Verdict for one shared link under the final (consistent) rotations.
@@ -113,7 +98,8 @@ struct GraphResult {
 
 class InterferenceGraph {
  public:
-  explicit InterferenceGraph(InterferenceGraphOptions options = {});
+  /// `options` drive the per-link circle solves and the violation mode.
+  explicit InterferenceGraph(SolverOptions options = {});
 
   /// Replaces the per-link circle solve.  `warm_start` is either empty or
   /// one rotation per profile; the default routes to CompatibilitySolver.
@@ -142,10 +128,8 @@ class InterferenceGraph {
   /// IncrementalResolver::signature.
   static std::string component_signature(std::span<const GraphJob> jobs);
 
-  const InterferenceGraphOptions& options() const { return options_; }
-
  private:
-  InterferenceGraphOptions options_;
+  SolverOptions options_;
   LinkSolve link_solve_;
 };
 

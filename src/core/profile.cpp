@@ -1,5 +1,8 @@
 #include "core/profile.h"
 
+#include <cinttypes>
+#include <cstdio>
+
 namespace ccml {
 
 CommProfile CommProfile::single_phase(std::string name, Duration period,
@@ -37,6 +40,18 @@ bool CommProfile::valid() const {
     if (!a.length.is_positive()) return false;
   }
   return comm_time() <= period;
+}
+
+void CommProfile::append_signature(std::string& out) const {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "p%" PRId64 "d%.0f", period.ns(),
+                demand.bits_per_sec());
+  out += buf;
+  for (const Arc& arc : arcs) {
+    std::snprintf(buf, sizeof(buf), "a%" PRId64 "+%" PRId64, arc.start.ns(),
+                  arc.length.ns());
+    out += buf;
+  }
 }
 
 }  // namespace ccml

@@ -40,6 +40,11 @@ struct CommProfile {
   /// True when period > 0, every arc has positive length, and total arc
   /// length fits within the period.
   bool valid() const;
+
+  /// Appends the solver cache-key encoding of this profile (period, demand
+  /// and arc geometry; not the name) to `out`.  Checkpoints store keys built
+  /// from it, so its bytes must not change.
+  void append_signature(std::string& out) const;
 };
 
 }  // namespace ccml

@@ -7,16 +7,12 @@
 #include <numeric>
 #include <optional>
 
-#include "util/rng.h"
 
 namespace ccml {
 
 CircleLimit violation_limit(const SolverOptions& opts) {
-  CircleLimit limit;
-  limit.max_count = opts.max_concurrent;
-  limit.bandwidth = opts.mode == SolverOptions::Mode::kBandwidth;
-  limit.max_demand_bps = opts.link_capacity.bits_per_sec() * (1.0 + 1e-9);
-  return limit;
+  return {opts.mode == SolverOptions::Mode::kBandwidth,
+          opts.link_capacity.bits_per_sec() * (1.0 + 1e-9)};
 }
 
 double circle_violation_fraction(const UnifiedCircle& circle,
@@ -28,6 +24,9 @@ double circle_violation_fraction(const UnifiedCircle& circle,
 }
 
 namespace {
+
+/// Coordinate-descent rounds of slack spreading.
+constexpr int kSpreadRounds = 8;
 
 /// Compute-phase coverage of job j on the unified circle: the complement of
 /// its comm arcs within its own period, replicated (used by the GPU
@@ -72,11 +71,10 @@ double gpu_violation_fraction(const UnifiedCircle& circle,
 /// Preserves zero overlap by construction and converges toward a placement
 /// with balanced guard bands between communication windows.
 std::vector<Duration> spread_slack_rotations(const UnifiedCircle& circle,
-                                             std::vector<Duration> rotations,
-                                             int rounds) {
+                                             std::vector<Duration> rotations) {
   const std::size_t n = circle.job_count();
   if (n < 2) return rotations;
-  for (int round = 0; round < rounds; ++round) {
+  for (int round = 0; round < kSpreadRounds; ++round) {
     for (std::size_t j = 0; j < n; ++j) {
       // Equal room on both sides once shifted by half the difference (zero
       // when either side has no arcs).
@@ -101,7 +99,7 @@ bool passes_necessary_condition(const UnifiedCircle& circle,
       total += static_cast<double>(circle.job(j).comm_time().ns()) *
                static_cast<double>(circle.repetitions(j));
     }
-    return total <= L * options.max_concurrent * (1.0 + 1e-9);
+    return total <= L * (1.0 + 1e-9);
   }
   double bit_budget = options.link_capacity.bits_per_sec() * L * 1e-9;
   double demand_bits = 0.0;
@@ -135,7 +133,6 @@ std::vector<Duration> candidates_for(const UnifiedCircle& circle,
 CompatibilitySolver::CompatibilitySolver(SolverOptions options)
     : options_(options) {
   assert(options_.sectors > 0);
-  assert(options_.max_concurrent >= 1);
 }
 
 bool CompatibilitySolver::necessary_condition(
@@ -208,12 +205,10 @@ SolverResult CompatibilitySolver::solve(
   std::uint64_t explored = 0;
   bool budget_exhausted = false;
 
-  if (maybe && options_.mode == SolverOptions::Mode::kCount &&
-      options_.max_concurrent == 1) {
+  if (maybe && options_.mode == SolverOptions::Mode::kCount) {
     // Exact DFS: maintain the union of placed jobs' communication arcs and
     // require each new placement to be point-wise disjoint from it.
     std::vector<Duration> chosen(n, Duration::zero());
-    bool found = false;
 
     // Candidate rotations: the sector grid, plus "contact" rotations that
     // align an arc boundary of job j with a boundary of the occupied set.
@@ -258,10 +253,6 @@ SolverResult CompatibilitySolver::solve(
           depth == 0 ? std::vector<Duration>{Duration::zero()}
                      : candidates_with_contacts(j, occupied);
       const int group = multi_tenant ? groups[j] : -1;
-      if (depth == 0 && multi_tenant) {
-        // The pinned job may still conflict on its GPU with later jobs; no
-        // extra candidates needed, rotation 0 stays valid by symmetry.
-      }
       for (const Duration r : cands) {
         if (++explored > options_.search_budget) {
           budget_exhausted = true;
@@ -305,15 +296,14 @@ SolverResult CompatibilitySolver::solve(
       return false;
     };
 
-    found = dfs(dfs, 0, CircularIntervalSet(circle.perimeter()));
+    const bool found = dfs(dfs, 0, CircularIntervalSet(circle.perimeter()));
     result.nodes_explored = explored;
     if (found) {
       result.compatible = true;
       result.proven = true;
-      result.rotations =
-          options_.spread_slack && options_.gpu_groups.empty()
-              ? spread_slack_rotations(circle, chosen, options_.spread_rounds)
-              : chosen;
+      result.rotations = options_.gpu_groups.empty()
+                             ? spread_slack_rotations(circle, chosen)
+                             : chosen;
       result.violation_fraction = 0.0;
       result.overlap_fraction = circle.overlap_fraction(result.rotations);
       return finalize(result);
@@ -322,9 +312,9 @@ SolverResult CompatibilitySolver::solve(
       result.proven = true;  // exhaustive over the discretization
     }
   } else if (maybe) {
-    // Generalized modes: DFS over sector-aligned rotations with a per-sector
-    // occupancy array (count or demand).  Sector marking is conservative:
-    // a job occupies every sector its arcs touch.
+    // Bandwidth mode: DFS over sector-aligned rotations with a per-sector
+    // demand array.  Sector marking is conservative: a job occupies every
+    // sector its arcs touch.
     const int S = options_.sectors;
     const std::int64_t L = circle.perimeter().ns();
     std::vector<CircleSegment> placed;
@@ -342,15 +332,11 @@ SolverResult CompatibilitySolver::solve(
     };
     std::vector<double> load(S, 0.0);
     std::vector<Duration> chosen(n, Duration::zero());
-    const double cap = options_.mode == SolverOptions::Mode::kCount
-                           ? static_cast<double>(options_.max_concurrent)
-                           : options_.link_capacity.bits_per_sec();
+    const double cap = options_.link_capacity.bits_per_sec();
     auto dfs = [&](auto&& self, std::size_t depth) -> bool {
       if (depth == n) return true;
       const std::size_t j = order[depth];
-      const double unit = options_.mode == SolverOptions::Mode::kCount
-                              ? 1.0
-                              : circle.job(j).demand.bits_per_sec();
+      const double unit = circle.job(j).demand.bits_per_sec();
       const std::vector<Duration> cands =
           depth == 0 ? std::vector<Duration>{Duration::zero()}
                      : candidates_for(circle, j, options_.sectors);
@@ -389,7 +375,7 @@ SolverResult CompatibilitySolver::solve(
       return finalize(result);
     }
     // Conservative sector marking can reject feasible instances, so a failed
-    // generalized DFS never *proves* incompatibility; fall through.
+    // sector DFS never *proves* incompatibility; fall through.
   } else {
     result.proven = true;  // necessary condition refuted compatibility
   }
@@ -406,44 +392,23 @@ SolverResult CompatibilitySolver::solve(
       rot[j] = wrap_to_circle(options_.warm_start[j], jobs[j].period);
     }
   }
-  double best_v = total_violation(rot);
-  std::vector<Duration> best = rot;
-  if (options_.anneal_fallback && n > 1) {
-    Rng rng(options_.seed);
-    double cur_v = best_v;
-    const int iters = options_.anneal_iterations;
-    for (int i = 0; i < iters; ++i) {
-      const double temp =
-          0.3 * (1.0 - static_cast<double>(i) / iters) + 1e-4;
-      const std::size_t j =
-          1 + static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 2));
-      const std::size_t jj = order[j];
-      const Duration period = circle.job(jj).period;
-      const Duration old = rot[jj];
-      const double sigma = std::max(0.02, temp) * period.to_seconds();
-      Duration next = old + Duration::from_seconds_f(rng.gaussian(0.0, sigma));
-      next = wrap_to_circle(next, period);
-      rot[jj] = next;
-      // Only job jj moved: re-score it against the others' depth profile.
-      const double v =
-          static_cast<double>(scorer.violated_ns(rot, jj)) / perimeter_ns +
-          gpu_violation_fraction(circle, rot, options_.gpu_groups);
-      const double delta = v - cur_v;
-      if (delta <= 0.0 || rng.chance(std::exp(-delta / std::max(temp, 1e-6)))) {
-        cur_v = v;
-        if (v < best_v) {
-          best_v = v;
-          best = rot;
-          if (best_v == 0.0) break;
-        }
-      } else {
-        rot[jj] = old;
-      }
-    }
-  }
-  result.rotations = best;
+  std::vector<Duration> periods(n);
+  for (std::size_t j = 0; j < n; ++j) periods[j] = jobs[j].period;
+  // The heaviest job stays pinned; only job jj moves, so re-score it against
+  // the others' depth profile.
+  const double best_v = anneal(
+      rot, std::span(order).subspan(1), periods, total_violation(rot),
+      options_.seed, options_.anneal_iterations,
+      [&](std::size_t jj, double current) {
+        const double v =
+            static_cast<double>(scorer.violated_ns(rot, jj)) / perimeter_ns +
+            gpu_violation_fraction(circle, rot, options_.gpu_groups);
+        return AnnealMove{v - current, v};
+      },
+      [](std::size_t) {});
+  result.rotations = std::move(rot);
   result.violation_fraction = best_v;
-  result.overlap_fraction = circle.overlap_fraction(best);
+  result.overlap_fraction = circle.overlap_fraction(result.rotations);
   if (best_v == 0.0) {
     result.compatible = true;
     result.proven = true;

@@ -9,15 +9,20 @@
 // sector-occupancy pruning (jobs ordered by descending communication
 // fraction, first job pinned at rotation 0 to break rotational symmetry) —
 // with a simulated-annealing fallback that minimizes residual overlap when
-// the search budget is exhausted or no exact solution exists.
+// the search budget is exhausted or no exact solution exists.  A compatible
+// count-mode solution (without GPU groups) is then spread: each job is
+// recentered in its feasible slide range to widen the guard bands.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "core/profile.h"
 #include "core/unified_circle.h"
+#include "util/rng.h"
 #include "util/time.h"
 #include "util/units.h"
 
@@ -30,34 +35,24 @@ struct SolverOptions {
 
   /// Constraint mode.
   enum class Mode {
-    kCount,      ///< at most `max_concurrent` jobs per sector (paper default: 1)
+    kCount,      ///< at most one job communicating per sector (paper §3)
     kBandwidth,  ///< sum of job demands per sector <= link_capacity
   };
   Mode mode = Mode::kCount;
-  int max_concurrent = 1;
   Rate link_capacity = Rate::gbps(50);
 
   /// DFS node budget before falling back to annealing.
   std::uint64_t search_budget = 4'000'000;
 
-  /// Annealing fallback (finds minimum-overlap rotations when exact search
-  /// fails or is infeasible).
-  bool anneal_fallback = true;
+  /// Steps of the annealing fallback, which finds minimum-violation
+  /// rotations when exact search fails or is infeasible.
   int anneal_iterations = 20'000;
   std::uint64_t seed = 42;
-
-  /// After a compatible solution is found (count mode, cap 1), spread the
-  /// jobs' rotations to maximize guard bands between communication windows.
-  /// The raw DFS tends to return back-to-back packings; centering each job
-  /// in its feasible range makes downstream flow schedules robust to
-  /// iteration-time jitter (see bench/ablation_compute_jitter).
-  bool spread_slack = true;
-  int spread_rounds = 8;
 
   /// GPU multi-tenancy (paper §5): jobs with the same non-negative group id
   /// time-share a GPU, so their *compute* phases must not overlap either.
   /// One entry per job (parallel to the solve() input); -1 = dedicated GPU.
-  /// Empty = all dedicated.  Only honored in count mode with cap 1.
+  /// Empty = all dedicated.  Only honored in count mode.
   std::vector<int> gpu_groups;
 
   /// Optional warm start: rotations carried over from a previous solve of a
@@ -102,17 +97,6 @@ class CompatibilitySolver {
   /// best rotation for each.
   SolverResult solve(std::span<const CommProfile> jobs) const;
 
-  /// Multi-link entry point (CASSINI-style): the jobs contend on several
-  /// links at once and `job_links[j]` names the links job j's traffic
-  /// crosses (opaque int32 keys).  Returns ONE rotation per job, consistent
-  /// across every link it crosses, solved via the (job, link) interference
-  /// graph; `violation_fraction` is the worst per-link residual.  With every
-  /// job on one common link this reduces to solve().  Defined in
-  /// interference_graph.cpp.
-  SolverResult solve_multi(
-      std::span<const CommProfile> jobs,
-      std::span<const std::vector<std::int32_t>> job_links) const;
-
   /// Quick analytic necessary condition: the total communication time per
   /// unified revolution cannot exceed the revolution (count mode) /
   /// capacity-weighted equivalent (bandwidth mode).  A `false` here proves
@@ -135,5 +119,56 @@ CircleLimit violation_limit(const SolverOptions& opts);
 double circle_violation_fraction(const UnifiedCircle& circle,
                                  std::span<const Duration> rotations,
                                  const SolverOptions& opts);
+
+/// One annealing step's outcome: the objective's change and its value if
+/// the move is kept.
+struct AnnealMove {
+  double delta;
+  double value;
+};
+
+/// The annealing walk behind the solver's fallback and the interference
+/// graph's joint refinement.  Starting from `rotations`, whose objective is
+/// `value`, each step moves one job of `movable` by a Gaussian scaled to its
+/// period (`periods[j]`) and to the cooling temperature, asks
+/// `rescore(j, value)` for the move's AnnealMove, and keeps the move by the
+/// Metropolis test (then calls `commit(j)`) or restores the job.  Leaves the
+/// best rotations seen in `rotations` and returns their value; stops right
+/// after the best reaches zero.  Deterministic in `seed`.
+template <class Rescore, class Commit>
+double anneal(std::vector<Duration>& rotations,
+              std::span<const std::size_t> movable,
+              std::span<const Duration> periods, double value,
+              std::uint64_t seed, int iterations, Rescore&& rescore,
+              Commit&& commit) {
+  std::vector<Duration> best = rotations;
+  double best_value = value;
+  Rng rng(seed);
+  for (int i = 0; i < iterations; ++i) {
+    const double temp =
+        0.3 * (1.0 - static_cast<double>(i) / iterations) + 1e-4;
+    const std::size_t j = movable[static_cast<std::size_t>(rng.uniform_int(
+        0, static_cast<std::int64_t>(movable.size()) - 1))];
+    const Duration old = rotations[j];
+    const double sigma = std::max(0.02, temp) * periods[j].to_seconds();
+    rotations[j] = wrap_to_circle(
+        old + Duration::from_seconds_f(rng.gaussian(0.0, sigma)), periods[j]);
+    const AnnealMove move = rescore(j, value);
+    if (move.delta <= 0.0 ||
+        rng.chance(std::exp(-move.delta / std::max(temp, 1e-6)))) {
+      commit(j);
+      value = move.value;
+      if (value < best_value) {
+        best_value = value;
+        best = rotations;
+        if (best_value <= 0.0) break;
+      }
+    } else {
+      rotations[j] = old;
+    }
+  }
+  rotations = std::move(best);
+  return best_value;
+}
 
 }  // namespace ccml

@@ -228,7 +228,7 @@ CircleSweep UnifiedCircle::sweep(std::span<const Duration> rotations,
   sweep_levels(cursors, [&](std::int64_t lo, std::int64_t hi, int depth,
                             double demand) {
     const bool bad = limit.bandwidth ? demand > limit.max_demand_bps
-                                     : depth > limit.max_count;
+                                     : depth > 1;
     if (bad) out.violated_ns += hi - lo;
     if (depth >= 2) out.overlap_ns += hi - lo;
     out.peak_count = std::max(out.peak_count, depth);
@@ -328,9 +328,9 @@ void CircleScorer::rebuild(Profile& p, std::span<const Duration> rotations,
   p.at_cap.clear();
   sweep_levels(cursors,
                [&](std::int64_t lo, std::int64_t hi, int depth, double) {
-                 if (depth > limit_.max_count) {
+                 if (depth > 1) {
                    p.over_ns += hi - lo;
-                 } else if (depth == limit_.max_count) {
+                 } else if (depth == 1) {
                    append_merged(p.at_cap, lo, hi);
                  }
                });

@@ -37,11 +37,9 @@ struct CircleSegment {
   friend bool operator==(const CircleSegment&, const CircleSegment&) = default;
 };
 
-/// The constraint a sweep scores against: more than `max_count` jobs
-/// communicating at once or, with `bandwidth`, aggregate demand above
-/// `max_demand_bps`.
+/// The constraint a sweep scores against: more than one job communicating
+/// at once or, with `bandwidth`, aggregate demand above `max_demand_bps`.
 struct CircleLimit {
-  int max_count = 1;
   bool bandwidth = false;
   double max_demand_bps = 0.0;
 };
@@ -130,11 +128,11 @@ class CircleScorer {
   std::int64_t violated_ns(std::span<const Duration> rotations);
 
   /// The same value as violated_ns(rotations), found by re-scoring only
-  /// job `moved` against a depth profile of the others.  In count mode with
-  /// cap c the moved job adds violation exactly where the others already
-  /// hold c jobs, so
-  ///   violated = |others' depth > c|
-  ///            + |moved job's arcs ∩ others' depth == c|
+  /// job `moved` against a depth profile of the others.  In count mode the
+  /// moved job adds violation exactly where the others already hold one job,
+  /// so
+  ///   violated = |others' depth > 1|
+  ///            + |moved job's arcs ∩ others' depth == 1|
   /// (integer ns, bit-identical to a full sweep).  The profile is rebuilt
   /// only when another job's rotation changed since it was built, i.e. after
   /// an accepted move.  Bandwidth mode runs the full sweep: its running
@@ -149,8 +147,8 @@ class CircleScorer {
   struct Profile {
     bool built = false;
     std::vector<Duration> rotations;    ///< the assignment it was built from
-    std::int64_t over_ns = 0;           ///< others' depth > cap
-    std::vector<CircleSegment> at_cap;  ///< others' depth == cap
+    std::int64_t over_ns = 0;           ///< others' depth > 1
+    std::vector<CircleSegment> at_cap;  ///< others' depth == 1
   };
 
   const std::vector<CircleSegment>& rotated(std::size_t j, Duration rotation);

@@ -8,7 +8,6 @@
 #include <limits>
 
 #include "obs/trace_bus.h"
-#include "util/log.h"
 
 namespace ccml {
 

@@ -137,7 +137,7 @@ ClusterRunReport Orchestrator::run() {
   RunCore core(topo_, config_, config_.net, config_.horizon);
   Simulator& sim = core.sim;
   const Router router(topo_);
-  IncrementalResolver resolver(config_.solver);
+  IncrementalResolver resolver;
   AdmissionConfig admission_cfg = config_.admission;
   // CircleMode is the whole-stack switch: in the legacy single-circle mode
   // admission scores components on one joint circle too, so the A/B in

@@ -1,29 +1,16 @@
 #include "orch/resolve.h"
 
 #include <chrono>
-#include <cinttypes>
-#include <cstdio>
 #include <utility>
 
 namespace ccml {
-
-IncrementalResolver::IncrementalResolver(SolverOptions options)
-    : options_(std::move(options)) {}
 
 std::string IncrementalResolver::signature(
     std::span<const CommProfile> profiles) {
   std::string sig;
   sig.reserve(profiles.size() * 48);
-  char buf[64];
-  for (const auto& p : profiles) {
-    std::snprintf(buf, sizeof(buf), "p%" PRId64 "d%.0f", p.period.ns(),
-                  p.demand.bits_per_sec());
-    sig += buf;
-    for (const auto& arc : p.arcs) {
-      std::snprintf(buf, sizeof(buf), "a%" PRId64 "+%" PRId64, arc.start.ns(),
-                    arc.length.ns());
-      sig += buf;
-    }
+  for (const CommProfile& p : profiles) {
+    p.append_signature(sig);
     sig += ';';
   }
   return sig;
@@ -37,7 +24,7 @@ IncrementalResolver::Answer IncrementalResolver::solve_group(
     return Answer{&it->second, true};
   }
 
-  SolverOptions options = options_;
+  SolverOptions options;
   if (warm_start.size() == profiles.size()) {
     options.warm_start = std::move(warm_start);
   }
@@ -71,9 +58,7 @@ IncrementalResolver::ComponentAnswer IncrementalResolver::solve_component(
     return ComponentAnswer{&it->second, true};
   }
 
-  InterferenceGraphOptions options;
-  options.solver = options_;
-  InterferenceGraph graph(options);
+  InterferenceGraph graph;
   // Per-link circle solves hit the same signature cache as solve_group():
   // an identical sharing group on another link (or inside another component)
   // is answered without searching, and its stats land in solves/cache_hits.

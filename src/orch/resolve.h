@@ -53,10 +53,10 @@ struct ResolveStats {
   }
 };
 
+/// Solves with the default SolverOptions (count mode, the paper's cap of
+/// one job per sector).
 class IncrementalResolver {
  public:
-  explicit IncrementalResolver(SolverOptions options = {});
-
   struct Answer {
     /// Stable pointer into the cache; valid until clear().
     const SolverResult* result = nullptr;
@@ -95,7 +95,6 @@ class IncrementalResolver {
   static std::string signature(std::span<const CommProfile> profiles);
 
   const ResolveStats& stats() const { return stats_; }
-  const SolverOptions& options() const { return options_; }
   std::size_t cache_size() const { return cache_.size(); }
   void clear();
 
@@ -119,7 +118,6 @@ class IncrementalResolver {
   std::size_t component_cache_size() const { return component_cache_.size(); }
 
  private:
-  SolverOptions options_;
   // std::map: pointers into values stay valid across inserts.
   std::map<std::string, SolverResult> cache_;
   std::map<std::string, GraphResult> component_cache_;

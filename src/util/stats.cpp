@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdio>
 #include <numeric>
 
 namespace ccml {
@@ -91,48 +90,6 @@ std::vector<std::pair<double, double>> Cdf::curve(std::size_t points) const {
 const std::vector<double>& Cdf::sorted() const {
   ensure_sorted();
   return samples_;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0) {
-  assert(hi > lo);
-  assert(buckets > 0);
-}
-
-void Histogram::add(double x) {
-  const double t = (x - lo_) / (hi_ - lo_);
-  auto idx = static_cast<std::ptrdiff_t>(t * static_cast<double>(counts_.size()));
-  idx = std::clamp<std::ptrdiff_t>(idx, 0,
-                                   static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bucket_low(std::size_t bucket) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(bucket) /
-                   static_cast<double>(counts_.size());
-}
-
-double Histogram::bucket_high(std::size_t bucket) const {
-  return bucket_low(bucket + 1);
-}
-
-std::string Histogram::render(std::size_t width) const {
-  std::string out;
-  const std::size_t peak = *std::max_element(counts_.begin(), counts_.end());
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    char head[64];
-    std::snprintf(head, sizeof(head), "[%8.2f,%8.2f) ", bucket_low(i),
-                  bucket_high(i));
-    out += head;
-    const std::size_t bar =
-        peak == 0 ? 0 : counts_[i] * width / peak;
-    out.append(bar, '#');
-    char tail[32];
-    std::snprintf(tail, sizeof(tail), " %zu\n", counts_[i]);
-    out += tail;
-  }
-  return out;
 }
 
 Cdf post_warmup_cdf(const std::vector<Duration>& iterations,

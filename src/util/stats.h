@@ -2,7 +2,7 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "util/time.h"
@@ -63,27 +63,5 @@ class Cdf {
 /// Iteration times from index `warmup` on, in milliseconds.
 Cdf post_warmup_cdf(const std::vector<Duration>& iterations,
                     std::size_t warmup);
-
-/// Fixed-width histogram over [lo, hi); values outside are clamped to the
-/// edge buckets.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x);
-  std::size_t bucket_count() const { return counts_.size(); }
-  std::size_t count(std::size_t bucket) const { return counts_.at(bucket); }
-  std::size_t total() const { return total_; }
-  double bucket_low(std::size_t bucket) const;
-  double bucket_high(std::size_t bucket) const;
-
-  /// Simple ASCII rendering (one row per bucket).
-  std::string render(std::size_t width = 50) const;
-
- private:
-  double lo_, hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
 
 }  // namespace ccml

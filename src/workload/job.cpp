@@ -7,7 +7,6 @@
 #include <string>
 
 #include "obs/trace_bus.h"
-#include "util/log.h"
 
 namespace ccml {
 

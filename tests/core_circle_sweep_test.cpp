@@ -72,7 +72,7 @@ double oracle_violation(const UnifiedCircle& circle,
   const double cap_bps = opts.link_capacity.bits_per_sec() * (1.0 + 1e-9);
   for (const Boundary& b : oracle_bounds(circle, options, rotations)) {
     const bool bad = opts.mode == SolverOptions::Mode::kCount
-                         ? depth > opts.max_concurrent
+                         ? depth > 1
                          : demand > cap_bps;
     if (bad) violated += b.pos - prev;
     depth += b.count_delta;
@@ -228,10 +228,9 @@ std::vector<CircleSegment> as_segments(const CircularIntervalSet& set) {
   return out;
 }
 
-SolverOptions count_mode(int cap) {
+SolverOptions count_mode() {
   SolverOptions o;
   o.mode = SolverOptions::Mode::kCount;
-  o.max_concurrent = cap;
   return o;
 }
 
@@ -270,8 +269,7 @@ TEST(CircleSweep, MatchesOracleOnRandomJobSets) {
         EXPECT_EQ(got.backward, want.backward);
       }
       for (const SolverOptions& o :
-           {count_mode(1), count_mode(2), bandwidth_mode(50.0),
-            bandwidth_mode(85.0)}) {
+           {count_mode(), bandwidth_mode(50.0), bandwidth_mode(85.0)}) {
         EXPECT_EQ(circle_violation_fraction(circle, rot, o),
                   oracle_violation(circle, inst.options, rot, o));
       }
@@ -292,8 +290,7 @@ TEST(CircleSweep, IncrementalRescoreEqualsFullRescore) {
   for (int trial = 0; trial < 120; ++trial) {
     const Instance inst = random_instance(rng);
     const UnifiedCircle circle(inst.jobs, inst.options);
-    for (const SolverOptions& o :
-         {count_mode(1), count_mode(2), bandwidth_mode(50.0)}) {
+    for (const SolverOptions& o : {count_mode(), bandwidth_mode(50.0)}) {
       CircleScorer incremental(circle, violation_limit(o));
       std::vector<Duration> rot;
       for (const CommProfile& job : inst.jobs) {

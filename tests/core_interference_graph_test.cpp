@@ -21,7 +21,7 @@ CommProfile job(const char* name, std::int64_t period_ms,
 /// the violation the result reports — one rotation per job, everywhere.
 void expect_rotation_consistency(const std::vector<GraphJob>& jobs,
                                  const GraphResult& r,
-                                 const InterferenceGraphOptions& opts = {}) {
+                                 const SolverOptions& opts = {}) {
   ASSERT_EQ(r.rotations.size(), jobs.size());
   for (const LinkVerdict& v : r.links) {
     std::vector<CommProfile> profiles;
@@ -31,8 +31,8 @@ void expect_rotation_consistency(const std::vector<GraphJob>& jobs,
       rots.push_back(
           wrap_to_circle(r.rotations[j], jobs[j].profile.period));
     }
-    const UnifiedCircle circle(profiles, opts.solver.circle);
-    EXPECT_NEAR(circle_violation_fraction(circle, rots, opts.solver),
+    const UnifiedCircle circle(profiles, opts.circle);
+    EXPECT_NEAR(circle_violation_fraction(circle, rots, opts),
                 v.violation_fraction, 1e-12)
         << "link " << v.link;
   }
@@ -274,16 +274,20 @@ TEST(InterferenceGraph, PruneIsExactAtCapacityBoundary) {
 }
 
 TEST(InterferenceGraph, SolveMultiEntryPoint) {
-  const std::vector<CommProfile> profiles = {
-      job("a", 100, 60), job("b", 100, 60), job("c", 100, 60)};
-  const std::vector<std::vector<std::int32_t>> links = {{1}, {1, 2}, {2}};
-  CompatibilitySolver solver;
-  EXPECT_FALSE(solver.solve(profiles).compatible);  // one circle: 1.2 > 1
-  const SolverResult multi = solver.solve_multi(profiles, links);
+  // A chain a-b-c over two links is compatible although the three jobs
+  // would not fit on one common circle.
+  const std::vector<GraphJob> jobs = {{job("a", 100, 60), {1}},
+                                      {job("b", 100, 60), {1, 2}},
+                                      {job("c", 100, 60), {2}}};
+  std::vector<CommProfile> profiles;
+  for (const GraphJob& gj : jobs) profiles.push_back(gj.profile);
+  EXPECT_FALSE(CompatibilitySolver().solve(profiles).compatible);  // 1.2 > 1
+  const GraphResult multi = InterferenceGraph().solve(jobs);
   EXPECT_TRUE(multi.compatible);
   EXPECT_TRUE(multi.proven);
-  EXPECT_DOUBLE_EQ(multi.violation_fraction, 0.0);
+  EXPECT_DOUBLE_EQ(multi.worst_violation, 0.0);
   ASSERT_EQ(multi.rotations.size(), 3u);
+  expect_rotation_consistency(jobs, multi);
 }
 
 }  // namespace

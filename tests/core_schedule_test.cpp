@@ -110,16 +110,6 @@ TEST(SpreadSlack, RotationsKeepZeroOverlapAndBalanceGaps) {
   }
 }
 
-TEST(SpreadSlack, DisabledKeepsRawRotationsFeasible) {
-  SolverOptions opts;
-  opts.spread_slack = false;
-  const std::vector<CommProfile> jobs = {job("a", 100, 70), job("b", 100, 70)};
-  const SolverResult r = CompatibilitySolver(opts).solve(jobs);
-  ASSERT_TRUE(r.compatible);
-  const UnifiedCircle circle(jobs);
-  EXPECT_NEAR(circle.overlap_fraction(r.rotations), 0.0, 1e-12);
-}
-
 TEST(FlowSchedule, CommOnlyJobAdmitsAtRotation) {
   // A job with no compute (arc starts at 0) is admitted exactly at its
   // rotation.

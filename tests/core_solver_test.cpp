@@ -156,14 +156,6 @@ TEST(Solver, BandwidthModeRejectsOversubscription) {
   EXPECT_FALSE(r.compatible);
 }
 
-TEST(Solver, CountModeWithHigherCap) {
-  SolverOptions opts;
-  opts.max_concurrent = 2;
-  const std::vector<CommProfile> jobs = {job("a", 100, 30), job("b", 100, 30)};
-  const SolverResult r = CompatibilitySolver(opts).solve(jobs);
-  EXPECT_TRUE(r.compatible);  // two may overlap when the cap is 2
-}
-
 TEST(Solver, Table1DlrmPairCompatible) {
   // DLRM(2000): 700 ms compute, 300 ms comm, period 1000 ms.
   const std::vector<CommProfile> jobs = {job("dlrm", 1000, 700),

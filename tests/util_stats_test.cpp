@@ -98,31 +98,6 @@ TEST(Cdf, SingleSample) {
   EXPECT_DOUBLE_EQ(cdf.percentile(99), 42.0);
 }
 
-TEST(Histogram, BucketsAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);   // bucket 0
-  h.add(9.5);   // bucket 9
-  h.add(-5.0);  // clamps to bucket 0
-  h.add(15.0);  // clamps to bucket 9
-  h.add(5.0);   // bucket 5
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(9), 2u);
-  EXPECT_EQ(h.count(5), 1u);
-  EXPECT_DOUBLE_EQ(h.bucket_low(5), 5.0);
-  EXPECT_DOUBLE_EQ(h.bucket_high(5), 6.0);
-}
-
-TEST(Histogram, RenderContainsCounts) {
-  Histogram h(0.0, 2.0, 2);
-  h.add(0.5);
-  h.add(1.5);
-  h.add(1.6);
-  const std::string out = h.render(10);
-  EXPECT_NE(out.find('#'), std::string::npos);
-  EXPECT_NE(out.find('2'), std::string::npos);
-}
-
 TEST(Rng, Determinism) {
   Rng a(99), b(99);
   for (int i = 0; i < 10; ++i) {

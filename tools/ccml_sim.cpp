@@ -1123,12 +1123,6 @@ ScenarioConfig scenario_config(const Options& opts, std::size_t job_count) {
   return cfg;
 }
 
-/// A post-warmup statistic in ms, or "n/a" when every iteration of the job
-/// fell inside the warmup and the sample is empty.
-std::string post_warmup_ms(const ScenarioJobStats& j, double ms) {
-  return j.cdf.empty() ? "n/a" : TextTable::num(ms, 1);
-}
-
 /// scenario, and faults: a scenario with a fault script, whose report adds
 /// the applied events and the recovery metrics.
 int cmd_scenario(const Options& opts) {
