@@ -116,7 +116,9 @@ int main(int argc, char** argv) {
 
   // Full re-score: rotate every job and sweep them all; then the one-job
   // re-score of an annealing step whose moves are rejected, where the
-  // others' depth profile is built once and job 1 is scored against it.
+  // others' depth profile is built once and job 1 is scored against it;
+  // then accepted moves alternating between jobs 1 and 2, so every re-score
+  // finds its profile stale and rebuilds it first.
   const std::vector<CommProfile> s6 = s6_mix();
   const UnifiedCircle circle(s6);
   std::vector<Duration> rot = {Duration::zero(), Duration::millis(300),
@@ -130,6 +132,12 @@ int main(int argc, char** argv) {
   measure("circle/one_job_rescore", 1000, [&] {
     rot[1] = Duration::millis(step++ % 997);
     return static_cast<double>(scorer.violated_ns(rot, 1));
+  });
+  CircleScorer alternating(circle, CircleLimit{});
+  measure("circle/stale_rescore", 1000, [&] {
+    const std::size_t j = 1 + static_cast<std::size_t>(step % 2);
+    rot[j] = Duration::millis(step++ % 997);
+    return static_cast<double>(alternating.violated_ns(rot, j));
   });
   std::printf("s6 circle clamped: %s\n", circle.exact() ? "no" : "yes");
   return 0;

@@ -172,9 +172,10 @@ int main(int argc, char** argv) {
                    "worst job", "mean queue ms", "solves"});
   double sum[3] = {0.0, 0.0, 0.0};
   int runs = 0;
-  // Solver work over every run: rotation assignments scored (deterministic)
-  // and the wall time spent solving.
+  // Solver work over every run: rotation assignments scored and the circle
+  // segments they read (both deterministic), and the wall time spent solving.
   std::uint64_t evaluations = 0;
+  std::uint64_t segments_walked = 0;
   std::uint64_t solver_micros = 0;
   const auto t0 = std::chrono::steady_clock::now();
   for (const Point& pt : sweep) {
@@ -206,6 +207,7 @@ int main(int argc, char** argv) {
         rejected[p] += r.rejected;
         solves[p] += r.resolve.component_solves;
         evaluations += r.resolve.evaluations;
+        segments_walked += r.resolve.segments_walked;
         solver_micros +=
             r.resolve.wall_micros + r.resolve.component_wall_micros;
         ++runs;
@@ -263,7 +265,9 @@ int main(int argc, char** argv) {
                           " seeds, " + TextTable::num(seconds, 0) + " sim-s");
   bench::Json& block = report.object("multi_bottleneck");
   block.number("sim_s_per_wall_s", sim_per_wall);
-  block.object("exact").count("solver_evaluations", evaluations);
+  block.object("exact")
+      .count("solver_evaluations", evaluations)
+      .count("segments_walked", segments_walked);
   claims.report(block);
   block.count("runs", runs).number("sim_s", sim_s).number("wall_s", wall_s);
   block.object("mean_slowdown")

@@ -160,8 +160,9 @@ GraphResult InterferenceGraph::solve(std::span<const GraphJob> jobs,
   const auto evaluate_link = [&](const SharedLink& sl,
                                  std::span<const Duration> global) {
     ++out.evaluations;
-    return static_cast<double>(
-               sl.circle.sweep(link_rotations(sl, global), limit).violated_ns) /
+    const CircleSweep s = sl.circle.sweep(link_rotations(sl, global), limit);
+    out.segments_walked += s.segments_read;
+    return static_cast<double>(s.violated_ns) /
            static_cast<double>(sl.circle.perimeter().ns());
   };
 
@@ -336,7 +337,10 @@ GraphResult InterferenceGraph::solve(std::span<const GraphJob> jobs,
             link_viol[job_shared[j][t]] = touched[t];
           }
         });
-    for (const CircleScorer& sc : scorers) out.evaluations += sc.evaluations();
+    for (const CircleScorer& sc : scorers) {
+      out.evaluations += sc.evaluations();
+      out.segments_walked += sc.segments_walked();
+    }
     finalize(global);
   }
 

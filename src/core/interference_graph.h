@@ -94,6 +94,9 @@ struct GraphResult {
   /// propagation verdicts and refinement steps); per-link solves count
   /// their own in SolverResult::evaluations.
   std::uint64_t evaluations = 0;
+  /// Circle segments those scorings read; per-link solves count their own
+  /// in SolverResult::segments_walked.
+  std::uint64_t segments_walked = 0;
 };
 
 class InterferenceGraph {

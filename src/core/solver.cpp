@@ -6,6 +6,7 @@
 #include <map>
 #include <numeric>
 #include <optional>
+#include <stdexcept>
 
 
 namespace ccml {
@@ -13,14 +14,6 @@ namespace ccml {
 CircleLimit violation_limit(const SolverOptions& opts) {
   return {opts.mode == SolverOptions::Mode::kBandwidth,
           opts.link_capacity.bits_per_sec() * (1.0 + 1e-9)};
-}
-
-double circle_violation_fraction(const UnifiedCircle& circle,
-                                 std::span<const Duration> rotations,
-                                 const SolverOptions& opts) {
-  return static_cast<double>(
-             circle.sweep(rotations, violation_limit(opts)).violated_ns) /
-         static_cast<double>(circle.perimeter().ns());
 }
 
 namespace {
@@ -133,6 +126,16 @@ std::vector<Duration> candidates_for(const UnifiedCircle& circle,
 CompatibilitySolver::CompatibilitySolver(SolverOptions options)
     : options_(options) {
   assert(options_.sectors > 0);
+  // The bandwidth sector search places jobs by link demand alone, so it
+  // would report a GPU-sharing group compatible, and proven, while the
+  // group's compute phases overlap.
+  if (options_.mode == SolverOptions::Mode::kBandwidth &&
+      std::any_of(options_.gpu_groups.begin(), options_.gpu_groups.end(),
+                  [](int g) { return g >= 0; })) {
+    throw std::invalid_argument(
+        "CompatibilitySolver: shared GPU groups (SolverOptions::gpu_groups) "
+        "are not supported in bandwidth mode; use count mode");
+  }
 }
 
 bool CompatibilitySolver::necessary_condition(
@@ -155,6 +158,7 @@ SolverResult CompatibilitySolver::solve(
   const auto finalize = [&](SolverResult& r) -> SolverResult& {
     if (!r.circle_exact) r.proven = false;
     r.evaluations = scorer.evaluations();
+    r.segments_walked = scorer.segments_walked();
     return r;
   };
   // Circle violation (as a fraction) plus the GPU multi-tenancy term.

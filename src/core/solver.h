@@ -52,7 +52,8 @@ struct SolverOptions {
   /// GPU multi-tenancy (paper §5): jobs with the same non-negative group id
   /// time-share a GPU, so their *compute* phases must not overlap either.
   /// One entry per job (parallel to the solve() input); -1 = dedicated GPU.
-  /// Empty = all dedicated.  Only honored in count mode.
+  /// Empty = all dedicated.  Count mode only: the solver refuses a shared
+  /// group in bandwidth mode, whose sector search cannot honor it.
   std::vector<int> gpu_groups;
 
   /// Optional warm start: rotations carried over from a previous solve of a
@@ -83,6 +84,9 @@ struct SolverResult {
   /// Rotation assignments scored (warm-start check and annealing steps);
   /// a deterministic work counter.
   std::uint64_t evaluations = 0;
+  /// Circle segments those scorings read (CircleScorer::segments_walked);
+  /// a deterministic work counter.
+  std::uint64_t segments_walked = 0;
   /// False when the unified circle clamped its perimeter (the periods' LCM
   /// exceeded the cap): jobs then only approximately repeat around the
   /// circle, so the verdict is best-effort and never reported `proven`.
@@ -91,6 +95,8 @@ struct SolverResult {
 
 class CompatibilitySolver {
  public:
+  /// Throws std::invalid_argument for bandwidth mode with a shared GPU group
+  /// (any gpu_groups entry >= 0).
   explicit CompatibilitySolver(SolverOptions options = {});
 
   /// Decides compatibility of jobs contending on one link and returns the
@@ -111,14 +117,6 @@ class CompatibilitySolver {
 
 /// The sweep limit that scores `opts`'s constraint (count or bandwidth).
 CircleLimit violation_limit(const SolverOptions& opts);
-
-/// Fraction of `circle` where the constraint selected by `opts` (count or
-/// bandwidth) is violated under the given per-job rotations.  Shared by the
-/// solver's search and the interference graph's joint evaluation of a global
-/// rotation assignment (core/interference_graph.h).
-double circle_violation_fraction(const UnifiedCircle& circle,
-                                 std::span<const Duration> rotations,
-                                 const SolverOptions& opts);
 
 /// One annealing step's outcome: the objective's change and its value if
 /// the move is kept.

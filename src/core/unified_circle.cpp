@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 
 #include "util/math.h"
 
@@ -10,54 +9,36 @@ namespace ccml {
 
 namespace {
 
-constexpr std::int64_t kNoBoundary = std::numeric_limits<std::int64_t>::max();
-
-/// One job's rotated segment list, walked by the merge sweep.
-struct Cursor {
-  Cursor(const CircleSegment* begin, const CircleSegment* stop, double demand)
-      : seg(begin),
-        end(stop),
-        demand_bps(demand),
-        next(begin != stop ? begin->lo : kNoBoundary) {}
-  Cursor(const std::vector<CircleSegment>& segs, double demand)
-      : Cursor(segs.data(), segs.data() + segs.size(), demand) {}
-
-  const CircleSegment* seg;
-  const CircleSegment* end;
-  double demand_bps;
-  std::int64_t next;  ///< position of the cursor's next boundary
-  bool open = false;
-};
-
 /// The circle sweep.  Merges the jobs' sorted segment lists and calls
 /// visit(lo, hi, depth, demand) for every stretch [lo, hi) between
 /// consecutive boundaries, from 0 to the last boundary: `depth` jobs
 /// communicate there with aggregate `demand`.  Demands are added in cursor
 /// order at each boundary; the sums are exact while demands are integral
-/// bps and their total stays below 2^53.
-template <class Visit>
-void sweep_levels(std::span<Cursor> cursors, Visit&& visit) {
+/// bps and their total stays below 2^53.  Without kDemand only the depth is
+/// tracked and `demand` is always 0.
+template <bool kDemand, class Visit>
+void sweep_levels(std::span<SegmentCursor> cursors, Visit&& visit) {
   int depth = 0;
   double demand = 0.0;
   std::int64_t prev = 0;
   for (;;) {
-    std::int64_t pos = kNoBoundary;
-    for (const Cursor& c : cursors) pos = std::min(pos, c.next);
-    if (pos == kNoBoundary) return;
+    std::int64_t pos = SegmentCursor::kDone;
+    for (const SegmentCursor& c : cursors) pos = std::min(pos, c.next);
+    if (pos == SegmentCursor::kDone) return;
     if (pos > prev) visit(prev, pos, depth, demand);
-    for (Cursor& c : cursors) {
+    for (SegmentCursor& c : cursors) {
       if (c.next != pos) continue;
       if (!c.open) {
         c.open = true;
         ++depth;
-        demand += c.demand_bps;
+        if constexpr (kDemand) demand += c.demand_bps;
         c.next = c.seg->hi;
       } else {
         c.open = false;
         --depth;
-        demand -= c.demand_bps;
+        if constexpr (kDemand) demand -= c.demand_bps;
         ++c.seg;
-        c.next = c.seg != c.end ? c.seg->lo : kNoBoundary;
+        c.next = c.seg != c.end ? c.seg->lo : SegmentCursor::kDone;
       }
     }
     prev = pos;
@@ -66,17 +47,17 @@ void sweep_levels(std::span<Cursor> cursors, Visit&& visit) {
 
 /// Rotates every job but `skip` into `segs`, back to back, and returns a
 /// sweep cursor over each (the skipped job's cursor is empty).
-std::vector<Cursor> rotated_cursors(const UnifiedCircle& circle,
-                                    std::span<const Duration> rotations,
-                                    std::size_t skip,
-                                    std::vector<CircleSegment>& segs) {
+std::vector<SegmentCursor> rotated_cursors(const UnifiedCircle& circle,
+                                           std::span<const Duration> rotations,
+                                           std::size_t skip,
+                                           std::vector<CircleSegment>& segs) {
   std::vector<std::size_t> starts;
   for (std::size_t k = 0; k < circle.job_count(); ++k) {
     starts.push_back(segs.size());
     if (k != skip) circle.rotated_segments(k, rotations[k], segs);
   }
   starts.push_back(segs.size());
-  std::vector<Cursor> cursors;
+  std::vector<SegmentCursor> cursors;
   cursors.reserve(circle.job_count());
   for (std::size_t k = 0; k < circle.job_count(); ++k) {
     cursors.emplace_back(segs.data() + starts[k], segs.data() + starts[k + 1],
@@ -86,14 +67,54 @@ std::vector<Cursor> rotated_cursors(const UnifiedCircle& circle,
 }
 
 /// Appends [lo, hi) to a sorted segment list, merging it into the last
-/// segment when the two abut.
-void append_merged(std::vector<CircleSegment>& out, std::int64_t lo,
-                   std::int64_t hi) {
+/// segment when the two abut.  Inlined: profile merges call it per stretch.
+[[gnu::always_inline]] inline void append_merged(
+    std::vector<CircleSegment>& out, std::int64_t lo, std::int64_t hi) {
   if (!out.empty() && out.back().hi == lo) {
     out.back().hi = hi;
   } else {
     out.push_back({lo, hi});
   }
+}
+
+/// The depth profile of two sorted, disjoint segment lists: appends the
+/// stretches where exactly one of them holds a segment to `at_cap` (merged
+/// into maximal stretches) and returns the length where both do.
+std::int64_t merge_pair(const std::vector<CircleSegment>& a,
+                        const std::vector<CircleSegment>& b,
+                        std::vector<CircleSegment>& at_cap) {
+  std::int64_t both = 0;
+  auto ia = a.begin();
+  auto ib = b.begin();
+  // Start of the part of *ia / *ib not yet merged.
+  std::int64_t la = ia != a.end() ? ia->lo : 0;
+  std::int64_t lb = ib != b.end() ? ib->lo : 0;
+  while (ia != a.end() && ib != b.end()) {
+    if (la < lb) {
+      const std::int64_t hi = std::min(ia->hi, lb);
+      append_merged(at_cap, la, hi);
+      la = hi;
+    } else if (lb < la) {
+      const std::int64_t hi = std::min(ib->hi, la);
+      append_merged(at_cap, lb, hi);
+      lb = hi;
+    } else {
+      const std::int64_t hi = std::min(ia->hi, ib->hi);
+      both += hi - la;
+      la = lb = hi;
+    }
+    if (la == ia->hi && ++ia != a.end()) la = ia->lo;
+    if (lb == ib->hi && ++ib != b.end()) lb = ib->lo;
+  }
+  // At most one list has segments left, the first of them from `lo` on.
+  const auto drain = [&at_cap](auto it, auto stop, std::int64_t lo) {
+    if (it == stop) return;
+    append_merged(at_cap, lo, it->hi);
+    while (++it != stop) append_merged(at_cap, it->lo, it->hi);
+  };
+  drain(ia, a.end(), la);
+  drain(ib, b.end(), lb);
+  return both;
 }
 
 /// Cyclic segments of a job at rotation zero: every repetition's arcs
@@ -189,44 +210,24 @@ CircularIntervalSet UnifiedCircle::job_arcs(std::size_t j,
 
 void UnifiedCircle::rotated_segments(std::size_t j, Duration rotation,
                                      std::vector<CircleSegment>& out) const {
-  const std::vector<CircleSegment>& base = base_.at(j);
-  const std::int64_t L = perimeter_.ns();
-  if (base.empty()) return;
-  if (base.front().hi - base.front().lo == L) {
-    out.push_back({0, L});
-    return;
-  }
-  const std::int64_t s = wrap_to_circle(rotation, perimeter_).ns();
-  // Segments from `wrap` on start past the seam once shifted; they come
-  // first, then the rest.  Only the last one in that order can straddle the
-  // seam: its tail becomes the leading [0, x) piece.
-  const auto wrap = static_cast<std::size_t>(
-      std::lower_bound(base.begin(), base.end(), L - s,
-                       [](const CircleSegment& a, std::int64_t v) {
-                         return a.lo < v;
-                       }) -
-      base.begin());
-  const std::size_t n = base.size();
-  const std::size_t last = wrap == 0 ? n - 1 : wrap - 1;
-  const std::int64_t last_hi = base[last].hi + s - (last >= wrap ? L : 0);
-  if (last_hi > L) out.push_back({0, last_hi - L});
-  for (std::size_t i = wrap; i < n; ++i) {
-    out.push_back({base[i].lo + s - L, std::min(base[i].hi + s - L, L)});
-  }
-  for (std::size_t i = 0; i < wrap; ++i) {
-    out.push_back({base[i].lo + s, std::min(base[i].hi + s, L)});
-  }
+  visit_rotated(j, rotation, [&out](std::int64_t lo, std::int64_t hi) {
+    out.push_back({lo, hi});
+  });
 }
 
 CircleSweep UnifiedCircle::sweep(std::span<const Duration> rotations,
                                  CircleLimit limit) const {
   assert(rotations.size() == jobs_.size());
   std::vector<CircleSegment> segs;
-  std::vector<Cursor> cursors =
+  std::vector<SegmentCursor> cursors =
       rotated_cursors(*this, rotations, jobs_.size(), segs);
   CircleSweep out;
-  sweep_levels(cursors, [&](std::int64_t lo, std::int64_t hi, int depth,
-                            double demand) {
+  for (const std::vector<CircleSegment>& base : base_) {
+    out.segments_read += base.size();
+  }
+  out.segments_read += segs.size();
+  sweep_levels<true>(cursors, [&](std::int64_t lo, std::int64_t hi,
+                                  int depth, double demand) {
     const bool bad = limit.bandwidth ? demand > limit.max_demand_bps
                                      : depth > 1;
     if (bad) out.violated_ns += hi - lo;
@@ -260,12 +261,13 @@ SlideRoom UnifiedCircle::slide_room(std::span<const Duration> rotations,
   if (mine.empty()) return none;
   // Union of everyone else's arcs: the stretches with depth >= 1.
   std::vector<CircleSegment> segs;
-  std::vector<Cursor> cursors = rotated_cursors(*this, rotations, j, segs);
+  std::vector<SegmentCursor> cursors =
+      rotated_cursors(*this, rotations, j, segs);
   std::vector<CircleSegment> occupied;
-  sweep_levels(cursors,
-               [&](std::int64_t lo, std::int64_t hi, int depth, double) {
-                 if (depth >= 1) append_merged(occupied, lo, hi);
-               });
+  sweep_levels<false>(
+      cursors, [&](std::int64_t lo, std::int64_t hi, int depth, double) {
+        if (depth >= 1) append_merged(occupied, lo, hi);
+      });
   if (occupied.empty()) return none;
   // The gap from a point to the next occupied start (or back to the last
   // occupied end) grows monotonically around the circle, so the nearest
@@ -306,36 +308,71 @@ const std::vector<CircleSegment>& CircleScorer::rotated(std::size_t j,
     rotated_[j].clear();
     circle_.rotated_segments(j, rotation, rotated_[j]);
     rotated_at_[j] = rotation;
+    segments_walked_ += circle_.segment_count(j);
   }
   return rotated_[j];
 }
 
 std::int64_t CircleScorer::violated_ns(std::span<const Duration> rotations) {
   ++evaluations_;
-  return circle_.sweep(rotations, limit_).violated_ns;
+  const CircleSweep s = circle_.sweep(rotations, limit_);
+  segments_walked_ += s.segments_read;
+  return s.violated_ns;
 }
 
 void CircleScorer::rebuild(Profile& p, std::span<const Duration> rotations,
                            std::size_t moved) {
-  std::vector<Cursor> cursors;
-  cursors.reserve(rotations.size());
-  for (std::size_t k = 0; k < rotations.size(); ++k) {
-    if (k == moved) continue;
-    const std::vector<CircleSegment>& segs = rotated(k, rotations[k]);
-    cursors.emplace_back(segs, 0.0);
-  }
-  p.over_ns = 0;
   p.at_cap.clear();
-  sweep_levels(cursors,
-               [&](std::int64_t lo, std::int64_t hi, int depth, double) {
-                 if (depth > 1) {
-                   p.over_ns += hi - lo;
-                 } else if (depth == 1) {
-                   append_merged(p.at_cap, lo, hi);
-                 }
-               });
+  if (rotations.size() == 3) {
+    // Two others: one plain two-list merge.
+    const std::size_t a = moved == 0 ? 1 : 0;
+    const std::size_t b = moved == 2 ? 1 : 2;
+    const std::vector<CircleSegment>& sa = rotated(a, rotations[a]);
+    const std::vector<CircleSegment>& sb = rotated(b, rotations[b]);
+    segments_walked_ += sa.size() + sb.size();
+    p.over_ns = merge_pair(sa, sb, p.at_cap);
+  } else {
+    cursors_.clear();
+    for (std::size_t k = 0; k < rotations.size(); ++k) {
+      if (k == moved) continue;
+      const std::vector<CircleSegment>& segs = rotated(k, rotations[k]);
+      segments_walked_ += segs.size();
+      cursors_.emplace_back(segs, 0.0);
+    }
+    p.over_ns = 0;
+    sweep_levels<false>(
+        cursors_, [&](std::int64_t lo, std::int64_t hi, int depth, double) {
+          if (depth > 1) {
+            p.over_ns += hi - lo;
+          } else if (depth == 1) {
+            append_merged(p.at_cap, lo, hi);
+          }
+        });
+  }
   p.rotations.assign(rotations.begin(), rotations.end());
   p.built = true;
+}
+
+std::int64_t CircleScorer::rescore(std::size_t moved, Duration rotation,
+                                   std::int64_t over_ns,
+                                   const std::vector<CircleSegment>& at_cap) {
+  // Two-pointer intersection of the moved job's segments, as the visitor
+  // yields them, with the at-cap set.  A cap segment reaching past the
+  // current one stays for the next.
+  std::int64_t violated = over_ns;
+  const CircleSegment* b = at_cap.data();
+  const CircleSegment* const end = b + at_cap.size();
+  const std::size_t read = circle_.visit_rotated(
+      moved, rotation, [&](std::int64_t lo, std::int64_t hi) {
+        for (; b != end && b->lo < hi; ++b) {
+          const std::int64_t x = std::max(lo, b->lo);
+          const std::int64_t y = std::min(hi, b->hi);
+          if (y > x) violated += y - x;
+          if (b->hi > hi) break;
+        }
+      });
+  segments_walked_ += read + at_cap.size();
+  return violated;
 }
 
 std::int64_t CircleScorer::violated_ns(std::span<const Duration> rotations,
@@ -343,28 +380,22 @@ std::int64_t CircleScorer::violated_ns(std::span<const Duration> rotations,
   assert(rotations.size() == circle_.job_count());
   if (limit_.bandwidth) return violated_ns(rotations);
   ++evaluations_;
+  if (rotations.size() == 1) return 0;
+  if (rotations.size() == 2) {
+    // A lone other job's list is the depth-1 set, and nothing is deeper.
+    // Fetched through rotated() on every call: the cached list follows the
+    // other job's current rotation, never a proposal of it.
+    const std::size_t other = 1 - moved;
+    return rescore(moved, rotations[moved], 0,
+                   rotated(other, rotations[other]));
+  }
   Profile& p = profiles_[moved];
   bool stale = !p.built;
   for (std::size_t k = 0; k < rotations.size() && !stale; ++k) {
     stale = k != moved && p.rotations[k] != rotations[k];
   }
   if (stale) rebuild(p, rotations, moved);
-  // Two-pointer intersection of the moved job's arcs with the at-cap set.
-  const std::vector<CircleSegment>& mine = rotated(moved, rotations[moved]);
-  std::int64_t violated = p.over_ns;
-  auto a = mine.begin();
-  auto b = p.at_cap.begin();
-  while (a != mine.end() && b != p.at_cap.end()) {
-    const std::int64_t lo = std::max(a->lo, b->lo);
-    const std::int64_t hi = std::min(a->hi, b->hi);
-    if (hi > lo) violated += hi - lo;
-    if (a->hi < b->hi) {
-      ++a;
-    } else {
-      ++b;
-    }
-  }
-  return violated;
+  return rescore(moved, rotations[moved], p.over_ns, p.at_cap);
 }
 
 }  // namespace ccml

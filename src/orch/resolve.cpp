@@ -36,6 +36,7 @@ IncrementalResolver::Answer IncrementalResolver::solve_group(
   ++stats_.solves;
   stats_.nodes_explored += result.nodes_explored;
   stats_.evaluations += result.evaluations;
+  stats_.segments_walked += result.segments_walked;
   stats_.wall_micros += static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0).count());
   // A compatible verdict with zero nodes explored means the warm-start
@@ -75,6 +76,7 @@ IncrementalResolver::ComponentAnswer IncrementalResolver::solve_component(
   const auto t1 = std::chrono::steady_clock::now();
   ++stats_.component_solves;
   stats_.evaluations += result.evaluations;
+  stats_.segments_walked += result.segments_walked;
   const auto micros = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0).count());
   // The graph's own time: its link solves already went into wall_micros.

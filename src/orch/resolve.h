@@ -32,9 +32,11 @@ struct ResolveStats {
   std::uint64_t cache_hits = 0;       ///< groups answered from the cache
   std::uint64_t warm_start_hits = 0;  ///< solves certified by the warm start
   std::uint64_t nodes_explored = 0;   ///< total DFS nodes across all solves
-  /// Rotation assignments scored by link solves and graph solves: a
-  /// deterministic work counter, kept out of reports and snapshots.
+  /// Rotation assignments scored by link solves and graph solves, and the
+  /// circle segments those scorings read: deterministic work counters, kept
+  /// out of reports and snapshots.
   std::uint64_t evaluations = 0;
+  std::uint64_t segments_walked = 0;
   /// Interference-graph components (multi-bottleneck sharing groups) sent to
   /// the graph solver / answered from the component cache.
   std::uint64_t component_solves = 0;

@@ -270,8 +270,11 @@ TEST(CircleSweep, MatchesOracleOnRandomJobSets) {
       }
       for (const SolverOptions& o :
            {count_mode(), bandwidth_mode(50.0), bandwidth_mode(85.0)}) {
-        EXPECT_EQ(circle_violation_fraction(circle, rot, o),
-                  oracle_violation(circle, inst.options, rot, o));
+        EXPECT_EQ(
+            static_cast<double>(
+                circle.sweep(rot, violation_limit(o)).violated_ns) /
+                static_cast<double>(circle.perimeter().ns()),
+            oracle_violation(circle, inst.options, rot, o));
       }
       EXPECT_EQ(circle.overlap_fraction(rot),
                 oracle_overlap(circle, inst.options, rot));
@@ -285,33 +288,176 @@ TEST(CircleSweep, MatchesOracleOnRandomJobSets) {
   EXPECT_GT(clamped, 30);
 }
 
+/// Proposes rot[j] = `to`, checks the incremental re-score of job j against
+/// a fresh full sweep and the oracle, and keeps the move when `accept` (as
+/// the annealing walk does after its Metropolis test).
+void propose(CircleScorer& incremental, const UnifiedCircle& circle,
+             const Instance& inst, const SolverOptions& o,
+             std::vector<Duration>& rot, std::size_t j, Duration to,
+             bool accept) {
+  const Duration old = rot[j];
+  rot[j] = to;
+  CircleScorer full(circle, violation_limit(o));
+  const std::int64_t want = full.violated_ns(rot);
+  ASSERT_EQ(incremental.violated_ns(rot, j), want) << "moved job " << j;
+  EXPECT_EQ(static_cast<double>(want) /
+                static_cast<double>(circle.perimeter().ns()),
+            oracle_violation(circle, inst.options, rot, o));
+  if (!accept) rot[j] = old;
+}
+
+/// A random job set of exactly n jobs.
+Instance random_instance_of(std::mt19937_64& rng, std::size_t n) {
+  Instance inst = random_instance(rng);
+  while (inst.jobs.size() < n) {
+    Instance more = random_instance(rng);
+    for (CommProfile& job : more.jobs) {
+      job.name += "+";
+      inst.jobs.push_back(std::move(job));
+    }
+  }
+  inst.jobs.resize(n);
+  return inst;
+}
+
 TEST(CircleSweep, IncrementalRescoreEqualsFullRescore) {
   std::mt19937_64 rng(7);
-  for (int trial = 0; trial < 120; ++trial) {
-    const Instance inst = random_instance(rng);
-    const UnifiedCircle circle(inst.jobs, inst.options);
-    for (const SolverOptions& o : {count_mode(), bandwidth_mode(50.0)}) {
-      CircleScorer incremental(circle, violation_limit(o));
+  {
+    SCOPED_TRACE("random job sets, every job movable as in the graph walk");
+    for (int trial = 0; trial < 120; ++trial) {
+      SCOPED_TRACE("trial " + std::to_string(trial));
+      const Instance inst = random_instance(rng);
+      const UnifiedCircle circle(inst.jobs, inst.options);
+      for (const SolverOptions& o : {count_mode(), bandwidth_mode(50.0)}) {
+        CircleScorer incremental(circle, violation_limit(o));
+        std::vector<Duration> rot;
+        for (const CommProfile& job : inst.jobs) {
+          rot.push_back(random_rotation(rng, job, circle.perimeter()));
+        }
+        for (int step = 0; step < 60; ++step) {
+          const auto j = static_cast<std::size_t>(
+              pick(rng, 0, static_cast<std::int64_t>(inst.jobs.size()) - 1));
+          const Duration to =
+              random_rotation(rng, inst.jobs[j], circle.perimeter());
+          const bool accept = pick(rng, 0, 1) != 0;
+          propose(incremental, circle, inst, o, rot, j, to, accept);
+        }
+        EXPECT_EQ(incremental.evaluations(), 60u);
+      }
+    }
+  }
+  {
+    // The other job's rejected proposal must not leak into the next score
+    // of the moved job, where that job's list is the whole profile.
+    SCOPED_TRACE("a lone other job whose own proposal was just rejected");
+    for (int trial = 0; trial < 60; ++trial) {
+      SCOPED_TRACE("trial " + std::to_string(trial));
+      const Instance inst = random_instance_of(rng, 2);
+      const UnifiedCircle circle(inst.jobs, inst.options);
+      CircleScorer incremental(circle, violation_limit(count_mode()));
+      std::vector<Duration> rot;
+      for (const CommProfile& job : inst.jobs) {
+        rot.push_back(random_rotation(rng, job, circle.perimeter()));
+      }
+      for (int round = 0; round < 20; ++round) {
+        propose(incremental, circle, inst, count_mode(), rot, 1,
+                random_rotation(rng, inst.jobs[1], circle.perimeter()),
+                false);
+        const Duration to =
+            random_rotation(rng, inst.jobs[0], circle.perimeter());
+        propose(incremental, circle, inst, count_mode(), rot, 0, to,
+                pick(rng, 0, 1) != 0);
+      }
+    }
+  }
+  {
+    // Every accepted move makes the other movers' two-job profiles stale.
+    SCOPED_TRACE("two others");
+    for (int trial = 0; trial < 60; ++trial) {
+      SCOPED_TRACE("trial " + std::to_string(trial));
+      const Instance inst = random_instance_of(rng, 3);
+      const UnifiedCircle circle(inst.jobs, inst.options);
+      CircleScorer incremental(circle, violation_limit(count_mode()));
       std::vector<Duration> rot;
       for (const CommProfile& job : inst.jobs) {
         rot.push_back(random_rotation(rng, job, circle.perimeter()));
       }
       for (int step = 0; step < 60; ++step) {
-        const auto j = static_cast<std::size_t>(
-            pick(rng, 0, static_cast<std::int64_t>(inst.jobs.size()) - 1));
-        const Duration old = rot[j];
-        rot[j] = random_rotation(rng, inst.jobs[j], circle.perimeter());
-        CircleScorer full(circle, violation_limit(o));
-        const std::int64_t want = full.violated_ns(rot);
-        ASSERT_EQ(incremental.violated_ns(rot, j), want)
-            << "trial " << trial << " step " << step;
-        EXPECT_EQ(static_cast<double>(want) /
-                      static_cast<double>(circle.perimeter().ns()),
-                  oracle_violation(circle, inst.options, rot, o));
-        if (pick(rng, 0, 1) == 0) rot[j] = old;  // rejected move
+        const auto j = static_cast<std::size_t>(pick(rng, 0, 2));
+        const Duration to =
+            random_rotation(rng, inst.jobs[j], circle.perimeter());
+        propose(incremental, circle, inst, count_mode(), rot, j, to,
+                pick(rng, 0, 1) != 0);
       }
-      EXPECT_EQ(incremental.evaluations(), 60u);
     }
+  }
+  {
+    // Each job moves in turn, so each is the moved job and an other.
+    SCOPED_TRACE("a zero-arc job and a full-circle job");
+    CommProfile full = CommProfile::single_phase(
+        "full", Duration::millis(40), Duration::zero(), Rate::gbps(10));
+    CommProfile idle;
+    idle.name = "idle";
+    idle.period = Duration::millis(60);
+    idle.demand = Rate::gbps(10);
+    for (int trial = 0; trial < 40; ++trial) {
+      SCOPED_TRACE("trial " + std::to_string(trial));
+      const CommProfile busy = random_instance_of(rng, 1).jobs[0];
+      for (const std::vector<CommProfile>& jobs :
+           {std::vector<CommProfile>{idle, busy},
+            std::vector<CommProfile>{full, busy},
+            std::vector<CommProfile>{idle, full},
+            std::vector<CommProfile>{idle, full, busy},
+            std::vector<CommProfile>{busy, idle, full, busy}}) {
+        Instance inst;
+        inst.jobs = jobs;
+        const UnifiedCircle circle(inst.jobs, inst.options);
+        CircleScorer incremental(circle, violation_limit(count_mode()));
+        std::vector<Duration> rot(jobs.size(), Duration::zero());
+        for (std::size_t step = 0; step < 4 * jobs.size(); ++step) {
+          const std::size_t j = step % jobs.size();
+          const Duration to =
+              random_rotation(rng, inst.jobs[j], circle.perimeter());
+          propose(incremental, circle, inst, count_mode(), rot, j, to,
+                  pick(rng, 0, 1) != 0);
+        }
+      }
+    }
+  }
+}
+
+TEST(CircleSweep, SegmentsWalkedCountsListSizes) {
+  std::mt19937_64 rng(11);
+  for (int trial = 0; trial < 40; ++trial) {
+    const Instance inst = random_instance_of(rng, 2);
+    const UnifiedCircle circle(inst.jobs, inst.options);
+    std::vector<Duration> rot;
+    for (const CommProfile& job : inst.jobs) {
+      rot.push_back(random_rotation(rng, job, circle.perimeter()));
+    }
+    const auto rotated_size = [&](std::size_t j) {
+      std::vector<CircleSegment> segs;
+      circle.rotated_segments(j, rot[j], segs);
+      return static_cast<std::uint64_t>(segs.size());
+    };
+    // A full sweep reads every job's list to rotate it, then every rotated
+    // list to merge them.
+    CircleScorer scorer(circle, CircleLimit{});
+    scorer.violated_ns(rot);
+    EXPECT_EQ(scorer.segments_walked(),
+              circle.segment_count(0) + circle.segment_count(1) +
+                  rotated_size(0) + rotated_size(1));
+    // A re-score walks the moved job's list in place and reads the other
+    // job's rotated list, which it rotates only when that job has moved.
+    CircleScorer incremental(circle, CircleLimit{});
+    incremental.violated_ns(rot, 0);
+    const std::uint64_t first = circle.segment_count(0) +
+                                circle.segment_count(1) + rotated_size(1);
+    EXPECT_EQ(incremental.segments_walked(), first);
+    rot[0] = random_rotation(rng, inst.jobs[0], circle.perimeter());
+    incremental.violated_ns(rot, 0);
+    EXPECT_EQ(incremental.segments_walked(),
+              first + circle.segment_count(0) + rotated_size(1));
   }
 }
 

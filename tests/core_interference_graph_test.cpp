@@ -32,7 +32,9 @@ void expect_rotation_consistency(const std::vector<GraphJob>& jobs,
           wrap_to_circle(r.rotations[j], jobs[j].profile.period));
     }
     const UnifiedCircle circle(profiles, opts.circle);
-    EXPECT_NEAR(circle_violation_fraction(circle, rots, opts),
+    EXPECT_NEAR(static_cast<double>(
+                    circle.sweep(rots, violation_limit(opts)).violated_ns) /
+                    static_cast<double>(circle.perimeter().ns()),
                 v.violation_fraction, 1e-12)
         << "link " << v.link;
   }

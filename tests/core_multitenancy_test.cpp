@@ -2,6 +2,9 @@
 // overlap their compute phases either.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "core/solver.h"
 
 namespace ccml {
@@ -81,6 +84,25 @@ TEST(MultiTenancy, DifferentGroupsDoNotInterfere) {
   opts.gpu_groups = {0, 1};
   const std::vector<CommProfile> jobs = {job("a", 100, 70), job("b", 100, 70)};
   EXPECT_TRUE(CompatibilitySolver(opts).solve(jobs).compatible);
+}
+
+TEST(MultiTenancy, BandwidthModeRefusesSharedGpus) {
+  // The bandwidth sector search ignores compute phases, so it would prove a
+  // GPU-sharing group compatible while both jobs compute at once.
+  SolverOptions opts;
+  opts.mode = SolverOptions::Mode::kBandwidth;
+  opts.link_capacity = Rate::gbps(50);
+  opts.gpu_groups = {0, 0};
+  try {
+    CompatibilitySolver solver(opts);
+    FAIL() << "bandwidth mode accepted shared GPU groups";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("gpu_groups"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("bandwidth mode"), std::string::npos);
+  }
+  // Dedicated GPUs leave nothing to refuse.
+  opts.gpu_groups = {-1, -1};
+  EXPECT_NO_THROW(CompatibilitySolver{opts});
 }
 
 TEST(MultiTenancy, InfeasibleReportsGpuViolation) {
