@@ -30,8 +30,11 @@
 // gates all but the ns via tools/check_perf.py.
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -75,7 +78,8 @@ double completion_slowdown(const ClusterJobOutcome& j) {
 // mean of per-job ratios — so one short job with a long queue cannot
 // dominate, and finished jobs only: a job truncated by the horizon ran an
 // arbitrary sliver of its service, which distorts either normalization.
-double completion_inflation(const ClusterRunReport& r) {
+// A run in which no job finished has no value (nullopt), not 0.
+std::optional<double> completion_inflation(const ClusterRunReport& r) {
   double spent_ms = 0.0;
   double solo_ms = 0.0;
   for (const ClusterJobOutcome& j : r.jobs) {
@@ -85,7 +89,15 @@ double completion_inflation(const ClusterRunReport& r) {
     spent_ms += j.queue_delay.to_millis() + iters * j.mean_ms;
     solo_ms += iters * j.solo_ms;
   }
-  return solo_ms <= 0.0 ? 0.0 : spent_ms / solo_ms;
+  if (solo_ms <= 0.0) return std::nullopt;
+  return spent_ms / solo_ms;
+}
+
+constexpr double kNoData = std::numeric_limits<double>::quiet_NaN();
+
+// A slowdown as printed: "n/a" for a value without data.
+std::string slowdown_cell(double v) {
+  return std::isnan(v) ? "n/a" : TextTable::num(v, 3);
 }
 
 double max_completion_slowdown(const ClusterRunReport& r) {
@@ -170,7 +182,9 @@ int main(int argc, char** argv) {
 
   TextTable table({"oversub", "policy", "admitted", "rejected", "slowdown",
                    "worst job", "mean queue ms", "solves"});
+  // Per policy, the sum and count of the points with data.
   double sum[3] = {0.0, 0.0, 0.0};
+  int points[3] = {0, 0, 0};
   int runs = 0;
   // Solver work over every run: rotation assignments scored and the circle
   // segments they read (both deterministic), and the wall time spent solving.
@@ -181,7 +195,9 @@ int main(int argc, char** argv) {
   for (const Point& pt : sweep) {
     const Topology topo = Topology::leaf_spine(
         4, 3, 1, Rate::gbps(50), Rate::gbps(pt.fabric_gbps));
-    double mean[3] = {0.0, 0.0, 0.0};
+    // Inflation of each seed in which some job finished; a seed without a
+    // finished job has no data and stays out of the point's mean.
+    std::vector<double> inflation[3];
     double worst[3] = {0.0, 0.0, 0.0};
     double queue_ms[3] = {0.0, 0.0, 0.0};
     std::size_t admitted[3] = {0, 0, 0};
@@ -200,7 +216,7 @@ int main(int argc, char** argv) {
       for (int p = 0; p < 3; ++p) {
         const ClusterRunReport r =
             run_policy(topo, schedule, kPolicies[p], run_horizon);
-        mean[p] += completion_inflation(r) / seeds.size();
+        if (const auto v = completion_inflation(r)) inflation[p].push_back(*v);
         worst[p] = std::max(worst[p], max_completion_slowdown(r));
         queue_ms[p] += r.mean_queue_delay_ms() / seeds.size();
         admitted[p] += r.admitted;
@@ -214,12 +230,18 @@ int main(int argc, char** argv) {
       }
     }
     for (int p = 0; p < 3; ++p) {
+      double mean = kNoData;
+      if (!inflation[p].empty()) {
+        mean = 0.0;
+        for (const double v : inflation[p]) mean += v / inflation[p].size();
+        sum[p] += mean;
+        ++points[p];
+      }
       table.add_row({pt.ratio, kPolicies[p].name, std::to_string(admitted[p]),
-                     std::to_string(rejected[p]), TextTable::num(mean[p], 3),
-                     TextTable::num(worst[p], 3),
+                     std::to_string(rejected[p]), slowdown_cell(mean),
+                     slowdown_cell(inflation[p].empty() ? kNoData : worst[p]),
                      TextTable::num(queue_ms[p], 1),
                      std::to_string(solves[p])});
-      sum[p] += mean[p];
     }
   }
   const double wall_s =
@@ -229,21 +251,29 @@ int main(int argc, char** argv) {
 
   const double sim_s = runs * (seconds + 30.0);
   const double sim_per_wall = sim_s / wall_s;
-  const double graph = sum[2] / sweep.size();
-  const double locality = sum[0] / sweep.size();
-  const double single = sum[1] / sweep.size();
-  std::printf("mean slowdown over the sweep: locality %.3f, compat-single "
-              "%.3f, compat-graph %.3f\n",
-              locality, single, graph);
+  const auto sweep_mean = [&](int p) {
+    return points[p] > 0 ? sum[p] / points[p] : kNoData;
+  };
+  const double locality = sweep_mean(0);
+  const double single = sweep_mean(1);
+  const double graph = sweep_mean(2);
+  std::printf("mean slowdown over the sweep: locality %s, compat-single "
+              "%s, compat-graph %s\n",
+              slowdown_cell(locality).c_str(), slowdown_cell(single).c_str(),
+              slowdown_cell(graph).c_str());
   std::printf("throughput: %d runs x %.0f sim-s in %.1f wall-s = %.0f "
               "sim-s/wall-s\n",
               runs, seconds + 30.0, wall_s, sim_per_wall);
   bench::Claims claims;
+  // A mean without data compares false, so the claim misses, and its
+  // actual reads null.
+  const auto actual = [](double v) {
+    return std::isnan(v) ? std::string("null") : TextTable::num(v, 3);
+  };
   claims.check(
       "compat-graph is strictly below both baselines on mean slowdown",
       graph < locality && graph < single,
-      TextTable::num(graph, 3) + " vs " + TextTable::num(locality, 3) +
-          " / " + TextTable::num(single, 3));
+      actual(graph) + " vs " + actual(locality) + " / " + actual(single));
 
   // Determinism probe: the report is specified to be a pure function of
   // (topology, schedule, config); re-running the most contended point must

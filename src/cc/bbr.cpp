@@ -1,7 +1,6 @@
 #include "cc/bbr.h"
 
 #include <algorithm>
-#include <cassert>
 
 namespace ccml {
 
@@ -15,16 +14,15 @@ const char* to_string(BbrMode mode) {
   return "unknown";
 }
 
+static_assert(BbrPolicy::kUpdateInterval.is_positive());
+static_assert(BbrPolicy::kStartupGain > 1.0);
+static_assert(BbrPolicy::kDrainGain > 0.0 && BbrPolicy::kDrainGain < 1.0);
+static_assert(BbrPolicy::kBwWindowRounds > 0);
+
 BbrPolicy::BbrPolicy(BbrConfig config)
-    : RateMachine(config.min_rate, config.base_rtt, config.update_interval,
-                  "bbr.phase_changes", /*representation_byte=*/false),
-      config_(config),
-      rng_(config.seed) {
-  assert(config_.update_interval.is_positive());
-  assert(config_.startup_gain > 1.0);
-  assert(config_.drain_gain > 0.0 && config_.drain_gain < 1.0);
-  assert(config_.bw_window_rounds > 0);
-}
+    : RateMachine(kUpdateInterval, "bbr.phase_changes",
+                  /*representation_byte=*/false),
+      rng_(config.seed) {}
 
 BbrFlow BbrPolicy::start_flow(const Flow& flow) {
   // The model starts empty: the first decision's delivery sample seeds the
@@ -35,7 +33,7 @@ BbrFlow BbrPolicy::start_flow(const Flow& flow) {
   // decision interval, the same aggressiveness dial DCQCN's timer exposes.
   f.interval_ns = flow.spec.cc_timer.is_positive()
                       ? flow.spec.cc_timer.ns()
-                      : config_.update_interval.ns();
+                      : kUpdateInterval.ns();
   // Random PROBE_BW starting slot, drawn per flow from the seeded stream so
   // competing flows don't synchronize their probe pulses.
   f.cycle_idx = static_cast<std::int32_t>(rng_.uniform_int(0, 7));
@@ -62,7 +60,7 @@ double BbrPolicy::decide(Network& net, TimePoint now, std::uint32_t slot,
       f.deliv_b * 8.0 / (static_cast<double>(elapsed_ns) * 1e-9);
   f.deliv_b = 0.0;
   ++f.bw_age;
-  if (sample_bps >= f.btl_bw_bps || f.bw_age >= config_.bw_window_rounds) {
+  if (sample_bps >= f.btl_bw_bps || f.bw_age >= kBwWindowRounds) {
     f.btl_bw_bps = sample_bps;
     f.bw_age = 0;
   }
@@ -83,34 +81,34 @@ double BbrPolicy::decide(Network& net, TimePoint now, std::uint32_t slot,
   double gain = 1.0;
   switch (mode) {
     case BbrMode::kStartup:
-      gain = config_.startup_gain;
-      if (f.btl_bw_bps >= f.full_bw_bps * config_.startup_growth) {
+      gain = kStartupGain;
+      if (f.btl_bw_bps >= f.full_bw_bps * kStartupGrowth) {
         f.full_bw_bps = f.btl_bw_bps;
         f.full_rounds = 0;
-      } else if (++f.full_rounds >= config_.startup_full_rounds) {
+      } else if (++f.full_rounds >= kStartupFullRounds) {
         mode = BbrMode::kDrain;  // pipe full: stop doubling, drain the queue
-        gain = config_.drain_gain;
+        gain = kDrainGain;
       }
       break;
     case BbrMode::kDrain:
-      gain = config_.drain_gain;
+      gain = kDrainGain;
       if (backlog_b == 0.0) {
         mode = BbrMode::kProbeBw;
         gain = cycle_gain(f.cycle_idx);
       }
       break;
     case BbrMode::kProbeBw:
-      if (now_ns - f.min_rtt_stamp_ns > config_.min_rtt_window.ns()) {
+      if (now_ns - f.min_rtt_stamp_ns > kMinRttWindow.ns()) {
         mode = BbrMode::kProbeRtt;  // min-RTT sample stale: re-measure
-        f.probe_rtt_end_ns = now_ns + config_.probe_rtt_duration.ns();
-        gain = config_.drain_gain;
+        f.probe_rtt_end_ns = now_ns + kProbeRttDuration.ns();
+        gain = kDrainGain;
       } else {
         gain = cycle_gain(f.cycle_idx);
         f.cycle_idx = (f.cycle_idx + 1) & 7;
       }
       break;
     case BbrMode::kProbeRtt:
-      gain = config_.drain_gain;
+      gain = kDrainGain;
       if (now_ns >= f.probe_rtt_end_ns) {
         // Queues backed off for a full probe window; the current sample is
         // as clean as this fluid model gets.

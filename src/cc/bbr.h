@@ -6,14 +6,14 @@
 // and minimum RTT — and paces at gain * btl_bw through a four-phase state
 // machine:
 //
-//   STARTUP   gain 2.0 until delivery stops growing startup_growth-fold for
-//             startup_full_rounds consecutive decisions (pipe filled);
+//   STARTUP   gain 2.0 until delivery stops growing kStartupGrowth-fold for
+//             kStartupFullRounds consecutive decisions (pipe filled);
 //   DRAIN     gain 0.5 until the route's queues are empty;
 //   PROBE_BW  steady state: an 8-slot gain cycle (one probe_up, one
 //             probe_down, six cruise) with a per-flow random starting slot
 //             so competing flows don't probe in lock-step;
-//   PROBE_RTT gain 0.5 for probe_rtt_duration whenever the min-RTT sample
-//             is older than min_rtt_window, then back to PROBE_BW.
+//   PROBE_RTT gain 0.5 for kProbeRttDuration whenever the min-RTT sample
+//             is older than kMinRttWindow, then back to PROBE_BW.
 //
 // Delivery rate is measured the fluid way: each tick a flow's sent volume is
 // scaled by the worst drain fraction (capacity / arrival) along its route —
@@ -37,22 +37,6 @@
 namespace ccml {
 
 struct BbrConfig {
-  Duration update_interval = Duration::micros(50);  ///< decision cadence
-  double startup_gain = 2.0;
-  double drain_gain = 0.5;
-  double probe_up_gain = 1.25;   ///< PROBE_BW slot 0
-  double probe_down_gain = 0.75; ///< PROBE_BW slot 1 (slots 2-7 cruise at 1)
-  /// STARTUP exits after this many consecutive decisions without the
-  /// bottleneck-bandwidth estimate growing startup_growth-fold.
-  double startup_growth = 1.25;
-  int startup_full_rounds = 3;
-  /// Bandwidth samples older than this many decisions age out of the max
-  /// filter (the estimate resets to the next sample).
-  int bw_window_rounds = 8;
-  Duration min_rtt_window = Duration::millis(10);
-  Duration probe_rtt_duration = Duration::micros(200);
-  Duration base_rtt = Duration::micros(20);
-  Rate min_rate = Rate::mbps(10);
   /// Seeds the per-flow PROBE_BW cycle offset (decorrelates probing).
   std::uint64_t seed = 1;
 };
@@ -92,7 +76,23 @@ class BbrPolicy final : public RateMachine<BbrPolicy, BbrLink, BbrFlow> {
 
   const char* name() const override { return "bbr"; }
 
-  const BbrConfig& config() const { return config_; }
+  // BBR-lite's fixed parameters (base RTT and rate floor:
+  // cc/policy/signals.h).
+  /// Decision cadence; FlowSpec::cc_timer overrides it per flow.
+  static constexpr Duration kUpdateInterval = Duration::micros(50);
+  static constexpr double kStartupGain = 2.0;
+  static constexpr double kDrainGain = 0.5;
+  static constexpr double kProbeUpGain = 1.25;    ///< PROBE_BW slot 0
+  static constexpr double kProbeDownGain = 0.75;  ///< slot 1 (2-7 cruise at 1)
+  /// STARTUP exits after kStartupFullRounds consecutive decisions without
+  /// the bottleneck-bandwidth estimate growing kStartupGrowth-fold.
+  static constexpr double kStartupGrowth = 1.25;
+  static constexpr int kStartupFullRounds = 3;
+  /// Bandwidth samples older than this many decisions age out of the max
+  /// filter (the estimate resets to the next sample).
+  static constexpr int kBwWindowRounds = 8;
+  static constexpr Duration kMinRttWindow = Duration::millis(10);
+  static constexpr Duration kProbeRttDuration = Duration::micros(200);
 
  private:
   friend RateMachine;
@@ -110,13 +110,12 @@ class BbrPolicy final : public RateMachine<BbrPolicy, BbrLink, BbrFlow> {
                 std::int64_t elapsed_ns);
   void put_flow(StateBuf& out, const BbrFlow& f, std::int64_t since_ns) const;
   void put_tail(StateBuf& out) const { out.put_bytes(rng_.save_state()); }
-  double cycle_gain(std::int32_t idx) const {
-    if (idx == 0) return config_.probe_up_gain;
-    if (idx == 1) return config_.probe_down_gain;
+  static double cycle_gain(std::int32_t idx) {
+    if (idx == 0) return kProbeUpGain;
+    if (idx == 1) return kProbeDownGain;
     return 1.0;
   }
 
-  BbrConfig config_;
   Rng rng_;
 };
 

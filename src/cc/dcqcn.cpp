@@ -34,15 +34,15 @@ namespace {
 
 }  // namespace
 
+static_assert(DcqcnPolicy::kByteCounter.count() > 0.0);
+
 DcqcnPolicy::DcqcnPolicy(DcqcnConfig config)
-    : config_(config), rng_(config.seed) {
+    : config_(config),
+      rng_(config.seed),
+      red_(config.kmin, config.kmax, config.pmax) {
   assert(config_.kmax > config_.kmin);
   assert(config_.pmax > 0.0 && config_.pmax <= 1.0);
   assert(config_.timer.is_positive());
-  assert(config_.byte_counter.is_positive());
-  kmin_bytes_ = config_.kmin.count();
-  kmax_bytes_ = config_.kmax.count();
-  mark_scale_ = config_.pmax / (kmax_bytes_ - kmin_bytes_);
 }
 
 void DcqcnPolicy::resize_soa(std::size_t n) {
@@ -76,7 +76,7 @@ void DcqcnPolicy::refresh_caps(const Network& net) {
 void DcqcnPolicy::rebuild_cp_links(const Network& net) {
   // Exact recompute (no incremental float drift): per link, the sum of the
   // rate bounds of the active flows crossing it.  The bound, not the bare
-  // line rate: a decrease floors R_C at 10 Mbps, above the line rate of a
+  // line rate: a decrease floors R_C at kRateFloor, above the line rate of a
   // route browned out below that, and such a flow can queue a link whose
   // line-rate sum fits its capacity.  Flow-set and capacity changes are
   // rare, so O(flows x route length) here buys a CP pass that touches only
@@ -103,8 +103,7 @@ void DcqcnPolicy::on_flow_started(Network& net, Flow& flow) {
   const Rate line = route_line_rate(net, flow);
   const Duration timer = flow.spec.cc_timer.is_positive() ? flow.spec.cc_timer
                                                           : config_.timer;
-  const Rate rai =
-      flow.spec.cc_rai.is_positive() ? flow.spec.cc_rai : config_.rai;
+  const Rate rai = flow.spec.cc_rai.is_positive() ? flow.spec.cc_rai : kRai;
   const std::uint32_t slot = net.slot_of(flow.id);
   if (rc_bps_.size() <= slot) resize_soa(net.slab_size());
   const double line_bps = line.bits_per_sec();
@@ -164,9 +163,9 @@ void DcqcnPolicy::on_link_capacity_changed(Network& net, LinkId /*link*/) {
 // communication phase, so flow progress is the paper's ratio), and in every
 // stage R_C glides halfway to R_T ("fast recovery" when R_T is unchanged).
 void DcqcnPolicy::soa_increase(std::uint32_t slot, double progress) {
-  const int f = config_.fast_recovery_rounds;
+  const int f = kFastRecoveryRounds;
   if (timer_rounds_col_[slot] >= f && byte_rounds_col_[slot] >= f) {
-    rt_bps_[slot] += config_.rhai.bits_per_sec();
+    rt_bps_[slot] += kRhai.bits_per_sec();
   } else if (timer_rounds_col_[slot] >= f || byte_rounds_col_[slot] >= f) {
     double rai = rai_bps_[slot];
     if (config_.adaptive_rai) rai = rai * (1.0 + progress);
@@ -241,9 +240,9 @@ void DcqcnPolicy::owe_frozen(const Network& net, std::uint64_t ticks) {
 
 double DcqcnPolicy::rate_bound_bps(const Network& /*net*/,
                                    std::uint32_t slot) const {
-  // A decrease floors R_C at 10 Mbps, which can exceed the line rate of a
-  // browned-out route, so the bound must cover both.
-  return std::max(line_bps_[slot], Rate::mbps(10).bits_per_sec());
+  // A decrease floors R_C at kRateFloor, which can exceed the line rate of
+  // a browned-out route, so the bound must cover both.
+  return std::max(line_bps_[slot], kRateFloor.bits_per_sec());
 }
 
 void DcqcnPolicy::step_tick(Network& net, TimePoint now, Duration dt) {
@@ -270,7 +269,7 @@ void DcqcnPolicy::step_tick(Network& net, TimePoint now, Duration dt) {
     double q = ls.queue_b + (arrival_bps - ls.cap_bps) * dt_s / 8.0;
     if (q < 0.0) q = 0.0;
     ls.queue_b = q;
-    const double p = red_probability(q);
+    const double p = red_.probability(q);
     ls.mark_prob = p;
     // Hoists the per-flow libm work: P(packet unmarked on the route) is the
     // product of per-link (1-p), so each flow only needs the sum of these
@@ -300,7 +299,7 @@ void DcqcnPolicy::rp_pass(Network& net, TimePoint now, Duration dt,
   const std::span<double> rates = net.mutable_rates_bps();
 
   const double dt_s = dt.to_seconds();
-  const double mtu_b = config_.mtu.count();
+  const double mtu_b = kMtu.count();
   // Flows sharing a bottleneck at equal rates (the common symmetric case)
   // feed exp the same argument; memoizing the last call halves the libm
   // cost there and is exact — same input, same output.
@@ -314,10 +313,10 @@ void DcqcnPolicy::rp_pass(Network& net, TimePoint now, Duration dt,
   const std::int64_t dt_ns = dt.ns();
   const std::int64_t cnp_max_ns = Duration::max().ns();
   const std::int64_t cnp_interval_ns = config_.cnp_interval.ns();
-  const std::int64_t alpha_update_ns = config_.alpha_update.ns();
-  const double byte_counter_b = config_.byte_counter.count();
-  const double one_minus_g = 1.0 - config_.g;
-  const double rc_floor_bps = Rate::mbps(10).bits_per_sec();
+  const std::int64_t alpha_update_ns = kAlphaUpdate.ns();
+  const double byte_counter_b = kByteCounter.count();
+  const double one_minus_g = 1.0 - kG;
+  const double rc_floor_bps = kRateFloor.bits_per_sec();
   const bool deterministic = config_.deterministic_marking;
   const bool owing = owing_;
   std::size_t lazy = 0;
@@ -383,9 +382,9 @@ void DcqcnPolicy::rp_pass(Network& net, TimePoint now, Duration dt,
     }
     if (cnp) {
       // R_T <- R_C, alpha <- (1-g)*alpha + g, R_C <- R_C*(1 - alpha/2),
-      // floored at 10 Mbps so flows never starve entirely.
+      // floored at kRateFloor so flows never starve entirely.
       rt_bps_[slot] = rc_bps_[slot];
-      alpha_col_[slot] = one_minus_g * alpha_col_[slot] + config_.g;
+      alpha_col_[slot] = one_minus_g * alpha_col_[slot] + kG;
       rc_bps_[slot] = rc_bps_[slot] * (1.0 - alpha_col_[slot] / 2.0);
       rc_bps_[slot] = std::max(rc_bps_[slot], rc_floor_bps);
       tsi_ns_[slot] = 0;
@@ -461,10 +460,10 @@ void DcqcnPolicy::materialize(std::uint32_t slot) const {
     if (clean_ns_[slot] >= config_.cnp_interval.ns()) emarks_[slot] = 0.0;
   }
 
-  const std::int64_t alpha_update_ns = config_.alpha_update.ns();
+  const std::int64_t alpha_update_ns = kAlphaUpdate.ns();
   const std::int64_t aclk = aclk_ns_[slot] + span;
   aclk_ns_[slot] = aclk % alpha_update_ns;
-  const double one_minus_g = 1.0 - config_.g;
+  const double one_minus_g = 1.0 - kG;
   double alpha = alpha_col_[slot];
   for (std::int64_t d = aclk / alpha_update_ns; d > 0; --d) {
     const double next = alpha * one_minus_g;
@@ -478,7 +477,7 @@ void DcqcnPolicy::materialize(std::uint32_t slot) const {
   tsi_ns_[slot] = tsi % timer_ns_[slot];
 
   const double sent = rc_bps_[slot] * ledger_dt_s_ / 8.0;
-  const double byte_counter_b = config_.byte_counter.count();
+  const double byte_counter_b = kByteCounter.count();
   double bsi = bsi_bytes_[slot];
   std::int32_t rounds = byte_rounds_col_[slot];
   for (std::uint64_t t = 0; t < owed; ++t) {

@@ -29,6 +29,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "cc/policy/signals.h"
 #include "cc/policy/slab.h"
 #include "net/policy.h"
 #include "util/rng.h"
@@ -41,30 +42,21 @@ class Counter;
 class TraceBus;
 
 struct DcqcnConfig {
-  // CP (switch) marking.
-  Bytes kmin = Bytes::kilo(50);
-  Bytes kmax = Bytes::kilo(200);
-  double pmax = 0.01;
+  // CP (switch) marking: the shared RED profile (cc/policy/signals.h).
+  Bytes kmin = kRedKmin;
+  Bytes kmax = kRedKmax;
+  double pmax = kRedPmax;
 
   // NP: minimum gap between CNPs for one flow.
   Duration cnp_interval = Duration::micros(50);
 
-  // RP rate machine defaults (overridable per flow).
-  Duration timer = Duration::micros(125);  ///< T, the paper's testbed default
-  Bytes byte_counter = Bytes::mega(10);    ///< B
-  Rate rai = Rate::mbps(40);               ///< R_AI
-  Rate rhai = Rate::mbps(200);             ///< R_HAI
-  int fast_recovery_rounds = 5;            ///< F
-  double g = 1.0 / 256.0;
-  Duration alpha_update = Duration::micros(55);
+  /// T, the RP increase timer (the paper's testbed default);
+  /// FlowSpec::cc_timer overrides it per flow.
+  Duration timer = Duration::micros(125);
 
   /// Scale R_AI by (1 + comm-phase progress): the paper's adaptively unfair
   /// congestion control.
   bool adaptive_rai = false;
-
-  /// Typical packet size used to convert fluid rate into a marking-event
-  /// intensity.
-  Bytes mtu = Bytes::kilo(1);
 
   /// Marking model.  `true` integrates the *expected* number of marked
   /// packets and fires a CNP when it reaches one — flows with identical
@@ -93,7 +85,8 @@ class DcqcnPolicy : public BandwidthPolicy {
   void update_rates(Network& net, TimePoint now, Duration dt) override;
   void update_rates_burst(Network& net, TimePoint first, Duration dt,
                           std::uint64_t ticks) override;
-  /// Route line rate, floored at the 10 Mbps minimum a decrease enforces.
+  /// Route line rate, floored at the kRateFloor minimum a decrease
+  /// enforces.
   double rate_bound_bps(const Network& net, std::uint32_t slot) const override;
   Bytes link_queue(LinkId link) const override;
   /// With all switch queues drained nothing evolves between steps while no
@@ -105,6 +98,19 @@ class DcqcnPolicy : public BandwidthPolicy {
   std::string serialize_state() const override;
 
   const DcqcnConfig& config() const { return config_; }
+
+  // The RP rate machine's fixed parameters (the rate floor:
+  // cc/policy/signals.h).
+  /// R_AI, the additive step; FlowSpec::cc_rai overrides it per flow.
+  static constexpr Rate kRai = Rate::mbps(40);
+  static constexpr Bytes kByteCounter = Bytes::mega(10);  ///< B
+  static constexpr Rate kRhai = Rate::mbps(200);          ///< R_HAI
+  static constexpr int kFastRecoveryRounds = 5;           ///< F
+  static constexpr double kG = 1.0 / 256.0;               ///< alpha gain
+  static constexpr Duration kAlphaUpdate = Duration::micros(55);
+  /// Typical packet size, converting fluid rate into a marking-event
+  /// intensity.
+  static constexpr Bytes kMtu = Bytes::kilo(1);
 
   /// Per-flow diagnostic snapshot (used by tests and telemetry).
   struct RpState {
@@ -156,23 +162,16 @@ class DcqcnPolicy : public BandwidthPolicy {
   /// timer fire, so it steps every flow.
   template <bool Traced>
   void rp_pass(Network& net, TimePoint now, Duration dt, bool any_marked);
-  /// RED/ECN marking probability for a queue of `queue_bytes` bytes, using
-  /// the slope precomputed in the constructor.
-  double red_probability(double queue_bytes) const {
-    if (queue_bytes <= kmin_bytes_) return 0.0;
-    if (queue_bytes >= kmax_bytes_) return 1.0;
-    return (queue_bytes - kmin_bytes_) * mark_scale_;
-  }
-
   /// A flow is pinned when an unmarked tick provably leaves its rates at
   /// line: R_C == R_T == line, no pending CNP (emarks < 1; otherwise one
-  /// fires once the CNP clock allows), and non-negative increase steps, so
-  /// soa_increase clamps both rates back to line.  The caller adds the
-  /// tick's own condition, p_any == 0.
+  /// fires once the CNP clock allows), and non-negative increase steps
+  /// (kRhai is), so soa_increase clamps both rates back to line.  The
+  /// caller adds the tick's own condition, p_any == 0.
   bool pinned(std::uint32_t slot) const {
+    static_assert(kRhai.bits_per_sec() >= 0.0);
     return rc_bps_[slot] == line_bps_[slot] &&
            rt_bps_[slot] == line_bps_[slot] && emarks_[slot] < 1.0 &&
-           rai_bps_[slot] >= 0.0 && config_.rhai.bits_per_sec() >= 0.0;
+           rai_bps_[slot] >= 0.0;
   }
   /// Replays the ticks `slot` owes since `lazy_since_[slot]` and leaves it
   /// current as of `tick_`: the clocks and round counters in closed form,
@@ -236,11 +235,10 @@ class DcqcnPolicy : public BandwidthPolicy {
   /// Per-link queue/marking state behind the shared two-pass step loop
   /// (cc/policy/slab.h owns the wet-list bookkeeping and quiescence flag).
   LinkQueueSlab<LinkState> links_;
-  double kmin_bytes_ = 0.0;
-  double kmax_bytes_ = 0.0;
-  double mark_scale_ = 0.0;  // pmax / (kmax - kmin), per byte
+  /// RED/ECN marking from the configured profile.
+  const RedProfile red_;
   /// Links that can congest under the current flow set: the sum of the rate
-  /// bounds (rate_bound_bps: line rate, floored at 10 Mbps) of the flows
+  /// bounds (rate_bound_bps: line rate, floored at kRateFloor) of the flows
   /// crossing the link exceeds its effective capacity.  Every other link
   /// provably never queues (arrival <= sum-of-bounds <= capacity keeps the
   /// queue at zero), and the CP pass skips it wholesale.  Rebuilt on flow

@@ -38,9 +38,9 @@ enum class PolicyKind {
 
 const char* to_string(PolicyKind kind);
 
-/// One bundle with every transport family's tunables; make_policy picks the
-/// member matching `kind` and ignores the rest, so call sites configure any
-/// transport without caring which one the run selects.
+/// One bundle with every transport family's settable values; make_policy
+/// picks the member matching `kind` and ignores the rest, so call sites
+/// configure any transport without caring which one the run selects.
 struct TransportConfig {
   DcqcnConfig dcqcn;
   TimelyConfig timely;

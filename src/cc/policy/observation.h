@@ -38,7 +38,7 @@ struct CcObservation {
 };
 
 /// A rate action: new_rate = rate * rate_multiplier + additive_bps, then
-/// clamped to the transport's [min_rate, line_rate] envelope.
+/// clamped to the transport's [rate floor, line_rate] envelope.
 struct CcAction {
   double rate_multiplier = 1.0;
   double additive_bps = 0.0;

@@ -37,6 +37,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "cc/policy/signals.h"
 #include "cc/policy/slab.h"
 #include "ckpt/snapshot.h"
 #include "net/network.h"
@@ -58,25 +59,25 @@ struct QueueLink {
 };
 
 /// TIMELY's EWMA filter on the RTT difference between decisions, shared by
-/// Swift and the table policy.
+/// Swift and the table policy (weight kGradientEwma).
 struct RttGradient {
   std::int64_t prev_rtt_ns = 0;  ///< previous sample; 0 before the first
   double ewma_us = 0.0;          ///< smoothed RTT difference per decision
 
   /// Feeds one RTT sample; returns the filtered difference normalized by
-  /// `base_us` (positive = queues growing).  With `guard_first` a flow's
+  /// the base RTT (positive = queues growing).  With `guard_first` a flow's
   /// first sample counts as no change.  Without it the first difference is
   /// taken against a zero previous RTT, which TIMELY's goldens pin.
-  double update(Duration rtt, double alpha, double base_us, bool guard_first) {
+  double update(Duration rtt, bool guard_first) {
     const double diff_us =
         guard_first && prev_rtt_ns == 0
             ? 0.0
             : rtt.to_micros() - Duration::nanos(prev_rtt_ns).to_micros();
     prev_rtt_ns = rtt.ns();
-    ewma_us = (1.0 - alpha) * ewma_us + alpha * diff_us;
-    return ewma_us / base_us;
+    ewma_us = (1.0 - kGradientEwma) * ewma_us + kGradientEwma * diff_us;
+    return gradient();
   }
-  double gradient(double base_us) const { return ewma_us / base_us; }
+  double gradient() const { return ewma_us / kBaseRtt.to_micros(); }
 };
 
 /// The trace-bus binding of one rate machine: its counter is re-resolved
@@ -111,8 +112,8 @@ class RateMachine : public BandwidthPolicy {
   /// restoration); every active flow is refreshed — faults are rare.
   void on_link_capacity_changed(Network& net, LinkId link) final;
   void update_rates(Network& net, TimePoint now, Duration dt) final;
-  /// Route line rate, floored at min_rate: every decision clamps to
-  /// [min_rate, line_rate], and min_rate can exceed the line rate of a
+  /// Route line rate, floored at kRateFloor: every decision clamps to
+  /// [kRateFloor, line_rate], and the floor can exceed the line rate of a
   /// browned-out route.
   double rate_bound_bps(const Network& net, std::uint32_t slot) const final;
   Bytes link_queue(LinkId link) const final;
@@ -126,23 +127,21 @@ class RateMachine : public BandwidthPolicy {
 
  protected:
   /// `interval` is the decision cadence unless Derived::interval_ns says
-  /// otherwise; `base_rtt` is the propagation part of every RTT sample.
-  /// `representation_byte` leads the frame with a 0 byte (TIMELY and Swift
-  /// write one; their goldens pin it).
-  RateMachine(Rate min_rate, Duration base_rtt, Duration interval,
-              const char* counter, bool representation_byte)
-      : min_bps_(min_rate.bits_per_sec()),
-        events_(counter),
-        base_rtt_(base_rtt),
+  /// otherwise.  `representation_byte` leads the frame with a 0 byte
+  /// (TIMELY and Swift write one; their goldens pin it).
+  RateMachine(Duration interval, const char* counter, bool representation_byte)
+      : events_(counter),
         interval_ns_(interval.ns()),
         representation_byte_(representation_byte) {}
 
-  /// The RTT a flow would sample now: the base RTT plus each route link's
+  static constexpr double kMinBps = kRateFloor.bits_per_sec();
+
+  /// The RTT a flow would sample now: kBaseRtt plus each route link's
   /// queueing delay.  `visit` sees every route link's state, in route order.
   template <typename Visit>
   Duration sample_rtt(const Network& net, std::uint32_t slot,
                       Visit&& visit) const {
-    Duration rtt = base_rtt_;
+    Duration rtt = kBaseRtt;
     for (const std::int32_t l : net.route_links(slot)) {
       const Rate cap = net.effective_capacity(LinkId{l});
       if (cap.is_positive()) {
@@ -156,10 +155,11 @@ class RateMachine : public BandwidthPolicy {
     return sample_rtt(net, slot, [](const LinkState&) {});
   }
 
-  /// Clamps to [min_rate, line_rate]; where a brownout pushes the line rate
-  /// below min_rate the line rate wins (std::clamp would need lo <= hi).
+  /// Clamps to [kRateFloor, line_rate]; where a brownout pushes the line
+  /// rate below the floor the line rate wins (std::clamp would need
+  /// lo <= hi).
   double clamp_rate(double rate, std::uint32_t slot) const {
-    return std::min(std::max(rate, min_bps_), line_bps_[slot]);
+    return std::min(std::max(rate, kMinBps), line_bps_[slot]);
   }
 
   // Default hooks; Derived shadows the ones it needs.
@@ -175,7 +175,6 @@ class RateMachine : public BandwidthPolicy {
                  double /*arrival_bps*/) const {}
   void put_tail(StateBuf& /*out*/) const {}
 
-  const double min_bps_;
   std::unordered_map<FlowId, std::uint32_t> slots_;
   // Slot-indexed columns (the network's stable slab slots, hash-free on the
   // per-step path); a finished flow's slot is left stale and overwritten
@@ -191,7 +190,6 @@ class RateMachine : public BandwidthPolicy {
   Derived& self() { return static_cast<Derived&>(*this); }
   const Derived& self() const { return static_cast<const Derived&>(*this); }
 
-  const Duration base_rtt_;
   const std::int64_t interval_ns_;
   const bool representation_byte_;
 };
@@ -293,7 +291,7 @@ template <typename D, typename L, typename F>
 template <typename D, typename L, typename F>
 double RateMachine<D, L, F>::rate_bound_bps(const Network& /*net*/,
                                             std::uint32_t slot) const {
-  return std::max(line_bps_[slot], min_bps_);
+  return std::max(line_bps_[slot], kMinBps);
 }
 
 template <typename D, typename L, typename F>

@@ -11,10 +11,12 @@
 
 namespace ccml {
 
-/// One tunable a transport exposes, with its compiled-in preset.
-struct TransportTunable {
-  const char* name;     ///< config field, e.g. "timer"
-  const char* preset;   ///< default value, e.g. "125us"
+/// One parameter of a transport's model, with its value and who may set
+/// it.
+struct TransportParameter {
+  const char* name;     ///< e.g. "timer"
+  const char* value;    ///< default or fixed value, e.g. "125us"
+  const char* set_by;   ///< "fixed", or the config/flow field that sets it
   const char* meaning;  ///< one-line description
 };
 
@@ -33,7 +35,7 @@ struct TransportInfo {
   /// Whether an MLTCP-scaled variant exists (the transport has an additive
   /// increase step the wrapper can multiply).
   bool mltcp_wrappable;
-  std::span<const TransportTunable> tunables;
+  std::span<const TransportParameter> parameters;
 };
 
 /// Every registered transport, in PolicyKind order.

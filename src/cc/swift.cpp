@@ -4,9 +4,9 @@
 
 namespace ccml {
 
-SwiftDecision swift_decide(const SwiftConfig& cfg, const CcObservation& obs,
-                           double target_us, double rate_bps, double ai_bps,
-                           double min_bps, double line_bps) {
+SwiftDecision swift_decide(const CcObservation& obs, double target_us,
+                           double rate_bps, double ai_bps, double min_bps,
+                           double line_bps) {
   SwiftDecision d;
   const double g = obs.rtt_gradient;
   if (obs.rtt_us <= target_us) {
@@ -18,10 +18,10 @@ SwiftDecision swift_decide(const SwiftConfig& cfg, const CcObservation& obs,
   } else {
     // Over target: multiplicative decrease proportional to the overshoot
     // fraction, amplified up to 2x by a positive gradient (overshooting
-    // *and* still growing), capped at max_mdf per decision.
-    double md = cfg.beta * (obs.rtt_us - target_us) / obs.rtt_us;
+    // *and* still growing), capped at kMaxMdf per decision.
+    double md = SwiftPolicy::kBeta * (obs.rtt_us - target_us) / obs.rtt_us;
     if (g > 0.0) md *= 1.0 + (g < 1.0 ? g : 1.0);
-    if (md > cfg.max_mdf) md = cfg.max_mdf;
+    if (md > SwiftPolicy::kMaxMdf) md = SwiftPolicy::kMaxMdf;
     d.rate_bps = rate_bps * (1.0 - md);
     d.decreased = true;
   }
@@ -30,19 +30,20 @@ SwiftDecision swift_decide(const SwiftConfig& cfg, const CcObservation& obs,
   return d;
 }
 
+static_assert(SwiftPolicy::kTargetDelay > kBaseRtt);
+static_assert(SwiftPolicy::kBeta > 0.0 && SwiftPolicy::kBeta <= 1.0);
+static_assert(SwiftPolicy::kMaxMdf > 0.0 && SwiftPolicy::kMaxMdf < 1.0);
+
 SwiftPolicy::SwiftPolicy(SwiftConfig config)
-    : RateMachine(config.min_rate, config.base_rtt, config.update_interval,
-                  "swift.decreases", /*representation_byte=*/true),
+    : RateMachine(config.update_interval, "swift.decreases",
+                  /*representation_byte=*/true),
       config_(config),
       rng_(config.seed) {
-  assert(config_.target_delay > config_.base_rtt);
-  assert(config_.beta > 0.0 && config_.beta <= 1.0);
-  assert(config_.max_mdf > 0.0 && config_.max_mdf < 1.0);
   assert(config_.update_interval.is_positive());
 }
 
 double SwiftPolicy::decision_target_us() {
-  const double target_us = config_.target_delay.to_micros();
+  const double target_us = kTargetDelay.to_micros();
   if (config_.target_jitter_us == 0.0) return target_us;
   return target_us + config_.target_jitter_us * (2.0 * rng_.uniform() - 1.0);
 }
@@ -50,7 +51,7 @@ double SwiftPolicy::decision_target_us() {
 SwiftFlow SwiftPolicy::start_flow(const Flow& flow) const {
   SwiftFlow f;
   f.ai_bps =
-      (flow.spec.cc_rai.is_positive() ? flow.spec.cc_rai : config_.ai)
+      (flow.spec.cc_rai.is_positive() ? flow.spec.cc_rai : kAi)
           .bits_per_sec();
   return f;
 }
@@ -59,9 +60,7 @@ double SwiftPolicy::decide(Network& net, TimePoint now, std::uint32_t slot,
                            std::int64_t /*elapsed_ns*/) {
   SwiftFlow& f = flows_[slot];
   const Duration rtt = sample_rtt(net, slot);
-  const double gradient =
-      f.rtt.update(rtt, config_.ewma_alpha, config_.base_rtt.to_micros(),
-                   /*guard_first=*/true);
+  const double gradient = f.rtt.update(rtt, /*guard_first=*/true);
 
   // MLTCP wrap: additive step scales with comm-phase progress.
   double ai_bps = f.ai_bps;
@@ -73,8 +72,8 @@ double SwiftPolicy::decide(Network& net, TimePoint now, std::uint32_t slot,
   obs.rtt_gradient = gradient;
   obs.phase_progress = progress;
   const SwiftDecision d =
-      swift_decide(config_, obs, decision_target_us(), rate_bps_[slot], ai_bps,
-                   min_bps_, line_bps_[slot]);
+      swift_decide(obs, decision_target_us(), rate_bps_[slot], ai_bps,
+                   kMinBps, line_bps_[slot]);
   // value2 carries the gradient behind the decrease.
   if (d.decreased && events_.on()) [[unlikely]] {
     events_.emit(TraceEventKind::kRateDecrease, now, net.flow_at(slot),
@@ -89,7 +88,7 @@ void SwiftPolicy::put_flow(StateBuf& out, const SwiftFlow& f,
   out.put_i64(f.rtt.prev_rtt_ns);
   out.put_f64(f.rtt.ewma_us);
   out.put_i64(since_ns);
-  out.put_f64(f.rtt.gradient(config_.base_rtt.to_micros()));
+  out.put_f64(f.rtt.gradient());
 }
 
 template class RateMachine<SwiftPolicy, QueueLink, SwiftFlow>;

@@ -30,17 +30,7 @@
 namespace ccml {
 
 struct SwiftConfig {
-  /// Absolute end-to-end RTT target (base propagation + queueing budget).
-  /// Must exceed base_rtt or the controller can never increase.
-  Duration target_delay = Duration::micros(60);
-  Duration base_rtt = Duration::micros(20);
-  Rate ai = Rate::mbps(20);      ///< additive-increase step per decision
-  double beta = 0.8;             ///< decrease aggressiveness
-  double max_mdf = 0.5;          ///< max multiplicative-decrease fraction
-  /// EWMA weight for the RTT-gradient filter (same filter as TIMELY).
-  double ewma_alpha = 0.46;
-  Duration update_interval = Duration::micros(25);
-  Rate min_rate = Rate::mbps(10);
+  Duration update_interval = Duration::micros(25);  ///< decision cadence
 
   /// Uniform per-decision jitter (+/- this many microseconds) on the delay
   /// target, drawn from the policy's seeded RNG stream — breaks the phase
@@ -66,9 +56,9 @@ struct SwiftDecision {
 /// kernel and its test oracle both call this — there is no second copy of
 /// the update equations.  `target_us` is the (possibly jittered) absolute
 /// RTT target.
-SwiftDecision swift_decide(const SwiftConfig& cfg, const CcObservation& obs,
-                           double target_us, double rate_bps, double ai_bps,
-                           double min_bps, double line_bps);
+SwiftDecision swift_decide(const CcObservation& obs, double target_us,
+                           double rate_bps, double ai_bps, double min_bps,
+                           double line_bps);
 
 /// Swift's per-flow state beyond the scaffold's rate, line rate and
 /// cadence.
@@ -87,6 +77,16 @@ class SwiftPolicy final
   }
 
   const SwiftConfig& config() const { return config_; }
+
+  // Swift's fixed parameters (base RTT, rate floor and filter weight:
+  // cc/policy/signals.h).
+  /// Absolute end-to-end RTT target (base propagation + queueing budget);
+  /// above kBaseRtt, or the controller could never increase.
+  static constexpr Duration kTargetDelay = Duration::micros(60);
+  /// Additive-increase step per decision; FlowSpec::cc_rai overrides it.
+  static constexpr Rate kAi = Rate::mbps(20);
+  static constexpr double kBeta = 0.8;    ///< decrease aggressiveness
+  static constexpr double kMaxMdf = 0.5;  ///< max decrease per decision
 
  private:
   friend RateMachine;

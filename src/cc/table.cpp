@@ -205,20 +205,16 @@ std::string CcPolicyTable::summary() const {
 }
 
 TablePolicy::TablePolicy(TableConfig config)
-    : RateMachine(config.min_rate, config.base_rtt, config.table.cadence(),
-                  "table.decisions", /*representation_byte=*/false),
+    : RateMachine(config.table.cadence(), "table.decisions",
+                  /*representation_byte=*/false),
       config_(std::move(config)),
-      rng_(config_.seed),
-      kmin_bytes_(config_.kmin.count()),
-      kmax_bytes_(config_.kmax.count()) {
+      rng_(config_.seed) {
   assert(!config_.table.empty());
-  assert(config_.kmax > config_.kmin);
-  mark_scale_ = config_.pmax / (kmax_bytes_ - kmin_bytes_);
 }
 
 void TablePolicy::mark_link(TableLink& link, double /*cap_bps*/,
                             double /*arrival_bps*/) const {
-  const double p = red_probability(link.queue_b);
+  const double p = kRed.probability(link.queue_b);
   link.log_keep = p > 0.0 ? std::log1p(-std::min(p, 1.0 - 1e-12)) : 0.0;
 }
 
@@ -232,9 +228,7 @@ double TablePolicy::decide(Network& net, TimePoint now, std::uint32_t slot,
       net, slot, [&](const TableLink& l) { sum_log_keep += l.log_keep; });
   CcObservation obs;
   obs.rtt_us = rtt.to_micros();
-  obs.rtt_gradient =
-      f.rtt.update(rtt, config_.ewma_alpha, config_.base_rtt.to_micros(),
-                   /*guard_first=*/true);
+  obs.rtt_gradient = f.rtt.update(rtt, /*guard_first=*/true);
   obs.ecn_fraction = sum_log_keep < 0.0 ? 1.0 - std::exp(sum_log_keep) : 0.0;
   obs.delivered_bytes = f.deliv_b;
   obs.phase_progress = net.progress_at(slot);
@@ -247,7 +241,7 @@ double TablePolicy::decide(Network& net, TimePoint now, std::uint32_t slot,
         1.0 + config_.explore * (2.0 * rng_.uniform() - 1.0);
   }
   const double rate =
-      apply_cc_action(action, rate_bps_[slot], min_bps_, line_bps_[slot]);
+      apply_cc_action(action, rate_bps_[slot], kMinBps, line_bps_[slot]);
   if (events_.on()) [[unlikely]] {
     events_.emit(TraceEventKind::kCcDecision, now, net.flow_at(slot), rate,
                  static_cast<double>(f.rule));
@@ -258,7 +252,7 @@ double TablePolicy::decide(Network& net, TimePoint now, std::uint32_t slot,
 void TablePolicy::put_flow(StateBuf& out, const TableFlow& f,
                            std::int64_t since_ns) const {
   out.put_f64(f.rtt.ewma_us);
-  out.put_f64(f.rtt.gradient(config_.base_rtt.to_micros()));
+  out.put_f64(f.rtt.gradient());
   out.put_f64(f.deliv_b);
   out.put_i64(f.rtt.prev_rtt_ns);
   out.put_i64(since_ns);

@@ -83,16 +83,11 @@ class CcPolicyTable {
   bool loaded_ = false;
 };
 
+/// The observation is assembled from the signal models the native
+/// transports share (cc/policy/signals.h): base RTT, gradient filter, RED
+/// profile and rate floor.
 struct TableConfig {
   CcPolicyTable table;  ///< must be non-empty (factory-enforced)
-
-  // Observation assembly (the same signal models the native transports use).
-  Duration base_rtt = Duration::micros(20);
-  double ewma_alpha = 0.46;   ///< RTT-gradient filter weight
-  Bytes kmin = Bytes::kilo(50);   ///< RED profile for the ECN fraction
-  Bytes kmax = Bytes::kilo(200);
-  double pmax = 0.01;
-  Rate min_rate = Rate::mbps(10);
 
   /// Epsilon-exploration: with this probability-weighted amplitude the rate
   /// multiplier is jittered by up to +/- explore (drawn from the seeded RNG
@@ -139,17 +134,11 @@ class TablePolicy final
   void put_flow(StateBuf& out, const TableFlow& f,
                 std::int64_t since_ns) const;
   void put_tail(StateBuf& out) const { out.put_bytes(rng_.save_state()); }
-  double red_probability(double queue_bytes) const {
-    if (queue_bytes <= kmin_bytes_) return 0.0;
-    if (queue_bytes >= kmax_bytes_) return 1.0;
-    return (queue_bytes - kmin_bytes_) * mark_scale_;
-  }
+
+  static constexpr RedProfile kRed{kRedKmin, kRedKmax, kRedPmax};
 
   TableConfig config_;
   Rng rng_;
-  double kmin_bytes_ = 0.0;
-  double kmax_bytes_ = 0.0;
-  double mark_scale_ = 0.0;  // pmax / (kmax - kmin), per byte
 };
 
 extern template class RateMachine<TablePolicy, TableLink, TableFlow>;

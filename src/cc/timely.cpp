@@ -5,19 +5,18 @@
 
 namespace ccml {
 
+static_assert(TimelyPolicy::kTHigh > TimelyPolicy::kTLow);
+static_assert(TimelyPolicy::kBeta > 0.0 && TimelyPolicy::kBeta <= 1.0);
+static_assert(TimelyPolicy::kUpdateInterval.is_positive());
+
 TimelyPolicy::TimelyPolicy(TimelyConfig config)
-    : RateMachine(config.min_rate, config.base_rtt, config.update_interval,
-                  "timely.decreases", /*representation_byte=*/true),
-      config_(config) {
-  assert(config_.t_high > config_.t_low);
-  assert(config_.beta > 0.0 && config_.beta <= 1.0);
-  assert(config_.update_interval.is_positive());
-}
+    : RateMachine(kUpdateInterval, "timely.decreases",
+                  /*representation_byte=*/true),
+      config_(config) {}
 
 TimelyFlow TimelyPolicy::start_flow(const Flow& flow) const {
   TimelyFlow f;
-  f.delta_bps = (flow.spec.cc_rai.is_positive() ? flow.spec.cc_rai
-                                                : config_.delta)
+  f.delta_bps = (flow.spec.cc_rai.is_positive() ? flow.spec.cc_rai : kDelta)
                     .bits_per_sec();
   return f;
 }
@@ -26,9 +25,7 @@ double TimelyPolicy::decide(Network& net, TimePoint now, std::uint32_t slot,
                             std::int64_t /*elapsed_ns*/) {
   TimelyFlow& f = flows_[slot];
   const Duration rtt = sample_rtt(net, slot);
-  const double gradient =
-      f.rtt.update(rtt, config_.ewma_alpha, config_.base_rtt.to_micros(),
-                   /*guard_first=*/false);
+  const double gradient = f.rtt.update(rtt, /*guard_first=*/false);
 
   double rate = rate_bps_[slot];
   // MLTCP wrap: the additive step scales with comm-phase progress; the
@@ -36,20 +33,20 @@ double TimelyPolicy::decide(Network& net, TimePoint now, std::uint32_t slot,
   double delta = f.delta_bps;
   if (config_.phase_scaling) delta = delta * (1.0 + net.progress_at(slot));
   bool decreased = false;
-  if (rtt < config_.t_low) {
+  if (rtt < kTLow) {
     rate += delta;
     ++f.good_rounds;
-  } else if (rtt > config_.t_high) {
-    const double shrink = 1.0 - config_.beta * (1.0 - config_.t_high / rtt);
+  } else if (rtt > kTHigh) {
+    const double shrink = 1.0 - kBeta * (1.0 - kTHigh / rtt);
     rate = rate * shrink;
     f.good_rounds = 0;
     decreased = true;
   } else if (gradient <= 0.0) {
     ++f.good_rounds;
-    const int n = f.good_rounds >= config_.hai_threshold ? 5 : 1;
+    const int n = f.good_rounds >= kHaiThreshold ? 5 : 1;
     rate += delta * static_cast<double>(n);
   } else {
-    rate = rate * (1.0 - config_.beta * std::min(gradient, 1.0));
+    rate = rate * (1.0 - kBeta * std::min(gradient, 1.0));
     f.good_rounds = 0;
     decreased = true;
   }
@@ -69,7 +66,7 @@ void TimelyPolicy::put_flow(StateBuf& out, const TimelyFlow& f,
   out.put_f64(f.rtt.ewma_us);
   out.put_u32(static_cast<std::uint32_t>(f.good_rounds));
   out.put_i64(since_ns);
-  out.put_f64(f.rtt.gradient(config_.base_rtt.to_micros()));
+  out.put_f64(f.rtt.gradient());
 }
 
 TimelyPolicy::FlowDiag TimelyPolicy::diag(FlowId id) const {
@@ -78,7 +75,7 @@ TimelyPolicy::FlowDiag TimelyPolicy::diag(FlowId id) const {
   const std::uint32_t slot = it->second;
   const TimelyFlow& f = flows_[slot];
   return {Rate::bps(rate_bps_[slot]), Duration::nanos(f.rtt.prev_rtt_ns),
-          f.rtt.gradient(config_.base_rtt.to_micros())};
+          f.rtt.gradient()};
 }
 
 template class RateMachine<TimelyPolicy, QueueLink, TimelyFlow>;

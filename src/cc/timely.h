@@ -11,7 +11,7 @@
 //     g <= 0              -> additive increase (x5 after N good rounds, HAI)
 //     g > 0               -> R *= 1 - beta * g
 //
-// The per-flow aggressiveness knob here is `delta` (the additive step),
+// The per-flow aggressiveness knob here is the additive step (kDelta),
 // overridable via FlowSpec::cc_rai — mirroring how DcqcnPolicy repurposes
 // the same field — so the paper's unfairness experiments can be replayed on
 // a delay-based transport (see bench/ablation_transport_family).
@@ -26,17 +26,6 @@
 namespace ccml {
 
 struct TimelyConfig {
-  Duration t_low = Duration::micros(50);
-  Duration t_high = Duration::micros(500);
-  Duration base_rtt = Duration::micros(20);
-  Rate delta = Rate::mbps(10);   ///< additive-increase step per update
-  double beta = 0.8;             ///< multiplicative-decrease factor
-  int hai_threshold = 5;         ///< good rounds before hyper increase
-  Duration update_interval = Duration::micros(25);
-  /// EWMA weight for the RTT-gradient filter.
-  double ewma_alpha = 0.46;
-  Rate min_rate = Rate::mbps(10);
-
   /// MLTCP-style window scaling (cc/factory.h, PolicyKind::kMltcpTimely):
   /// every additive-increase step is multiplied by (1 + comm-phase
   /// progress), so flows nearing the end of their phase out-compete flows
@@ -63,6 +52,17 @@ class TimelyPolicy final
   }
 
   const TimelyConfig& config() const { return config_; }
+
+  // The gradient machine's fixed parameters (base RTT, rate floor and
+  // filter weight: cc/policy/signals.h).
+  static constexpr Duration kTLow = Duration::micros(50);
+  static constexpr Duration kTHigh = Duration::micros(500);
+  /// Additive-increase step per update; FlowSpec::cc_rai overrides it.
+  static constexpr Rate kDelta = Rate::mbps(10);
+  static constexpr double kBeta = 0.8;  ///< multiplicative-decrease factor
+  /// Good rounds before hyper increase.
+  static constexpr int kHaiThreshold = 5;
+  static constexpr Duration kUpdateInterval = Duration::micros(25);
 
   struct FlowDiag {
     Rate rate;

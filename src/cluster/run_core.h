@@ -27,8 +27,8 @@ class CheckpointCoordinator;
 /// Options every harness config carries.
 struct RunOptions {
   PolicyKind policy = PolicyKind::kDcqcn;
-  /// Tunables for every transport family (cc/factory.h); make_policy picks
-  /// the member matching `policy`.
+  /// Settable values for every transport family (cc/factory.h);
+  /// make_policy picks the member matching `policy`.
   TransportConfig transports;
   /// Scripted faults (src/faults); empty = fault-free run.
   FaultPlan faults;

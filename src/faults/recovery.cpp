@@ -64,18 +64,27 @@ JobRecovery analyze(const JobTrace& trace, TimePoint window_start,
   }
   // Goodput lost over the disruption span (fault window plus the recovery
   // tail): what the job would have shipped at baseline cadence minus what it
-  // actually completed.
+  // made, each iteration counted by the share of its duration inside the
+  // span.  Summed as the span's uncovered time at baseline cadence plus each
+  // iteration's covered time at the difference between the baseline rate
+  // and its own, so an iteration at baseline cadence adds exactly zero.
   const TimePoint span_end = last_end;
-  const double span_ms = (span_end - window_start).to_millis();
-  if (span_ms > 0.0 && r.baseline_ms > 0.0) {
-    double completed = 0.0;
+  const Duration span = span_end - window_start;
+  if (span.is_positive() && r.baseline_ms > 0.0) {
+    Duration covered = Duration::zero();
+    double behind = 0.0;  // iterations short of baseline cadence
     for (std::size_t i = 0; i < n && i < trace.starts.size(); ++i) {
-      const TimePoint end = trace.starts[i] + trace.durations[i];
-      if (end > window_start && end <= span_end) completed += 1.0;
+      const TimePoint start = trace.starts[i];
+      const TimePoint end = start + trace.durations[i];
+      const Duration in =
+          std::min(end, span_end) - std::max(start, window_start);
+      if (!in.is_positive()) continue;
+      covered = covered + in;
+      behind += in.to_millis() / r.baseline_ms -
+                in.to_millis() / trace.durations[i].to_millis();
     }
-    const double expected = span_ms / r.baseline_ms;
-    r.goodput_lost_mb =
-        std::max(0.0, expected - completed) * trace.comm_mb_per_iter;
+    behind += (span - covered).to_millis() / r.baseline_ms;
+    r.goodput_lost_mb = std::max(0.0, behind) * trace.comm_mb_per_iter;
   }
   return r;
 }

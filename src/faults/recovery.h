@@ -18,8 +18,15 @@
 //   iterations_disrupted  iterations violating tolerance that ended after
 //                  the first fault hit.
 //   goodput_lost_mb  (expected iterations over the disruption span at
-//                  baseline cadence - iterations actually completed in it)
-//                  x per-iteration communication volume.
+//                  baseline cadence - iterations actually made in it)
+//                  x per-iteration communication volume.  The span runs
+//                  from the first fault to the end of the fault window or
+//                  of the last disrupted iteration, whichever is later.
+//                  An iteration counts by the share of its duration that
+//                  lies inside the span, so an iteration the span cuts
+//                  counts in part, a trace at baseline cadence loses
+//                  nothing wherever the span falls, and the loss of an
+//                  outage the iterations absorb grows with its length.
 #pragma once
 
 #include <span>

@@ -50,12 +50,12 @@ void IterationAnalyzer::on_event(const TraceEvent& ev,
   for (auto& [id, js] : jobs_) {
     if (!js.active || js.starving || !js.saw_iteration) continue;
     if (static_cast<int>(js.sorted_ms.size()) <
-        config_->starvation_min_iterations) {
+        kStarvationMinIterations) {
       continue;
     }
     const double median = median_ms(js);
     const double gap_ms = (ev.time - js.last_iteration).to_millis();
-    if (median > 0.0 && gap_ms > config_->starvation_factor * median) {
+    if (median > 0.0 && gap_ms > kStarvationFactor * median) {
       js.starving = true;
       ++starvation_events_;
       TraceEvent out = anomaly(TraceEventKind::kAnomalyStarvation, ev.time,
@@ -69,7 +69,6 @@ void IterationAnalyzer::on_event(const TraceEvent& ev,
     case TraceEventKind::kIteration: {
       if (!ev.job.valid()) break;
       JobState& js = jobs_[ev.job.value];
-      if (js.hist.count() == 0) js.hist = HdrHistogram(config_->histogram);
       js.hist.record(ev.value);
       js.sum_ms += ev.value;
       if (!js.saw_iteration || ev.value < js.min_ms) js.min_ms = ev.value;
@@ -116,13 +115,13 @@ void InterleavingAnalyzer::close_drift_window(
   switch (drift_) {
     case DriftState::kUnarmed:
     case DriftState::kFired:
-      if (have_comm && frac <= config_->drift_arm_threshold) {
+      if (have_comm && frac <= kDriftArmThreshold) {
         drift_ = DriftState::kArmed;
         armed_fraction_ = frac;
       }
       break;
     case DriftState::kArmed:
-      if (have_comm && frac >= config_->drift_fire_threshold) {
+      if (have_comm && frac >= kDriftFireThreshold) {
         derived.push_back(anomaly(TraceEventKind::kAnomalyPhaseDrift, at,
                                   frac, armed_fraction_));
         ++drift_events_;
@@ -140,7 +139,7 @@ void InterleavingAnalyzer::advance_global(TimePoint t,
     started_ = true;
     first_ = t;
     last_ = t;
-    window_end_ = t + config_->drift_window;
+    window_end_ = t + kDriftWindow;
     return;
   }
   if (t < last_) t = last_;  // defensive: never integrate backwards
@@ -162,7 +161,7 @@ void InterleavingAnalyzer::advance_global(TimePoint t,
     integrate_to(window_end_);
     last_ = window_end_;  // advance even across empty windows
     close_drift_window(window_end_, derived);
-    window_end_ += config_->drift_window;
+    window_end_ += kDriftWindow;
   }
   integrate_to(t);
   last_ = t;
@@ -338,9 +337,9 @@ void FairnessAnalyzer::close_window(TimePoint at,
         ls.win_queue_n != 0
             ? ls.win_queue_sum / static_cast<double>(ls.win_queue_n)
             : 0.0;
-    const double floor = config_->collapse_ratio * ls.peak_window_bps;
+    const double floor = kCollapseRatio * ls.peak_window_bps;
     if (ls.peak_window_bps > 0.0 && cur < floor &&
-        queue_mean >= config_->collapse_min_queue_bytes) {
+        queue_mean >= kCollapseMinQueueBytes) {
       if (!ls.collapsed) {
         ls.collapsed = true;
         ++collapse_events_;
@@ -364,11 +363,11 @@ void FairnessAnalyzer::on_event(const TraceEvent& ev,
                                 std::vector<TraceEvent>& derived) {
   if (!started_) {
     started_ = true;
-    window_end_ = ev.time + config_->fairness_window;
+    window_end_ = ev.time + kFairnessWindow;
   }
   while (ev.time >= window_end_) {
     close_window(window_end_, derived);
-    window_end_ += config_->fairness_window;
+    window_end_ += kFairnessWindow;
   }
   switch (ev.kind) {
     case TraceEventKind::kLinkThroughput:
@@ -402,7 +401,7 @@ void FairnessAnalyzer::finish(TimePoint end,
   // discarded (identically online and offline).
   while (end >= window_end_) {
     close_window(window_end_, derived);
-    window_end_ += config_->fairness_window;
+    window_end_ += kFairnessWindow;
   }
 }
 
@@ -412,9 +411,6 @@ void QueueAnalyzer::on_event(const TraceEvent& ev,
                              std::vector<TraceEvent>& derived) {
   if (ev.kind != TraceEventKind::kLinkQueue || !ev.link.valid()) return;
   LinkState& ls = links_[ev.link.value];
-  if (ls.hist.count() == 0 && !ls.have_prev) {
-    ls.hist = HdrHistogram(config_->histogram);
-  }
   const double v = ev.value;
   ls.hist.record(v);
   if (v > ls.peak_bytes) ls.peak_bytes = v;
@@ -432,17 +428,15 @@ void QueueAnalyzer::on_event(const TraceEvent& ev,
       // `prev` was a local extremum; measure the excursion since the last.
       const double amplitude = std::fabs(ls.prev - ls.last_extreme);
       const double threshold =
-          std::max(config_->oscillation_min_amplitude_bytes,
-                   config_->oscillation_amplitude_frac * ls.peak_bytes);
+          std::max(kOscillationMinAmplitudeBytes,
+                   kOscillationAmplitudeFrac * ls.peak_bytes);
       if (amplitude >= threshold) {
         ls.swings_ns.push_back(ev.time.ns());
-        const std::int64_t horizon =
-            ev.time.ns() - config_->oscillation_window.ns();
+        const std::int64_t horizon = ev.time.ns() - kOscillationWindow.ns();
         while (!ls.swings_ns.empty() && ls.swings_ns.front() < horizon) {
           ls.swings_ns.pop_front();
         }
-        if (static_cast<int>(ls.swings_ns.size()) >=
-            config_->oscillation_min_swings) {
+        if (static_cast<int>(ls.swings_ns.size()) >= kOscillationMinSwings) {
           TraceEvent out =
               anomaly(TraceEventKind::kAnomalyQueueOscillation, ev.time,
                       static_cast<double>(ls.swings_ns.size()), amplitude);

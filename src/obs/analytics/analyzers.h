@@ -24,49 +24,15 @@
 
 namespace ccml {
 
-/// Tuning knobs for the analyzers and anomaly detectors.  Defaults are
-/// calibrated so a healthy dumbbell run (gated or not) reports zero
-/// anomalies; see docs/analytics.md for the tuning rationale.
+/// What the engine asks of the trace bus.  The analyzers' detector
+/// thresholds are named constants of each analyzer, calibrated so a healthy
+/// dumbbell run (gated or not) reports zero anomalies; see
+/// docs/analytics.md for the rationale.
 struct AnalyticsConfig {
-  HdrHistogramConfig histogram;
-
   /// Link-series sampling period the engine asks the bus for (fairness,
   /// queue and collapse analytics need kLinkThroughput / kLinkQueue).
   /// Zero disables the request (sink-declared cadences still apply).
   Duration sample_cadence = Duration::millis(5);
-
-  /// Jain-fairness window over per-job throughput shares.
-  Duration fairness_window = Duration::millis(50);
-
-  /// Phase-drift detector: windowed comm-overlap fraction (overlap / busy).
-  /// Arms once interleaving is established (fraction <= arm threshold) and
-  /// fires when it decays past the fire threshold; re-arms after settling.
-  Duration drift_window = Duration::millis(100);
-  double drift_arm_threshold = 0.10;
-  double drift_fire_threshold = 0.25;
-
-  /// Queue oscillation: direction reversals with amplitude >= max(min
-  /// bytes, frac * link peak) counted over a window; firing clears the
-  /// window (built-in cooldown).
-  Duration oscillation_window = Duration::millis(250);
-  int oscillation_min_swings = 12;
-  double oscillation_min_amplitude_bytes = 64.0 * 1024.0;
-  double oscillation_amplitude_frac = 0.5;
-
-  /// Starvation: a job with >= min_iterations observed goes quiet for more
-  /// than factor * its median iteration time.
-  double starvation_factor = 8.0;
-  int starvation_min_iterations = 3;
-
-  /// Congestion collapse: a link's windowed goodput drops below ratio *
-  /// its established peak while the queue stays above the floor.
-  double collapse_ratio = 0.25;
-  double collapse_min_queue_bytes = 256.0 * 1024.0;
-
-  /// Dedicated-run iteration-time baselines (job id -> ms) for the
-  /// slowdown-vs-dedicated section; jobs without an entry fall back to
-  /// their own fastest observed iteration.
-  std::map<std::int32_t, double> solo_ms;
 };
 
 // --- Iterations, slowdown, starvation --------------------------------------
@@ -84,8 +50,10 @@ class IterationAnalyzer {
     std::vector<double> sorted_ms;  ///< kept sorted for the median
   };
 
-  explicit IterationAnalyzer(const AnalyticsConfig& config)
-      : config_(&config) {}
+  /// Starvation: a job with >= kStarvationMinIterations observed goes
+  /// quiet for more than kStarvationFactor * its median iteration time.
+  static constexpr double kStarvationFactor = 8.0;
+  static constexpr int kStarvationMinIterations = 3;
 
   void on_event(const TraceEvent& ev, std::vector<TraceEvent>& derived);
 
@@ -94,7 +62,6 @@ class IterationAnalyzer {
   std::uint64_t starvation_events() const { return starvation_events_; }
 
  private:
-  const AnalyticsConfig* config_;
   std::map<std::int32_t, JobState> jobs_;
   std::uint64_t starvation_events_ = 0;
 };
@@ -122,8 +89,13 @@ class InterleavingAnalyzer {
     bool started = false;
   };
 
-  explicit InterleavingAnalyzer(const AnalyticsConfig& config)
-      : config_(&config) {}
+  /// Phase-drift detector: windowed comm-overlap fraction (overlap /
+  /// busy).  Arms once interleaving is established (fraction <= the arm
+  /// threshold) and fires when it decays past the fire threshold; re-arms
+  /// after settling.
+  static constexpr Duration kDriftWindow = Duration::millis(100);
+  static constexpr double kDriftArmThreshold = 0.10;
+  static constexpr double kDriftFireThreshold = 0.25;
 
   void on_event(const TraceEvent& ev, std::vector<TraceEvent>& derived);
   /// Closes the open integration interval at trace end.
@@ -153,8 +125,6 @@ class InterleavingAnalyzer {
   void link_integrate(LinkState& ls, TimePoint t);
   void link_flow_delta(std::int32_t link, std::int32_t job, int delta,
                        TimePoint t);
-
-  const AnalyticsConfig* config_;
 
   // Global comm occupancy from phase events.
   std::map<std::int32_t, bool> in_comm_;  ///< job -> currently in "comm"
@@ -193,8 +163,13 @@ class FairnessAnalyzer {
     bool collapsed = false;
   };
 
-  explicit FairnessAnalyzer(const AnalyticsConfig& config)
-      : config_(&config) {}
+  /// Jain-fairness window over per-job throughput shares.
+  static constexpr Duration kFairnessWindow = Duration::millis(50);
+  /// Congestion collapse: a link's windowed goodput drops below
+  /// kCollapseRatio * its established peak while the queue stays above
+  /// kCollapseMinQueueBytes.
+  static constexpr double kCollapseRatio = 0.25;
+  static constexpr double kCollapseMinQueueBytes = 256.0 * 1024.0;
 
   void on_event(const TraceEvent& ev, std::vector<TraceEvent>& derived);
   void finish(TimePoint end, std::vector<TraceEvent>& derived);
@@ -210,7 +185,6 @@ class FairnessAnalyzer {
  private:
   void close_window(TimePoint at, std::vector<TraceEvent>& derived);
 
-  const AnalyticsConfig* config_;
   std::map<std::int32_t, double> job_total_;  ///< job -> sum of share samples
   std::map<std::int32_t, double> job_window_;
   std::map<std::int32_t, LinkState> links_;
@@ -236,7 +210,13 @@ class QueueAnalyzer {
     std::deque<std::int64_t> swings_ns;  ///< times of qualifying reversals
   };
 
-  explicit QueueAnalyzer(const AnalyticsConfig& config) : config_(&config) {}
+  /// Queue oscillation: direction reversals with amplitude >= max(min
+  /// bytes, frac * link peak) counted over a window; firing clears the
+  /// window (built-in cooldown).
+  static constexpr Duration kOscillationWindow = Duration::millis(250);
+  static constexpr int kOscillationMinSwings = 12;
+  static constexpr double kOscillationMinAmplitudeBytes = 64.0 * 1024.0;
+  static constexpr double kOscillationAmplitudeFrac = 0.5;
 
   void on_event(const TraceEvent& ev, std::vector<TraceEvent>& derived);
 
@@ -244,7 +224,6 @@ class QueueAnalyzer {
   std::uint64_t oscillation_events() const { return oscillation_events_; }
 
  private:
-  const AnalyticsConfig* config_;
   std::map<std::int32_t, LinkState> links_;
   std::uint64_t oscillation_events_ = 0;
 };

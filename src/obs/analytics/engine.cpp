@@ -20,12 +20,7 @@ bool is_analytics_derived(TraceEventKind kind) {
   }
 }
 
-AnalyticsEngine::AnalyticsEngine(AnalyticsConfig config)
-    : config_(std::move(config)),
-      iter_(config_),
-      inter_(config_),
-      fair_(config_),
-      queue_(config_) {}
+AnalyticsEngine::AnalyticsEngine(AnalyticsConfig config) : config_(config) {}
 
 void AnalyticsEngine::set_output(TraceSink* output, bool forward_raw) {
   output_ = output;
@@ -94,7 +89,7 @@ void AnalyticsEngine::fold_meta(const TraceEvent& ev) {
       break;
     case TraceEventKind::kSoloBaseline:
       if (ev.job.valid() && ev.value > 0.0) {
-        config_.solo_ms[ev.job.value] = ev.value;
+        solo_ms_[ev.job.value] = ev.value;
       }
       break;
     case TraceEventKind::kSolve:
@@ -211,9 +206,8 @@ RunHealthReport AnalyticsEngine::report(const SloConfig& slo) const {
   for (const auto& [id, js] : iter_.jobs()) {
     if (js.hist.count() == 0) continue;
     const double mean = js.sum_ms / static_cast<double>(js.hist.count());
-    const auto solo_it = config_.solo_ms.find(id);
-    const double solo =
-        solo_it != config_.solo_ms.end() ? solo_it->second : js.min_ms;
+    const auto solo_it = solo_ms_.find(id);
+    const double solo = solo_it != solo_ms_.end() ? solo_it->second : js.min_ms;
     const double slowdown = solo > 0.0 ? mean / solo : 0.0;
     if (slowdown > 0.0) {
       slowdown_sum += slowdown;

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -71,7 +72,7 @@ class AnalyticsEngine final : public TraceSink {
   /// is the programmatic equivalent for embedders.  Jobs without a baseline
   /// fall back to their own fastest observed iteration.
   void set_solo_baseline(JobId job, double solo_ms) {
-    if (job.valid() && solo_ms > 0.0) config_.solo_ms[job.value] = solo_ms;
+    if (job.valid() && solo_ms > 0.0) solo_ms_[job.value] = solo_ms;
   }
 
   // Introspection (tests, CLI) ------------------------------------------
@@ -82,13 +83,16 @@ class AnalyticsEngine final : public TraceSink {
   const std::vector<TraceEvent>& anomalies() const { return anomalies_; }
   std::uint64_t events_processed() const { return events_; }
   std::uint64_t trace_drops() const { return drops_; }
-  const AnalyticsConfig& config() const { return config_; }
 
  private:
   void fold_meta(const TraceEvent& ev);
   void emit_derived();
 
   AnalyticsConfig config_;
+  /// Dedicated-run iteration-time baselines (job id -> ms) for the
+  /// slowdown-vs-dedicated section; jobs without an entry fall back to
+  /// their own fastest observed iteration.
+  std::map<std::int32_t, double> solo_ms_;
   TraceSink* output_ = nullptr;
   bool forward_raw_ = true;
 

@@ -22,9 +22,9 @@ HdrHistogram::HdrHistogram(HdrHistogramConfig config) : config_(config) {
   if (!(config_.min_value > 0.0)) {
     throw std::invalid_argument("HdrHistogram: min_value must be positive");
   }
-  if (config_.sub_buckets_per_octave < 1 || config_.octaves < 1) {
+  if (config_.sub_buckets_per_octave < 1) {
     throw std::invalid_argument(
-        "HdrHistogram: sub_buckets_per_octave and octaves must be >= 1");
+        "HdrHistogram: sub_buckets_per_octave must be >= 1");
   }
 }
 
@@ -34,8 +34,8 @@ std::size_t HdrHistogram::bucket_index(double value) const {
   const int oct = octave_of(value) - base;
   const std::int32_t sub = config_.sub_buckets_per_octave;
   if (oct < 0) return 0;
-  if (oct >= config_.octaves) {
-    return static_cast<std::size_t>(config_.octaves) *
+  if (oct >= kOctaves) {
+    return static_cast<std::size_t>(kOctaves) *
                static_cast<std::size_t>(sub) -
            1;
   }
@@ -72,8 +72,7 @@ void HdrHistogram::record(double value) {
 
 void HdrHistogram::merge(const HdrHistogram& other) {
   if (other.config_.min_value != config_.min_value ||
-      other.config_.sub_buckets_per_octave != config_.sub_buckets_per_octave ||
-      other.config_.octaves != config_.octaves) {
+      other.config_.sub_buckets_per_octave != config_.sub_buckets_per_octave) {
     throw std::invalid_argument("HdrHistogram::merge: geometry mismatch");
   }
   if (buckets_.size() < other.buckets_.size()) {

@@ -22,20 +22,21 @@ struct HdrHistogramConfig {
   double min_value = 1e-3;
   /// Linear slots per power-of-two octave; relative error ~= 1/sub_buckets.
   std::int32_t sub_buckets_per_octave = 32;
-  /// Octaves covered above min_value; values beyond clamp into the last
-  /// bucket.  50 octaves over 1e-3 reaches ~1e12.
-  std::int32_t octaves = 50;
 };
 
 class HdrHistogram {
  public:
+  /// Octaves covered above min_value; values beyond clamp into the last
+  /// bucket.  50 octaves over the default 1e-3 reaches ~1e12.
+  static constexpr std::int32_t kOctaves = 50;
+
   explicit HdrHistogram(HdrHistogramConfig config = {});
 
   /// Records one sample.  Non-finite and negative values clamp to bucket 0.
   void record(double value);
 
   /// Folds `other` into this histogram.  Throws std::invalid_argument when
-  /// the two geometries (min_value / sub-buckets / octaves) differ.
+  /// the two geometries (min_value / sub-buckets) differ.
   void merge(const HdrHistogram& other);
 
   std::uint64_t count() const { return count_; }

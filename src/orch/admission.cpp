@@ -122,7 +122,7 @@ void AdmissionController::score(Candidate& cand, const CommProfile& profile,
     for (const GraphJob& gj : component) profiles.push_back(gj.profile);
     const auto joint = resolver_.solve_group(profiles);
     cand.worst_violation = joint.result->violation_fraction;
-    if (joint.result->violation_fraction > config_.max_violation) {
+    if (joint.result->violation_fraction > 0.0) {
       std::set<std::uint64_t> shared;
       for (std::size_t j = 0; j < jobs.size(); ++j) {
         if (j == me || labels[j] != labels[me]) continue;
@@ -145,7 +145,7 @@ void AdmissionController::score(Candidate& cand, const CommProfile& profile,
   const std::size_t my_pos = static_cast<std::size_t>(
       std::find(member_of.begin(), member_of.end(), me) - member_of.begin());
   for (const LinkVerdict& v : r.links) {
-    if (v.violation_fraction <= config_.max_violation) continue;
+    if (v.violation_fraction <= 0.0) continue;
     if (std::find(v.jobs.begin(), v.jobs.end(), my_pos) != v.jobs.end()) {
       ++cand.incompatible_links;
     }

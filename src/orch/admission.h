@@ -8,7 +8,8 @@
 //  * kCompatibilityAware — rack-local placements are always safe; spanning
 //    placements are admitted only onto ToR pairs whose induced link sharing
 //    the CompatibilitySolver certifies against the *incumbent* jobs (the
-//    CASSINI affinity rule applied online).  When no compatible pair exists
+//    CASSINI affinity rule applied online).  Admission is strict: a link
+//    left with any residual violation counts against the placement.  When no compatible pair exists
 //    the job is deferred — queueing briefly beats training slowly.
 //
 // Deferral vs rejection is the orchestrator's call (queue capacity and
@@ -41,11 +42,6 @@ struct AdmissionConfig {
 
   /// A deferred job still waiting after this long is rejected.
   Duration queue_timeout = Duration::seconds(30);
-
-  /// kCompatibilityAware admits a spanning placement when every shared-link
-  /// group is compatible, or its residual violation fraction is at most
-  /// this (0 = strict).
-  double max_violation = 0.0;
 
   /// Legacy single-bottleneck scoring: judge the newcomer's sharing
   /// component on ONE unified circle over every member, instead of per-link

@@ -134,7 +134,9 @@ ClusterRunReport Orchestrator::run() {
   ClusterRunReport report;
   report.jobs.resize(n);
 
-  RunCore core(topo_, config_, config_.net, config_.horizon);
+  // The fabric runs at the network defaults (NetworkConfig).
+  const NetworkConfig net;
+  RunCore core(topo_, config_, net, config_.horizon);
   Simulator& sim = core.sim;
   const Router router(topo_);
   IncrementalResolver resolver;
@@ -151,7 +153,7 @@ ClusterRunReport Orchestrator::run() {
   // exactly 1.0, so pre-zoo behavior is bit-identical; BBR's probing cycle
   // costs a few percent and shifts the compatibility verdicts accordingly.
   admission_cfg.goodput_factor =
-      config_.net.goodput_factor * transport_goodput_derating(config_.policy);
+      net.goodput_factor * transport_goodput_derating(config_.policy);
   AdmissionController admission(topo_, router, admission_cfg, resolver);
 
   // Dedicated-network baselines into the stream — the same solo iteration
@@ -200,7 +202,7 @@ ClusterRunReport Orchestrator::run() {
       }
     }
     prune_uncontended_links(contended, [&](std::int32_t key) {
-      return topo_.link(LinkId{key}).capacity * config_.net.goodput_factor;
+      return topo_.link(LinkId{key}).capacity * net.goodput_factor;
     });
     UnionFind uf(running.size());
     std::map<std::int32_t, std::size_t> first_user;  // link -> running[] pos

@@ -47,7 +47,6 @@ struct OrchestratorCursorContext {
 /// the constructor throws on job events).  The watchdog is always armed; the
 /// trace also carries arrivals, admissions, rejections and departures.
 struct OrchestratorConfig : RunOptions {
-  NetworkConfig net;
   AdmissionConfig admission;
 
   /// Derive communication gates for compatible sharing groups (paper §4,

@@ -9,6 +9,7 @@ namespace ccml {
 
 namespace {
 constexpr char kGlyphs[] = {'*', 'o', '+', 'x', '#', '@', '%', '&'};
+constexpr int kPlotWidth = 78;  // columns of the plot area
 }
 
 std::string render_plot(const std::vector<Series>& series,
@@ -27,7 +28,7 @@ std::string render_plot(const std::vector<Series>& series,
   if (xmax == xmin) xmax = xmin + 1;
   if (ymax == ymin) ymax = ymin + 1;
 
-  const int W = options.width, H = options.height;
+  const int W = kPlotWidth, H = options.height;
   std::vector<std::string> grid(H, std::string(W, ' '));
   for (std::size_t si = 0; si < series.size(); ++si) {
     const char g = kGlyphs[si % sizeof(kGlyphs)];

@@ -18,14 +18,12 @@ struct Series {
 };
 
 struct PlotOptions {
-  int width = 78;
   int height = 16;
   std::string x_label;
-  std::string y_label;
 };
 
-/// Renders one or more series on a shared scale; each series gets its own
-/// glyph ('*', 'o', '+', ...).
+/// Renders one or more series on a shared scale, 78 columns wide; each
+/// series gets its own glyph ('*', 'o', '+', ...).
 std::string render_plot(const std::vector<Series>& series,
                         PlotOptions options = {});
 

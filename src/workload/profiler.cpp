@@ -11,6 +11,13 @@
 
 namespace ccml {
 
+namespace {
+
+constexpr Rate kProfileNic = Rate::gbps(50);
+constexpr std::uint64_t kProfileSeed = 7;
+
+}  // namespace
+
 CommProfile analytic_profile(const JobProfile& job, Rate dedicated_rate) {
   CommProfile p;
   p.name = job.model.empty() ? "job" : job.model;
@@ -36,12 +43,12 @@ MeasuredProfile measure_profile(const JobProfile& job,
         ") must exceed the warmup (" + std::to_string(opts.warmup) + ")");
   }
   Simulator sim;
-  Topology topo = Topology::dumbbell(1, opts.nic, opts.nic);
+  Topology topo = Topology::dumbbell(1, kProfileNic, kProfileNic);
   TransportConfig transports;
-  transports.dcqcn.seed = opts.seed;
-  transports.swift.seed = opts.seed;
-  transports.bbr.seed = opts.seed;
-  transports.table.seed = opts.seed;
+  transports.dcqcn.seed = kProfileSeed;
+  transports.swift.seed = kProfileSeed;
+  transports.bbr.seed = kProfileSeed;
+  transports.table.seed = kProfileSeed;
   NetworkConfig ncfg;
   ncfg.goodput_factor = opts.goodput_factor;
   Network net(topo, make_policy(opts.policy, transports), ncfg);
@@ -69,9 +76,10 @@ MeasuredProfile measure_profile(const JobProfile& job,
   // transfer at 1% of the NIC rate.
   const Bytes total_bytes = job.total_comm_bytes();
   const Duration worst =
-      (job.total_compute() + (total_bytes.is_positive()
-                                  ? transfer_time(total_bytes, opts.nic * 0.01)
-                                  : Duration::zero())) *
+      (job.total_compute() +
+       (total_bytes.is_positive()
+            ? transfer_time(total_bytes, kProfileNic * 0.01)
+            : Duration::zero())) *
       static_cast<std::int64_t>(opts.iterations + 1);
   sim.run_for(worst);
   if (!done) {
@@ -98,7 +106,7 @@ MeasuredProfile measure_profile(const JobProfile& job,
   // job's phase structure, then stretch the period to the measured mean.
   const Rate rate = out.mean_comm_rate.is_positive()
                         ? out.mean_comm_rate
-                        : opts.nic * opts.goodput_factor;
+                        : kProfileNic * opts.goodput_factor;
   out.profile = analytic_profile(job, rate);
   out.profile.period = out.mean_iteration;
   return out;

@@ -29,13 +29,13 @@ struct MeasuredProfile {
 struct ProfilerOptions {
   int iterations = 30;
   int warmup = 5;
-  Rate nic = Rate::gbps(50);
   double goodput_factor = 0.85;
   PolicyKind policy = PolicyKind::kDcqcn;
-  std::uint64_t seed = 7;
 };
 
-/// Simulates the job solo and extracts its periodic on-off abstraction.
+/// Simulates the job solo on a 50 Gbps dumbbell (the paper's NICs; the
+/// transport's RNG streams seeded with 7) and extracts its periodic on-off
+/// abstraction.
 /// Throws std::invalid_argument unless `iterations` exceeds `warmup`, and
 /// std::runtime_error when the run misses its deadline.
 MeasuredProfile measure_profile(const JobProfile& job,

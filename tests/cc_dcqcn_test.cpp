@@ -250,6 +250,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(DcqcnConfigDefaults, MatchPaperSetup) {
   const DcqcnConfig cfg;
   EXPECT_EQ(cfg.timer.ns(), Duration::micros(125).ns());  // paper's default T
+  EXPECT_EQ(DcqcnPolicy::kRai.bits_per_sec(), Rate::mbps(40).bits_per_sec());
   EXPECT_FALSE(cfg.adaptive_rai);
 }
 

@@ -129,7 +129,8 @@ class DcqcnOracle final : public BandwidthPolicy {
     s.timer_ns = (flow.spec.cc_timer.is_positive() ? flow.spec.cc_timer
                                                    : cfg_.timer)
                      .ns();
-    s.rai = (flow.spec.cc_rai.is_positive() ? flow.spec.cc_rai : cfg_.rai)
+    s.rai = (flow.spec.cc_rai.is_positive() ? flow.spec.cc_rai
+                                            : DcqcnPolicy::kRai)
                 .bits_per_sec();
     net.set_rate(net.slot_of(flow.id), Rate::bps(s.rc));
   }
@@ -184,7 +185,8 @@ class DcqcnOracle final : public BandwidthPolicy {
       }
       double p_any = 0.0;
       if (sum_log < 0.0) {
-        const double pkts = std::max(1.0, sent / cfg_.mtu.count());
+        const double pkts =
+            std::max(1.0, sent / DcqcnPolicy::kMtu.count());
         p_any = 1.0 - std::exp(pkts * sum_log);
       }
 
@@ -210,7 +212,7 @@ class DcqcnOracle final : public BandwidthPolicy {
 
       if (cnp) {
         s.rt = s.rc;
-        s.alpha = (1.0 - cfg_.g) * s.alpha + cfg_.g;
+        s.alpha = (1.0 - DcqcnPolicy::kG) * s.alpha + DcqcnPolicy::kG;
         s.rc = std::max(s.rc * (1.0 - s.alpha / 2.0),
                         Rate::mbps(10).bits_per_sec());
         s.since_inc_ns = 0;
@@ -222,9 +224,9 @@ class DcqcnOracle final : public BandwidthPolicy {
         emit(net, TraceEventKind::kRateDecrease, "dcqcn.cnp", now, flow, s.rc,
              s.alpha);
       } else {
-        while (s.alpha_ns >= cfg_.alpha_update.ns()) {
-          s.alpha *= 1.0 - cfg_.g;
-          s.alpha_ns -= cfg_.alpha_update.ns();
+        while (s.alpha_ns >= DcqcnPolicy::kAlphaUpdate.ns()) {
+          s.alpha *= 1.0 - DcqcnPolicy::kG;
+          s.alpha_ns -= DcqcnPolicy::kAlphaUpdate.ns();
         }
         s.since_inc_ns += dt_ns;
         s.since_inc_b += sent;
@@ -235,8 +237,8 @@ class DcqcnOracle final : public BandwidthPolicy {
           emit(net, TraceEventKind::kRateTimer, "dcqcn.timer_fires", now, flow,
                s.rc, s.timer_rounds);
         }
-        while (s.since_inc_b >= cfg_.byte_counter.count()) {
-          s.since_inc_b -= cfg_.byte_counter.count();
+        while (s.since_inc_b >= DcqcnPolicy::kByteCounter.count()) {
+          s.since_inc_b -= DcqcnPolicy::kByteCounter.count();
           ++s.byte_rounds;
           increase(s, net.progress_at(slot));
         }
@@ -318,9 +320,9 @@ class DcqcnOracle final : public BandwidthPolicy {
   }
 
   void increase(Rp& s, double progress) const {
-    const int f = cfg_.fast_recovery_rounds;
+    const int f = DcqcnPolicy::kFastRecoveryRounds;
     if (s.timer_rounds >= f && s.byte_rounds >= f) {
-      s.rt += cfg_.rhai.bits_per_sec();
+      s.rt += DcqcnPolicy::kRhai.bits_per_sec();
     } else if (s.timer_rounds >= f || s.byte_rounds >= f) {
       s.rt += cfg_.adaptive_rai ? s.rai * (1.0 + progress) : s.rai;
     }
@@ -422,7 +424,8 @@ class DelayOracle : public BandwidthPolicy {
 
 class TimelyOracle final : public DelayOracle {
  public:
-  explicit TimelyOracle(TimelyConfig cfg) : DelayOracle(cfg.delta), cfg_(cfg) {}
+  explicit TimelyOracle(TimelyConfig cfg)
+      : DelayOracle(TimelyPolicy::kDelta), cfg_(cfg) {}
 
   const char* name() const override {
     return cfg_.phase_scaling ? "mltcp-timely" : "timely";
@@ -430,35 +433,38 @@ class TimelyOracle final : public DelayOracle {
 
   void update_rates(Network& net, TimePoint now, Duration dt) override {
     step_queues(net, dt);
-    const double min_bps = cfg_.min_rate.bits_per_sec();
+    const double min_bps = kRateFloor.bits_per_sec();
     for (const std::uint32_t slot : net.active_slots()) {
       const Flow& flow = net.flow_at(slot);
       DelayFlow& s = flows_[slot];
       s.since_ns += dt.ns();
-      if (s.since_ns >= cfg_.update_interval.ns()) {
+      if (s.since_ns >= TimelyPolicy::kUpdateInterval.ns()) {
         s.since_ns = 0;
-        const Duration rtt = sample_rtt(net, flow, cfg_.base_rtt);
+        const Duration rtt = sample_rtt(net, flow, kBaseRtt);
         const double diff_us = rtt.to_micros() - s.prev_rtt.to_micros();
         s.prev_rtt = rtt;
-        s.ewma = (1.0 - cfg_.ewma_alpha) * s.ewma + cfg_.ewma_alpha * diff_us;
-        s.gradient = s.ewma / cfg_.base_rtt.to_micros();
+        s.ewma = (1.0 - kGradientEwma) * s.ewma + kGradientEwma * diff_us;
+        s.gradient = s.ewma / kBaseRtt.to_micros();
 
         const double progress = net.progress_at(slot);
         const double delta =
             cfg_.phase_scaling ? s.step * (1.0 + progress) : s.step;
         bool decreased = false;
-        if (rtt < cfg_.t_low) {
+        constexpr double kBeta = TimelyPolicy::kBeta;
+        if (rtt < TimelyPolicy::kTLow) {
           s.rate += delta;
           ++s.good_rounds;
-        } else if (rtt > cfg_.t_high) {
-          s.rate *= 1.0 - cfg_.beta * (1.0 - cfg_.t_high / rtt);
+        } else if (rtt > TimelyPolicy::kTHigh) {
+          s.rate *= 1.0 - kBeta * (1.0 - TimelyPolicy::kTHigh / rtt);
           s.good_rounds = 0;
           decreased = true;
         } else if (s.gradient <= 0.0) {
           ++s.good_rounds;
-          s.rate += delta * (s.good_rounds >= cfg_.hai_threshold ? 5.0 : 1.0);
+          s.rate += delta * (s.good_rounds >= TimelyPolicy::kHaiThreshold
+                                 ? 5.0
+                                 : 1.0);
         } else {
-          s.rate *= 1.0 - cfg_.beta * std::min(s.gradient, 1.0);
+          s.rate *= 1.0 - kBeta * std::min(s.gradient, 1.0);
           s.good_rounds = 0;
           decreased = true;
         }
@@ -502,7 +508,7 @@ class TimelyOracle final : public DelayOracle {
 class SwiftOracle final : public DelayOracle {
  public:
   explicit SwiftOracle(SwiftConfig cfg)
-      : DelayOracle(cfg.ai), cfg_(cfg), rng_(cfg.seed) {}
+      : DelayOracle(SwiftPolicy::kAi), cfg_(cfg), rng_(cfg.seed) {}
 
   const char* name() const override {
     return cfg_.phase_scaling ? "mltcp-swift" : "swift";
@@ -516,28 +522,28 @@ class SwiftOracle final : public DelayOracle {
       s.since_ns += dt.ns();
       if (s.since_ns >= cfg_.update_interval.ns()) {
         s.since_ns = 0;
-        const Duration rtt = sample_rtt(net, flow, cfg_.base_rtt);
+        const Duration rtt = sample_rtt(net, flow, kBaseRtt);
         // No previous sample on the first decision: zero change.
         const double diff_us = s.prev_rtt.is_zero()
                                    ? 0.0
                                    : rtt.to_micros() - s.prev_rtt.to_micros();
         s.prev_rtt = rtt;
-        s.ewma = (1.0 - cfg_.ewma_alpha) * s.ewma + cfg_.ewma_alpha * diff_us;
-        s.gradient = s.ewma / cfg_.base_rtt.to_micros();
+        s.ewma = (1.0 - kGradientEwma) * s.ewma + kGradientEwma * diff_us;
+        s.gradient = s.ewma / kBaseRtt.to_micros();
 
         const double progress = net.progress_at(slot);
         CcObservation obs;
         obs.rtt_us = rtt.to_micros();
         obs.rtt_gradient = s.gradient;
         obs.phase_progress = progress;
-        double target_us = cfg_.target_delay.to_micros();
+        double target_us = SwiftPolicy::kTargetDelay.to_micros();
         if (cfg_.target_jitter_us != 0.0) {
           target_us += cfg_.target_jitter_us * (2.0 * rng_.uniform() - 1.0);
         }
         const SwiftDecision d = swift_decide(
-            cfg_, obs, target_us, s.rate,
+            obs, target_us, s.rate,
             cfg_.phase_scaling ? s.step * (1.0 + progress) : s.step,
-            cfg_.min_rate.bits_per_sec(), s.line);
+            kRateFloor.bits_per_sec(), s.line);
         s.rate = d.rate_bps;
         if (d.decreased) {
           emit(net, TraceEventKind::kRateDecrease, "swift.decreases", now,

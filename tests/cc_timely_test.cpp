@@ -134,7 +134,7 @@ TEST(Timely, RateNeverBelowFloorOrAboveLine) {
     for (const FlowId id : {a, b, c}) {
       if (!f.net->is_active(id)) continue;
       const double r = f.net->rate(id).to_gbps();
-      EXPECT_GE(r, cfg.min_rate.to_gbps() - 1e-9);
+      EXPECT_GE(r, kRateFloor.to_gbps() - 1e-9);
       EXPECT_LE(r, 50.0 + 1e-9);
     }
   }

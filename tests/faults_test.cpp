@@ -481,5 +481,54 @@ TEST(Recovery, DisruptedIterationIsCountedAndTailConverges) {
   EXPECT_GT(j.goodput_lost_mb, 0.0);
 }
 
+// A 100 ms-cadence trace whose iteration 10 (starting at 1000 ms) is
+// stretched by `stretch_ms`.
+JobTrace cadence_trace(double stretch_ms) {
+  JobTrace trace{.name = "j", .comm_mb_per_iter = 100.0, .warmup = 0};
+  double t = 0.0;
+  for (int i = 0; i < 20; ++i) {
+    trace.starts.push_back(at_ms(t));
+    const double dur = i == 10 ? 100.0 + stretch_ms : 100.0;
+    trace.durations.push_back(Duration::from_millis_f(dur));
+    t += dur;
+  }
+  return trace;
+}
+
+TEST(Recovery, LossGrowsWithAnAbsorbedOutage) {
+  // An outage starting 20 ms into iteration 10 stretches it by a twentieth
+  // of the outage's length, inside the 8 % tolerance, so no iteration is
+  // disrupted and the span is the fault window.  From 90 ms on the window
+  // also holds the stretched iteration's end; a longer outage must still
+  // never cost less.
+  double prev_mb = 0.0;
+  for (int len = 10; len <= 150; len += 10) {
+    FaultPlan plan;
+    plan.flap(at_ms(1020), Duration::from_millis_f(len), "x");
+    const JobRecovery j =
+        compute_recovery(plan, {{cadence_trace(len / 20.0)}}).jobs[0];
+    EXPECT_EQ(j.iterations_disrupted, 0u) << len << " ms";
+    EXPECT_GT(j.goodput_lost_mb, 0.0) << len << " ms";
+    EXPECT_GE(j.goodput_lost_mb, prev_mb) << len << " ms";
+    prev_mb = j.goodput_lost_mb;
+  }
+}
+
+TEST(Recovery, BaselineCadenceLosesNothingWhereverTheWindowCuts) {
+  // Windows starting and ending mid-iteration, on an iteration edge, and
+  // spanning several iterations: a job that kept its cadence lost nothing.
+  const JobTrace trace = cadence_trace(0.0);
+  for (const auto& [from, len] : {std::pair{1020.0, 50.0},
+                                  std::pair{1000.0, 100.0},
+                                  std::pair{1050.0, 200.0},
+                                  std::pair{1075.0, 333.0}}) {
+    FaultPlan plan;
+    plan.flap(at_ms(from), Duration::from_millis_f(len), "x");
+    const JobRecovery j = compute_recovery(plan, {{trace}}).jobs[0];
+    EXPECT_EQ(j.iterations_disrupted, 0u) << from << "+" << len;
+    EXPECT_DOUBLE_EQ(j.goodput_lost_mb, 0.0) << from << "+" << len;
+  }
+}
+
 }  // namespace
 }  // namespace ccml

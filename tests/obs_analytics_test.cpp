@@ -190,7 +190,8 @@ TEST(Analytics, StarvationDetectedAfterQuietGap) {
     engine.on_event(it);
   }
   // ...then goes quiet while the rest of the system keeps producing events.
-  // The gap must exceed starvation_factor (8) * median (100 ms).
+  // The gap must exceed IterationAnalyzer::kStarvationFactor (8) * median
+  // (100 ms).
   TraceEvent q = ev_at(Duration::millis(1300), TraceEventKind::kLinkQueue);
   q.link = LinkId{0};
   engine.on_event(q);  // gap 900 ms: above 8 * 100 => fires
@@ -252,7 +253,8 @@ TEST(Analytics, CongestionCollapseDetected) {
   AnalyticsEngine engine;
   // Establish a healthy goodput peak (~40 Gbps windows), then crater the
   // link to 2 Gbps while its queue stays deep: windowed goodput below
-  // collapse_ratio (0.25) of the peak with a standing queue => collapse.
+  // FairnessAnalyzer::kCollapseRatio (0.25) of the peak with a standing
+  // queue => collapse.
   const auto sample = [&](int ms, double bps, double queue_bytes) {
     TraceEvent tp = ev_at(Duration::millis(ms), TraceEventKind::kLinkThroughput);
     tp.link = LinkId{1};

@@ -437,7 +437,7 @@ void print_usage(std::FILE* out) {
 
 commands:
   zoo           list models and calibrated (model,batch) entries
-  transports    list transports: family, goodput derating, MLTCP, tunables
+  transports    list transports: family, goodput derating, MLTCP, parameters
   profile       profile one job in isolation
   solve         compatibility of two or more jobs on one link
   scenario      simulate jobs sharing a dumbbell bottleneck
@@ -715,11 +715,10 @@ int cmd_transports() {
   }
   std::printf("%s\n", table.render().c_str());
   for (const TransportInfo& t : transport_catalogue()) {
-    if (t.tunables.empty()) continue;
-    std::printf("%s tunables:\n", t.name);
-    TextTable tt({"tunable", "preset", "meaning"});
-    for (const TransportTunable& k : t.tunables) {
-      tt.add_row({k.name, k.preset, k.meaning});
+    std::printf("%s parameters:\n", t.name);
+    TextTable tt({"parameter", "value", "set by", "meaning"});
+    for (const TransportParameter& k : t.parameters) {
+      tt.add_row({k.name, k.value, k.set_by, k.meaning});
     }
     std::printf("%s\n", tt.render().c_str());
   }
