@@ -16,18 +16,48 @@ TraceThroughputSampler::TraceThroughputSampler(TraceBus& bus, Duration cadence,
         "TraceThroughputSampler: sample cadence must be positive");
   }
   // Seed the watch list so idle links report (zero) samples from the start.
-  for (const LinkId l : watch) links_[l.value];
+  for (const LinkId l : watch) sample_link(l.value);
+}
+
+TraceThroughputSampler::LinkAcc& TraceThroughputSampler::sample_link(
+    std::int32_t link) {
+  const auto index = static_cast<std::size_t>(link);
+  if (index >= links_.size()) links_.resize(index + 1);
+  LinkAcc& acc = links_[index];
+  if (!acc.sampled) {
+    acc.sampled = true;
+    sampled_.insert(
+        std::lower_bound(sampled_.begin(), sampled_.end(), link), link);
+  }
+  return acc;
+}
+
+double& TraceThroughputSampler::job_bits(LinkAcc& acc, std::int32_t job) {
+  // Consecutive flows on a link mostly belong to one job: try the last hit
+  // before searching the (short, sorted) list.
+  if (acc.last < acc.jobs.size() && acc.jobs[acc.last].job == job) {
+    return acc.jobs[acc.last].bits;
+  }
+  const auto pos = std::lower_bound(
+      acc.jobs.begin(), acc.jobs.end(), job,
+      [](const JobBits& j, std::int32_t v) { return j.job < v; });
+  acc.last = static_cast<std::size_t>(pos - acc.jobs.begin());
+  if (pos == acc.jobs.end() || pos->job != job) {
+    acc.jobs.insert(pos, JobBits{job, 0.0});
+  }
+  return acc.jobs[acc.last].bits;
 }
 
 void TraceThroughputSampler::on_step(const Network& net, TimePoint now) {
   const Duration dt = net.config().step;
+  const double dt_s = dt.to_seconds();
   const std::span<const double> rates = net.rates_bps();
   for (const LinkId lid : net.links_in_use()) {
-    LinkAcc& acc = links_[lid.value];
+    LinkAcc& acc = sample_link(lid.value);
     for (const std::uint32_t slot : net.flow_slots_on_link(lid)) {
-      const double bits = rates[slot] * dt.to_seconds();
+      const double bits = rates[slot] * dt_s;
       acc.total_bits += bits;
-      acc.job_bits[net.flow_at(slot).spec.job.value] += bits;
+      job_bits(acc, net.flow_at(slot).spec.job.value) += bits;
     }
   }
   accumulated_ += dt;
@@ -60,7 +90,8 @@ void TraceThroughputSampler::on_idle_gap(const Network& net, TimePoint from,
 void TraceThroughputSampler::emit_samples(const Network& net, TimePoint t,
                                           bool idle) {
   const double secs = accumulated_.to_seconds();
-  for (auto& [lv, acc] : links_) {
+  for (const std::int32_t lv : sampled_) {
+    LinkAcc& acc = links_[static_cast<std::size_t>(lv)];
     const LinkId lid{lv};
     TraceEvent ev;
     ev.time = t;
@@ -70,12 +101,12 @@ void TraceThroughputSampler::emit_samples(const Network& net, TimePoint t,
     bus_.emit(ev);
     acc.total_bits = 0.0;
     // Keep keys so every batch reports every job (zeros included).
-    for (auto& [jv, bits] : acc.job_bits) {
+    for (JobBits& j : acc.jobs) {
       TraceEvent je = ev;
-      je.job = JobId{jv};
-      je.value = secs > 0.0 ? bits / secs : 0.0;
+      je.job = JobId{j.job};
+      je.value = secs > 0.0 ? j.bits / secs : 0.0;
       bus_.emit(je);
-      bits = 0.0;
+      j.bits = 0.0;
     }
     TraceEvent qe;
     qe.time = t;

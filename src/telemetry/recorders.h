@@ -46,11 +46,23 @@ class TraceThroughputSampler : public NetObserver {
   bool quiescence_compatible() const override { return quiescence_ok_; }
 
  private:
+  struct JobBits {
+    std::int32_t job = 0;  // JobId value
+    double bits = 0.0;
+  };
   struct LinkAcc {
+    bool sampled = false;  // in `sampled_`: reported in every batch
     double total_bits = 0.0;
-    std::map<std::int32_t, double> job_bits;  // JobId value -> bits
+    /// Every job seen on the link, ascending; kept across batches so each
+    /// batch reports every job (zeros included).
+    std::vector<JobBits> jobs;
+    std::size_t last = 0;  // index of the last job looked up
     Gauge* queue_gauge = nullptr;
   };
+  /// Starts reporting `link` (idempotent) and returns its window state.
+  LinkAcc& sample_link(std::int32_t link);
+  /// The accumulator of `job` on `acc`, added in order on first sight.
+  static double& job_bits(LinkAcc& acc, std::int32_t job);
   /// Emits one sample batch at `t` and resets the window.  `idle` marks a
   /// gap-synthesized batch (queues are drained by definition).
   void emit_samples(const Network& net, TimePoint t, bool idle);
@@ -59,7 +71,8 @@ class TraceThroughputSampler : public NetObserver {
   Duration cadence_;
   bool quiescence_ok_;
   Duration accumulated_ = Duration::zero();
-  std::map<std::int32_t, LinkAcc> links_;  // LinkId value -> window state
+  std::vector<LinkAcc> links_;         // indexed by LinkId value
+  std::vector<std::int32_t> sampled_;  // links reported, ascending
 };
 
 /// Binds `bus` to `net`: installs the bus on the network (so net/cc/workload
