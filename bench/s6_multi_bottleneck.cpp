@@ -191,6 +191,10 @@ int main(int argc, char** argv) {
   std::uint64_t evaluations = 0;
   std::uint64_t segments_walked = 0;
   std::uint64_t solver_micros = 0;
+  // Fabric work of the frozen bursts: flow-ticks advanced in closed form
+  // and the floating-point operations that took (both deterministic).
+  std::uint64_t frozen_flow_ticks = 0;
+  std::uint64_t frozen_ops = 0;
   const auto t0 = std::chrono::steady_clock::now();
   for (const Point& pt : sweep) {
     const Topology topo = Topology::leaf_spine(
@@ -224,6 +228,8 @@ int main(int argc, char** argv) {
         solves[p] += r.resolve.component_solves;
         evaluations += r.resolve.evaluations;
         segments_walked += r.resolve.segments_walked;
+        frozen_flow_ticks += r.frozen.flow_ticks;
+        frozen_ops += r.frozen.ops;
         solver_micros +=
             r.resolve.wall_micros + r.resolve.component_wall_micros;
         ++runs;
@@ -297,7 +303,9 @@ int main(int argc, char** argv) {
   block.number("sim_s_per_wall_s", sim_per_wall);
   block.object("exact")
       .count("solver_evaluations", evaluations)
-      .count("segments_walked", segments_walked);
+      .count("segments_walked", segments_walked)
+      .count("frozen_flow_ticks", frozen_flow_ticks)
+      .count("frozen_ops", frozen_ops);
   claims.report(block);
   block.count("runs", runs).number("sim_s", sim_s).number("wall_s", wall_s);
   block.object("mean_slowdown")

@@ -225,9 +225,10 @@ void DcqcnPolicy::update_rates_burst(Network& net, TimePoint first, Duration dt,
     now = now + dt;
   }
   if (k < ticks) {
-    // Frozen: every flow owes the rest of the burst; only bytes move.
+    // Frozen: every flow owes the rest of the burst, and only bytes move,
+    // at constant rates, so the network jumps them in closed form.
     owe_frozen(net, ticks - k);
-    for (; k < ticks; ++k) net.integrate_progress_unchecked(dt_s);
+    net.advance_frozen(dt_s, ticks - k);
   }
 }
 

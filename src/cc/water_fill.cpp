@@ -34,6 +34,15 @@ void IdealPolicy::update_rates(Network& net, TimePoint /*now*/,
   if (c_allocations_ != nullptr) c_allocations_->add();
 }
 
+void IdealPolicy::update_rates_burst(Network& net, TimePoint first,
+                                     Duration dt, std::uint64_t ticks) {
+  if (ticks == 0) return;
+  // The first tick allocates if a notification left the allocation stale;
+  // every later tick's update_rates is a no-op, so the rates are constant.
+  update_rates(net, first, dt);
+  net.advance_frozen(dt.to_seconds(), ticks);
+}
+
 double IdealPolicy::rate_bound_bps(const Network& net,
                                    std::uint32_t slot) const {
   return dirty_ ? std::numeric_limits<double>::infinity()

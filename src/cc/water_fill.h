@@ -51,7 +51,12 @@ std::vector<Rate> full_residual(const Network& net);
 /// Network::step_burst can fuse the ticks up to the next completion.  While
 /// dirty it returns infinity, so the next tick runs checked and recomputes.
 /// A flow held at zero rate (a starved strict-priority class) bounds at
-/// zero, which declines fusion for as long as it waits.
+/// zero: it cannot finish, so it does not limit the fused span.
+///
+/// A fused burst starts from a clean allocation (the bound is finite only
+/// then), so every rate holds for the whole burst, and update_rates_burst
+/// advances byte progress in closed form (Network::advance_frozen) instead
+/// of tick by tick.
 ///
 /// Allocations are counted on the trace bus as `ideal.allocations`.
 class IdealPolicy : public BandwidthPolicy {
@@ -60,6 +65,8 @@ class IdealPolicy : public BandwidthPolicy {
   void on_flow_finished(Network& net, const Flow& flow) override;
   void on_link_capacity_changed(Network& net, LinkId link) override;
   void update_rates(Network& net, TimePoint now, Duration dt) override;
+  void update_rates_burst(Network& net, TimePoint first, Duration dt,
+                          std::uint64_t ticks) override;
   double rate_bound_bps(const Network& net, std::uint32_t slot) const override;
   // Nothing evolves between allocations: no queues, nothing decays.
   bool quiescent() const override { return true; }

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <limits>
 
+#include "net/repeat_subtract.h"
 #include "obs/trace_bus.h"
 
 namespace ccml {
@@ -502,25 +503,42 @@ double BandwidthPolicy::rate_bound_bps(const Network& /*net*/,
   return std::numeric_limits<double>::infinity();
 }
 
+void Network::advance_frozen(double dt_s, std::uint64_t ticks) {
+  if (ticks == 0) return;
+  const double* const rates = rate_bps_.data();
+  double* const rem = remaining_b_.data();
+  for (const std::uint32_t slot : active_slots_) {
+    rem[slot] = repeat_subtract(rem[slot], rates[slot] * dt_s / 8.0, ticks,
+                                frozen_work_.ops);
+  }
+  frozen_work_.flow_ticks += ticks * active_slots_.size();
+}
+
 std::uint64_t Network::completion_free_ticks(double dt_s) const {
+  if (active_slots_.empty()) return 0;
+  constexpr std::uint64_t kUnbounded =
+      std::numeric_limits<std::uint64_t>::max();
   double min_ticks = std::numeric_limits<double>::infinity();
   for (const std::uint32_t slot : active_slots_) {
     const double bound_bps = policy_->rate_bound_bps(*this, slot);
     const double max_per_tick = bound_bps * dt_s / 8.0;
     const double left = remaining_b_[slot];
-    if (!(left > 0.0) || !(max_per_tick > 0.0) ||
-        !std::isfinite(max_per_tick)) {
-      return 0;
-    }
+    if (!(left > 0.0)) return 0;
+    // Bounded at zero (a starved strict-priority class): its bytes cannot
+    // move, so it cannot finish, however long the burst.
+    if (max_per_tick == 0.0) continue;
+    if (!(max_per_tick > 0.0) || !std::isfinite(max_per_tick)) return 0;
     min_ticks = std::min(min_ticks, left / max_per_tick);
   }
-  if (!std::isfinite(min_ticks)) return 0;  // no active flows
   // During k fused ticks a flow loses at most max_per_tick bytes per tick
   // (rates never exceed the policy bound, and FP rounding is monotone), so
   // it stays strictly positive while k < left / max_per_tick.  The 0.1%
   // haircut dwarfs any accumulated-rounding drift by ~ten orders of
-  // magnitude; boundary ticks fall back to the checked per-tick path.
+  // magnitude; boundary ticks fall back to the checked per-tick path.  No
+  // flow able to finish (every bound zero) leaves min_ticks infinite, and
+  // a count past 2^64 is out of the conversion's range: both are unbounded.
   const double safe = min_ticks * 0.999 - 2.0;
+  if (!(safe < 0x1p64)) return kUnbounded;
   return safe > 0.0 ? static_cast<std::uint64_t>(safe) : 0;
 }
 

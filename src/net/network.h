@@ -298,6 +298,23 @@ class Network : public Stepper {
     }
   }
 
+  /// Advances byte progress `ticks` ticks for every active flow at its
+  /// current rate: each flow's remaining bytes become exactly what `ticks`
+  /// calls of integrate_progress_unchecked(dt_s) would leave, bit for bit,
+  /// computed per binade in closed form (net/repeat_subtract.h).  For a
+  /// frozen burst, where no rate changes; same precondition as the
+  /// unchecked integrator.
+  void advance_frozen(double dt_s, std::uint64_t ticks);
+
+  /// Work of advance_frozen: flow-ticks it advanced, and the floating-point
+  /// operations it executed for them (integer segments plus single
+  /// subtractions).  Deterministic counters, kept out of serialize_state().
+  struct FrozenWork {
+    std::uint64_t flow_ticks = 0;
+    std::uint64_t ops = 0;
+  };
+  const FrozenWork& frozen_work() const { return frozen_work_; }
+
   /// The flow's route as a flat span of link ids (CSR slice into one shared
   /// array) — the gather side of per-flow kernels walks this instead of
   /// dereferencing Route's heap vector per flow.  Refreshed on start,
@@ -380,7 +397,8 @@ class Network : public Stepper {
 
   /// Number of upcoming grid ticks during which provably no active flow can
   /// finish: each flow's remaining bytes divided by the policy's hard rate
-  /// bound, minus generous floating-point slack.  Zero when any flow is at
+  /// bound, minus generous floating-point slack.  A flow bounded at zero
+  /// rate cannot finish and does not limit it.  Zero when any flow is at
   /// (or past) completion, when there are no active flows, or when the
   /// policy declines to bound its rates (rate_bound_bps == inf).
   std::uint64_t completion_free_ticks(double dt_s) const;
@@ -437,6 +455,7 @@ class Network : public Stepper {
   std::vector<std::vector<std::uint32_t>> link_slots_;   // parallel lists
   std::vector<LinkId> used_links_;  // links with >=1 active flow, sorted
   std::vector<Pending> done_;  // scratch reused across steps
+  FrozenWork frozen_work_;
 
   std::vector<NetObserver*> observers_;
   int blocking_observers_ = 0;  // observers that are not quiescence-compatible

@@ -431,6 +431,7 @@ ClusterRunReport Orchestrator::run() {
   // --- Outcomes -------------------------------------------------------------
   report.resolve = resolver.stats();
   report.faults_applied = core.injector ? core.injector->applied().size() : 0;
+  report.frozen = core.net.frozen_work();
   for (std::size_t j = 0; j < n; ++j) {
     const JobState& s = state[j];
     const JobArrival& arr = schedule_.jobs[j];

@@ -123,6 +123,9 @@ struct ClusterRunReport {
 
   ResolveStats resolve;
   std::size_t faults_applied = 0;
+  /// Frozen-burst work of the fabric (Network::frozen_work): deterministic,
+  /// and like the resolver's segment count not part of summary().
+  Network::FrozenWork frozen;
 
   double admission_rate() const;
   /// Mean queueing delay over admitted jobs, ms.

@@ -345,6 +345,29 @@ TEST(IdealAlloc, PriorityMatchesEveryTickOracle) {
   check_kind(Kind::kPriority);
 }
 
+// A strict-priority class starved for the whole run (rate, hence bound,
+// zero behind a 1 GB flow that outlasts it) cannot finish, so it must not
+// keep the rest of the network from fusing; the result still matches the
+// oracle bit for bit.
+TEST(IdealAlloc, StarvedPriorityClassDoesNotVetoFusion) {
+  Case c;
+  c.fabric = Rate::gbps(50);
+  // Hosts 0 and 1 share a ToR: one path, and both flows cross it.
+  c.chains.push_back({0, {{0, 1, 1e9, 1.0, 0, 0}}});
+  c.chains.push_back({0, {{0, 1, 5e6, 1.0, 1, 0}}});
+  // Two back-to-back flows elsewhere finish while the low class waits.
+  c.chains.push_back({0, {{2, 4, 20e6, 1.0, 0, 0}, {2, 4, 20e6, 1.0, 0, 0}}});
+  c.replace_at_us = 1'000'000;  // past the run's end: no policy swap
+  const Outcome ref_watched = run_case(c, Kind::kPriority, true, true);
+  const Outcome got_watched = run_case(c, Kind::kPriority, false, true);
+  const Outcome ref_fused = run_case(c, Kind::kPriority, true, false);
+  const Outcome got_fused = run_case(c, Kind::kPriority, false, false);
+  expect_same(ref_watched, got_watched, "watched");
+  expect_same(ref_fused, got_fused, "unwatched");
+  EXPECT_EQ(ref_fused.finish_ns.size(), 2u) << "only the two 20 MB flows end";
+  EXPECT_GT(got_fused.fused_ticks, 0u);
+}
+
 // --- Work counter ------------------------------------------------------------
 
 TEST(IdealAlloc, AllocatesOnlyWhenInputsChange) {
