@@ -32,12 +32,7 @@ TraceThroughputSampler::LinkAcc& TraceThroughputSampler::sample_link(
   return acc;
 }
 
-double& TraceThroughputSampler::job_bits(LinkAcc& acc, std::int32_t job) {
-  // Consecutive flows on a link mostly belong to one job: try the last hit
-  // before searching the (short, sorted) list.
-  if (acc.last < acc.jobs.size() && acc.jobs[acc.last].job == job) {
-    return acc.jobs[acc.last].bits;
-  }
+double& TraceThroughputSampler::find_job(LinkAcc& acc, std::int32_t job) {
   const auto pos = std::lower_bound(
       acc.jobs.begin(), acc.jobs.end(), job,
       [](const JobBits& j, std::int32_t v) { return j.job < v; });
@@ -52,8 +47,12 @@ void TraceThroughputSampler::on_step(const Network& net, TimePoint now) {
   const Duration dt = net.config().step;
   const double dt_s = dt.to_seconds();
   const std::span<const double> rates = net.rates_bps();
+  if (links_.size() < net.topology().link_count()) {
+    links_.resize(net.topology().link_count());
+  }
   for (const LinkId lid : net.links_in_use()) {
-    LinkAcc& acc = sample_link(lid.value);
+    LinkAcc& acc = links_[static_cast<std::size_t>(lid.value)];
+    if (!acc.sampled) [[unlikely]] sample_link(lid.value);
     for (const std::uint32_t slot : net.flow_slots_on_link(lid)) {
       const double bits = rates[slot] * dt_s;
       acc.total_bits += bits;

@@ -61,8 +61,16 @@ class TraceThroughputSampler : public NetObserver {
   };
   /// Starts reporting `link` (idempotent) and returns its window state.
   LinkAcc& sample_link(std::int32_t link);
-  /// The accumulator of `job` on `acc`, added in order on first sight.
-  static double& job_bits(LinkAcc& acc, std::int32_t job);
+  /// The accumulator of `job` on `acc`: the last hit when it matches (the
+  /// flows on a link mostly belong to one job), else a search of the
+  /// sorted list, adding the job in order on first sight.
+  static double& job_bits(LinkAcc& acc, std::int32_t job) {
+    if (acc.last < acc.jobs.size() && acc.jobs[acc.last].job == job) {
+      return acc.jobs[acc.last].bits;
+    }
+    return find_job(acc, job);
+  }
+  static double& find_job(LinkAcc& acc, std::int32_t job);
   /// Emits one sample batch at `t` and resets the window.  `idle` marks a
   /// gap-synthesized batch (queues are drained by definition).
   void emit_samples(const Network& net, TimePoint t, bool idle);
