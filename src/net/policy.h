@@ -57,7 +57,10 @@ class BandwidthPolicy {
   /// start, park, or reroute, no capacity changes, and no observers are
   /// attached — it is purely the hot loop — so implementations may hoist
   /// per-tick setup, as long as every tick's arithmetic stays bit-identical
-  /// to per-tick stepping.  The default simply loops.
+  /// to per-tick stepping.  Over ticks in which no rate changes (a frozen
+  /// DCQCN fabric, an ideal policy's clean allocation), byte progress may
+  /// instead jump in one Network::advance_frozen call, which leaves the
+  /// same bits.  The default simply loops.
   virtual void update_rates_burst(Network& net, TimePoint first, Duration dt,
                                   std::uint64_t ticks);
 

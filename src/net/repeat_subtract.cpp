@@ -13,9 +13,9 @@ constexpr std::uint64_t kHighM = (std::uint64_t{1} << 53) - 1;  // binade top
 constexpr double kTwo52 = 4503599627370496.0;                  // 2^52
 
 // Steps of `r -= d` that one integer update covers from `r`'s bits, and the
-// update itself: the new significand after `s` steps.  Returns 0 steps when
-// the next step needs a real subtraction.  `s == times` with `d_ulps == 0`
-// means r is a fixed point.
+// update itself: the significand after those steps (unchanged when r is a
+// fixed point).  Returns 0 steps when the next step needs a real
+// subtraction.
 struct Segment {
   std::uint64_t steps = 0;
   std::uint64_t m_after = 0;
@@ -78,7 +78,8 @@ double repeat_subtract(double r, double d, std::uint64_t times,
     const Segment seg = segment(bits, d, times);
     ++ops;
     if (seg.steps > 0) {
-      r = std::bit_cast<double>((bits & ~kFracMask) | (seg.m_after & kFracMask));
+      r = std::bit_cast<double>((bits & ~kFracMask) |
+                                (seg.m_after & kFracMask));
       times -= seg.steps;
       continue;
     }
