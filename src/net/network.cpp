@@ -504,7 +504,6 @@ double BandwidthPolicy::rate_bound_bps(const Network& /*net*/,
 }
 
 void Network::advance_frozen(double dt_s, std::uint64_t ticks) {
-  if (ticks == 0) return;
   const double* const rates = rate_bps_.data();
   double* const rem = remaining_b_.data();
   for (const std::uint32_t slot : active_slots_) {
