@@ -19,28 +19,18 @@ TraceThroughputSampler::TraceThroughputSampler(TraceBus& bus, Duration cadence,
   for (const LinkId l : watch) sample_link(l.value);
 }
 
-TraceThroughputSampler::LinkAcc& TraceThroughputSampler::sample_link(
-    std::int32_t link) {
+void TraceThroughputSampler::sample_link(std::int32_t link) {
   const auto index = static_cast<std::size_t>(link);
   if (index >= links_.size()) links_.resize(index + 1);
-  LinkAcc& acc = links_[index];
-  if (!acc.sampled) {
-    acc.sampled = true;
-    sampled_.insert(
-        std::lower_bound(sampled_.begin(), sampled_.end(), link), link);
-  }
-  return acc;
+  links_[index].sampled = true;
 }
 
-double& TraceThroughputSampler::find_job(LinkAcc& acc, std::int32_t job) {
+double& TraceThroughputSampler::job_bits(LinkAcc& acc, std::int32_t job) {
   const auto pos = std::lower_bound(
       acc.jobs.begin(), acc.jobs.end(), job,
       [](const JobBits& j, std::int32_t v) { return j.job < v; });
-  acc.last = static_cast<std::size_t>(pos - acc.jobs.begin());
-  if (pos == acc.jobs.end() || pos->job != job) {
-    acc.jobs.insert(pos, JobBits{job, 0.0});
-  }
-  return acc.jobs[acc.last].bits;
+  if (pos != acc.jobs.end() && pos->job == job) return pos->bits;
+  return acc.jobs.insert(pos, JobBits{job, 0.0})->bits;
 }
 
 void TraceThroughputSampler::on_step(const Network& net, TimePoint now) {
@@ -52,7 +42,7 @@ void TraceThroughputSampler::on_step(const Network& net, TimePoint now) {
   }
   for (const LinkId lid : net.links_in_use()) {
     LinkAcc& acc = links_[static_cast<std::size_t>(lid.value)];
-    if (!acc.sampled) [[unlikely]] sample_link(lid.value);
+    acc.sampled = true;
     for (const std::uint32_t slot : net.flow_slots_on_link(lid)) {
       const double bits = rates[slot] * dt_s;
       acc.total_bits += bits;
@@ -89,8 +79,10 @@ void TraceThroughputSampler::on_idle_gap(const Network& net, TimePoint from,
 void TraceThroughputSampler::emit_samples(const Network& net, TimePoint t,
                                           bool idle) {
   const double secs = accumulated_.to_seconds();
-  for (const std::int32_t lv : sampled_) {
-    LinkAcc& acc = links_[static_cast<std::size_t>(lv)];
+  for (std::size_t i = 0; i < links_.size(); ++i) {
+    LinkAcc& acc = links_[i];
+    if (!acc.sampled) continue;
+    const auto lv = static_cast<std::int32_t>(i);
     const LinkId lid{lv};
     TraceEvent ev;
     ev.time = t;

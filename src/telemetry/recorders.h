@@ -51,26 +51,18 @@ class TraceThroughputSampler : public NetObserver {
     double bits = 0.0;
   };
   struct LinkAcc {
-    bool sampled = false;  // in `sampled_`: reported in every batch
+    bool sampled = false;  // reported in every batch
     double total_bits = 0.0;
     /// Every job seen on the link, ascending; kept across batches so each
     /// batch reports every job (zeros included).
     std::vector<JobBits> jobs;
-    std::size_t last = 0;  // index of the last job looked up
     Gauge* queue_gauge = nullptr;
   };
-  /// Starts reporting `link` (idempotent) and returns its window state.
-  LinkAcc& sample_link(std::int32_t link);
-  /// The accumulator of `job` on `acc`: the last hit when it matches (the
-  /// flows on a link mostly belong to one job), else a search of the
-  /// sorted list, adding the job in order on first sight.
-  static double& job_bits(LinkAcc& acc, std::int32_t job) {
-    if (acc.last < acc.jobs.size() && acc.jobs[acc.last].job == job) {
-      return acc.jobs[acc.last].bits;
-    }
-    return find_job(acc, job);
-  }
-  static double& find_job(LinkAcc& acc, std::int32_t job);
+  /// Starts reporting `link` (idempotent).
+  void sample_link(std::int32_t link);
+  /// The accumulator of `job` on `acc`, found by a search of the sorted
+  /// list and added in order on first sight.
+  static double& job_bits(LinkAcc& acc, std::int32_t job);
   /// Emits one sample batch at `t` and resets the window.  `idle` marks a
   /// gap-synthesized batch (queues are drained by definition).
   void emit_samples(const Network& net, TimePoint t, bool idle);
@@ -79,8 +71,7 @@ class TraceThroughputSampler : public NetObserver {
   Duration cadence_;
   bool quiescence_ok_;
   Duration accumulated_ = Duration::zero();
-  std::vector<LinkAcc> links_;         // indexed by LinkId value
-  std::vector<std::int32_t> sampled_;  // links reported, ascending
+  std::vector<LinkAcc> links_;  // indexed by LinkId value
 };
 
 /// Binds `bus` to `net`: installs the bus on the network (so net/cc/workload
