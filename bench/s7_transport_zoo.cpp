@@ -20,10 +20,13 @@
 // completeness (every registered transport name must round-trip through
 // parse_policy_kind) and that every family reports measured means, and
 // exits 1 on a miss.  --json FILE writes its report (bench::Report): the
-// engine throughput, the claims and the per-family stats above; CI gates
-// the claims and the throughput floor via tools/check_perf.py.
+// engine throughput, the claims, the per-family stats above and one exact
+// work counter, queue_link_passes (link integrations of every catalogue
+// run's queue pass); CI gates the claims, the counter and the throughput
+// floor via tools/check_perf.py.
 #include <cstdio>
 #include <chrono>
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -132,6 +135,7 @@ int main(int argc, char** argv) {
                    "unfair ms", "speed-up", "all sped up", "paper compat"});
   std::vector<FamilyStats> stats;
   int runs = 0;
+  std::uint64_t queue_link_passes = 0;
   const auto t0 = std::chrono::steady_clock::now();
   for (const char* family : kFamilies) {
     const PolicyKind kind = parse_policy_kind(family);
@@ -142,6 +146,7 @@ int main(int argc, char** argv) {
       const ScenarioResult fair = run_group(kind, group, false, duration);
       const ScenarioResult unfair = run_group(kind, group, true, duration);
       runs += 2;
+      queue_link_passes += fair.queue_link_passes + unfair.queue_link_passes;
 
       double fair_ms = 0.0;
       double unfair_ms = 0.0;
@@ -238,6 +243,7 @@ int main(int argc, char** argv) {
                               TextTable::num(seconds, 0) + " sim-s");
   bench::Json& block = report.object("transport_zoo");
   block.number("sim_s_per_wall_s", sim_per_wall);
+  block.object("exact").count("queue_link_passes", queue_link_passes);
   claims.report(block);
   block.count("runs", runs)
       .number("sim_s", sim_s)

@@ -43,8 +43,10 @@ BbrFlow BbrPolicy::start_flow(const Flow& flow) {
 void BbrPolicy::observe_tick(const Network& net, std::uint32_t slot,
                              double rate_bps, double dt_s) {
   // Delivery accounting runs every tick: sent volume scaled by the worst
-  // drain fraction along the route.  Every route link of an active flow is
-  // in the queue pass's hot set (links_in_use), so the fractions are fresh.
+  // drain fraction along the route.  The queue pass refreshed every route
+  // link that can congest or still holds backlog; any other route link last
+  // saw arrival <= capacity (else it would hold backlog) and holds 1.0,
+  // what a fresh pass would give it.
   double frac = 1.0;
   for (const std::int32_t l : net.route_links(slot)) {
     frac = std::min(frac, links_[l].drain_frac);

@@ -21,9 +21,9 @@
 // piling into its queue.
 //
 // BBR-lite has no additive-increase step, so there is no MLTCP wrap for it
-// (cc/factory.cpp rejects the combination).  Unlike DCQCN, TIMELY and Swift
-// it has no scalar oracle in tests/cc_kernel_parity_test.cpp; golden hashes
-// in tests/cc_transport_zoo_test.cpp pin its bytes.
+// (cc/factory.cpp rejects the combination).  Its scalar oracle in
+// tests/cc_kernel_parity_test.cpp and the golden hashes in
+// tests/cc_transport_zoo_test.cpp pin its bytes.
 #pragma once
 
 #include <cstdint>

@@ -73,29 +73,6 @@ void DcqcnPolicy::refresh_caps(const Network& net) {
   }
 }
 
-void DcqcnPolicy::rebuild_cp_links(const Network& net) {
-  // Exact recompute (no incremental float drift): per link, the sum of the
-  // rate bounds of the active flows crossing it.  The bound, not the bare
-  // line rate: a decrease floors R_C at kRateFloor, above the line rate of a
-  // route browned out below that, and such a flow can queue a link whose
-  // line-rate sum fits its capacity.  Flow-set and capacity changes are
-  // rare, so O(flows x route length) here buys a CP pass that touches only
-  // links that can actually congest.
-  scratch_bound_.assign(links_.size(), 0.0);
-  for (const std::uint32_t slot : net.active_slots()) {
-    const double bound = rate_bound_bps(net, slot);
-    for (const std::int32_t l : net.route_links(slot)) {
-      scratch_bound_[l] += bound;
-    }
-  }
-  cp_links_.clear();
-  for (std::size_t l = 0; l < links_.size(); ++l) {
-    if (scratch_bound_[l] > links_[l].cap_bps) {
-      cp_links_.push_back(static_cast<std::int32_t>(l));
-    }
-  }
-}
-
 void DcqcnPolicy::on_flow_started(Network& net, Flow& flow) {
   if (links_.size() < net.topology().link_count()) {
     refresh_caps(net);
@@ -125,7 +102,7 @@ void DcqcnPolicy::on_flow_started(Network& net, Flow& flow) {
   lazy_since_[slot] = kCurrent;
   slots_[flow.id] = slot;
   net.set_rate(slot, line);
-  rebuild_cp_links(net);
+  congestible_links(net, *this, cp_links_);
   frozen_ = false;
 }
 
@@ -134,7 +111,7 @@ void DcqcnPolicy::on_flow_finished(Network& net, const Flow& flow) {
   // finished or parked flow's machine); a reused slot is overwritten on
   // start.  A frozen network stays frozen: fewer flows congest no link.
   slots_.erase(flow.id);
-  rebuild_cp_links(net);
+  congestible_links(net, *this, cp_links_);
 }
 
 void DcqcnPolicy::on_link_capacity_changed(Network& net, LinkId /*link*/) {
@@ -153,7 +130,7 @@ void DcqcnPolicy::on_link_capacity_changed(Network& net, LinkId /*link*/) {
     rt_bps_[slot] = std::min(rt_bps_[slot], line_bps);
     net.set_rate(slot, Rate::bps(rc_bps_[slot]));
   }
-  rebuild_cp_links(net);
+  congestible_links(net, *this, cp_links_);
 }
 
 // One increase event: hyper increase once both the timer and the byte

@@ -71,7 +71,7 @@ struct DcqcnConfig {
   std::uint64_t seed = 1;
 };
 
-class DcqcnPolicy : public BandwidthPolicy {
+class DcqcnPolicy : public BandwidthPolicy, public QueuePassWork {
  public:
   explicit DcqcnPolicy(DcqcnConfig config = {});
 
@@ -130,6 +130,9 @@ class DcqcnPolicy : public BandwidthPolicy {
     std::uint64_t flow_ticks_lazy = 0;
   };
   const Work& work() const { return work_; }
+  std::uint64_t queue_link_passes() const override {
+    return links_.link_passes();
+  }
 
  private:
   struct LinkState {
@@ -237,16 +240,12 @@ class DcqcnPolicy : public BandwidthPolicy {
   LinkQueueSlab<LinkState> links_;
   /// RED/ECN marking from the configured profile.
   const RedProfile red_;
-  /// Links that can congest under the current flow set: the sum of the rate
-  /// bounds (rate_bound_bps: line rate, floored at kRateFloor) of the flows
-  /// crossing the link exceeds its effective capacity.  Every other link
-  /// provably never queues (arrival <= sum-of-bounds <= capacity keeps the
-  /// queue at zero), and the CP pass skips it wholesale.  Rebuilt on flow
-  /// start/finish and on capacity changes; links still draining backlog from
-  /// an earlier flow set are carried by the slab's wet list.
+  /// Links that can congest under the current flow set
+  /// (congestible_links); every other link provably never queues, and the
+  /// CP pass skips it wholesale.  Rebuilt on flow start/finish and on
+  /// capacity changes; links still draining backlog from an earlier flow
+  /// set are carried by the slab's wet list.
   std::vector<std::int32_t> cp_links_;
-  std::vector<double> scratch_bound_;  // rebuild_cp_links scratch
-  void rebuild_cp_links(const Network& net);
 
   // Cached per-bus counter handles (re-resolved when the bound bus changes).
   TraceBus* bus_cache_ = nullptr;

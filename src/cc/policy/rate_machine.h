@@ -4,11 +4,12 @@
 // rule.  DCQCN keeps its own lifecycle (its lazy ledger owns it).
 //
 // The scaffold owns the slot map, the rate and line-rate columns, the fixed
-// decision cadence, the link-queue slab, flow start / finish, the line-rate
-// refresh on a capacity change, rate_bound_bps / link_queue / quiescent, the
-// trace-bus binding and the serialize_state() frame.  The transport is the
-// CRTP `Derived`; its hooks are plain member functions that the per-flow
-// loop calls statically, so the loop carries no virtual call.
+// decision cadence, the link-queue slab and its congestible hot set, flow
+// start / finish, the line-rate refresh on a capacity change, the fused
+// burst loop, rate_bound_bps / link_queue / quiescent, the trace-bus binding
+// and the serialize_state() frame.  The transport is the CRTP `Derived`; its
+// hooks are plain member functions that the per-flow loop calls statically,
+// so the loop carries no virtual call.
 //
 // Required hooks on Derived (private, with RateMachine a friend):
 //   FlowState start_flow(const Flow& flow)
@@ -27,7 +28,12 @@
 // Bit-identity contract: the arithmetic and iteration order are those of
 // the four per-transport copies this scaffold replaced; the golden hashes
 // in tests/cc_transport_zoo_test.cpp and the scalar oracles in
-// tests/cc_kernel_parity_test.cpp pin the bytes.
+// tests/cc_kernel_parity_test.cpp pin the bytes.  The queue pass steps only
+// the congestible links (congestible_links, cc/policy/slab.h) plus the wet
+// list.  Every other link's queue stays +0.0, and a transport's own link
+// state there stays what a pass with arrival <= capacity leaves (BBR's
+// drain fraction 1.0, the table's keep-log 0.0), so skipping it changes no
+// bit.
 #pragma once
 
 #include <algorithm>
@@ -104,7 +110,7 @@ class FlowEvents {
 };
 
 template <typename Derived, typename LinkState, typename FlowState>
-class RateMachine : public BandwidthPolicy {
+class RateMachine : public BandwidthPolicy, public QueuePassWork {
  public:
   void on_flow_started(Network& net, Flow& flow) final;
   void on_flow_finished(Network& net, const Flow& flow) final;
@@ -112,6 +118,11 @@ class RateMachine : public BandwidthPolicy {
   /// restoration); every active flow is refreshed — faults are rare.
   void on_link_capacity_changed(Network& net, LinkId link) final;
   void update_rates(Network& net, TimePoint now, Duration dt) final;
+  /// The fused ticks as one loop: the slab sizing, the bus binding and dt
+  /// hoisted out of it, byte progress integrated inline.  Each tick's
+  /// arithmetic and order are update_rates'.
+  void update_rates_burst(Network& net, TimePoint first, Duration dt,
+                          std::uint64_t ticks) final;
   /// Route line rate, floored at kRateFloor: every decision clamps to
   /// [kRateFloor, line_rate], and the floor can exceed the line rate of a
   /// browned-out route.
@@ -124,6 +135,9 @@ class RateMachine : public BandwidthPolicy {
   /// slot, rate, line rate and the transport's fields; then every link
   /// queue, the quiescence byte and the transport's tail (its RNG stream).
   std::string serialize_state() const final;
+  std::uint64_t queue_link_passes() const final {
+    return links_.link_passes();
+  }
 
  protected:
   /// `interval` is the decision cadence unless Derived::interval_ns says
@@ -138,14 +152,16 @@ class RateMachine : public BandwidthPolicy {
 
   /// The RTT a flow would sample now: kBaseRtt plus each route link's
   /// queueing delay.  `visit` sees every route link's state, in route order.
+  /// An empty queue adds transfer_time(0) = +0 ns, so it is skipped.
   template <typename Visit>
   Duration sample_rtt(const Network& net, std::uint32_t slot,
                       Visit&& visit) const {
     Duration rtt = kBaseRtt;
     for (const std::int32_t l : net.route_links(slot)) {
-      const Rate cap = net.effective_capacity(LinkId{l});
-      if (cap.is_positive()) {
-        rtt += transfer_time(Bytes::of(links_[l].queue_b), cap);
+      const double queue_b = links_[l].queue_b;
+      if (queue_b != 0.0) {
+        const Rate cap = net.effective_capacity(LinkId{l});
+        if (cap.is_positive()) rtt += transfer_time(Bytes::of(queue_b), cap);
       }
       visit(links_[l]);
     }
@@ -190,6 +206,15 @@ class RateMachine : public BandwidthPolicy {
   Derived& self() { return static_cast<Derived&>(*this); }
   const Derived& self() const { return static_cast<const Derived&>(*this); }
 
+  /// One tick: the queue pass, then every flow's observation and due
+  /// decision.  The caller has sized the slab and bound the bus.
+  void tick(Network& net, TimePoint now, std::int64_t dt_ns, double dt_s);
+
+  /// The queue pass's hot set: links that can congest under the current
+  /// flow set (congestible_links).  Rebuilt on flow start and finish and on
+  /// capacity changes; links still draining backlog ride the wet list.
+  std::vector<std::int32_t> hot_links_;
+
   const std::int64_t interval_ns_;
   const bool representation_byte_;
 };
@@ -218,12 +243,13 @@ void RateMachine<D, L, F>::on_flow_started(Network& net, Flow& flow) {
   flows_[slot] = self().start_flow(flow);
   slots_[flow.id] = slot;
   net.set_rate(slot, line);
+  congestible_links(net, *this, hot_links_);
 }
 
 template <typename D, typename L, typename F>
-void RateMachine<D, L, F>::on_flow_finished(Network& /*net*/,
-                                            const Flow& flow) {
+void RateMachine<D, L, F>::on_flow_finished(Network& net, const Flow& flow) {
   slots_.erase(flow.id);
+  congestible_links(net, *this, hot_links_);
 }
 
 template <typename D, typename L, typename F>
@@ -235,6 +261,7 @@ void RateMachine<D, L, F>::on_link_capacity_changed(Network& net,
     rate_bps_[slot] = std::min(rate_bps_[slot], line.bits_per_sec());
     net.set_rate(slot, Rate::bps(rate_bps_[slot]));
   }
+  congestible_links(net, *this, hot_links_);
 }
 
 // flatten: the slab pass and the transport's hooks inline into one loop,
@@ -244,14 +271,36 @@ template <typename D, typename L, typename F>
 [[gnu::flatten]] void RateMachine<D, L, F>::update_rates(Network& net,
                                                          TimePoint now,
                                                          Duration dt) {
-  D& d = self();
   links_.ensure_links(net.topology().link_count());
   events_.bind(net.trace_bus());
+  tick(net, now, dt.ns(), dt.to_seconds());
+}
 
-  // Queue pass: integrate each in-use link's backlog (the slab drains
+// The burst's preconditions (no flow starts, finishes or reroutes, no
+// capacity change, no observer) keep the slab size, the bus and the hot set
+// fixed across it, so they are read once.
+template <typename D, typename L, typename F>
+[[gnu::flatten]] void RateMachine<D, L, F>::update_rates_burst(
+    Network& net, TimePoint first, Duration dt, std::uint64_t ticks) {
+  links_.ensure_links(net.topology().link_count());
+  events_.bind(net.trace_bus());
+  const std::int64_t dt_ns = dt.ns();
+  const double dt_s = dt.to_seconds();
+  TimePoint now = first;
+  for (std::uint64_t k = 0; k < ticks; ++k) {
+    tick(net, now, dt_ns, dt_s);
+    net.integrate_progress_unchecked(dt_s);
+    now = now + dt;
+  }
+}
+
+template <typename D, typename L, typename F>
+void RateMachine<D, L, F>::tick(Network& net, TimePoint now,
+                                std::int64_t dt_ns, double dt_s) {
+  D& d = self();
+  // Queue pass: integrate each congestible link's backlog (the slab drains
   // leftover wet links against their true arrival, zero once their flows
   // departed), then let the transport refresh its own link state.
-  const double dt_s = dt.to_seconds();
   const auto integrate = [&](std::size_t l, double arrival_bps)
       __attribute__((always_inline)) {
     const double cap_bps =
@@ -264,14 +313,13 @@ template <typename D, typename L, typename F>
     d.mark_link(link, cap_bps, arrival_bps);
     return q != 0.0;
   };
-  links_.step(net, net.links_in_use(), integrate);
+  links_.step(net, hot_links_, integrate);
 
   // Per flow: observe the tick, and once per decision interval let the
   // transport step the rate straight into the network slab.  A decision
   // interval longer than a fused burst simply stays quiet across it;
   // leftover phase is not carried.
   const std::span<double> rates = net.mutable_rates_bps();
-  const std::int64_t dt_ns = dt.ns();
   for (const std::uint32_t slot : net.active_slots()) {
     d.observe_tick(net, slot, rates[slot], dt_s);
     std::int64_t& since = since_ns_[slot];

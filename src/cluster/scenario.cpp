@@ -3,6 +3,7 @@
 #include <memory>
 #include <stdexcept>
 
+#include "cc/policy/slab.h"
 #include "ckpt/snapshot.h"
 #include "telemetry/table.h"
 #include "workload/profiler.h"
@@ -159,6 +160,10 @@ ScenarioResult run_dumbbell_scenario(const std::vector<ScenarioJob>& setups,
            });
 
   ScenarioResult result;
+  if (const auto* work =
+          dynamic_cast<const QueuePassWork*>(&core.net.policy())) {
+    result.queue_link_passes = work->queue_link_passes();
+  }
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     ScenarioJobStats stats;
     stats.name = setups[i].name;

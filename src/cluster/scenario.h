@@ -9,6 +9,7 @@
 // reconverge, iterations disrupted, goodput lost).
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -93,6 +94,10 @@ struct ScenarioResult {
   std::optional<RecoveryReport> recovery;
   /// The fault events that actually executed, with links resolved.
   std::vector<FaultEvent> faults_applied;
+  /// Link integrations of the transport's queue pass (QueuePassWork; 0 for
+  /// a policy without one): a deterministic work counter, kept out of
+  /// every fingerprint and digest of the result.
+  std::uint64_t queue_link_passes = 0;
 };
 
 /// Canonical aggressiveness presets for the "unfair DCQCN" scenarios; the

@@ -1,9 +1,9 @@
-// Independent scalar oracles for the three rate-machine transports.
+// Independent scalar oracles for the five rate-machine transports.
 //
-// DCQCN, TIMELY and Swift each ship one production kernel: slot-indexed
-// state, a queue pass restricted to the links that can queue (DCQCN's
-// congestible cp_links, TIMELY's and Swift's links in use) plus the slab's
-// wet list, DCQCN's dry-link fast path and exp memo, and fused burst
+// DCQCN, TIMELY, Swift, BBR-lite and the table policy each ship one
+// production kernel: slot-indexed state, a queue pass restricted to the
+// links that can congest (congestible_links, cc/policy/slab.h) plus the
+// slab's wet list, DCQCN's dry-link fast path and exp memo, and fused burst
 // stepping behind rate_bound_bps.  The oracles below derive each transport
 // again from its equations as a plain BandwidthPolicy: one record per flow,
 // a dense queue pass over every link of the topology on every tick, a fresh
@@ -21,12 +21,16 @@
 //
 // Untraced, DCQCN skips flows pinned at line rate and replays the ticks
 // they owe only when something reads them (docs/performance.md, "DCQCN at
-// its fixed point").  The leaf-spine contests at the end hold that lazy
-// path to the eager oracle: a fabric that freezes (snapshots taken while
-// frozen), park/unpark and reroute, a mid-run replace_policy, a bus bound
-// and unbound mid-run, and a CNP left pending while a flow regains line
-// rate.  Each asserts that production owed ticks, so none passes
-// vacuously.
+// its fixed point").  The leaf-spine contests hold that lazy path to the
+// eager oracle: a fabric that freezes (snapshots taken while frozen),
+// park/unpark and reroute, a mid-run replace_policy, a bus bound and
+// unbound mid-run, and a CNP left pending while a flow regains line rate.
+// Each asserts that production owed ticks, so none passes vacuously.  The
+// other four transports run the same shapes, which move flows between
+// links and so rebuild their congestible sets.  Last, each of those four
+// runs its fused burst loop against per-tick stepping across a host-link
+// brownout below the rate floor, which puts that link in the congestible
+// set through the floor alone and takes it out again on restore.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -41,8 +45,10 @@
 #include <string>
 #include <vector>
 
+#include "cc/bbr.h"
 #include "cc/dcqcn.h"
 #include "cc/swift.h"
+#include "cc/table.h"
 #include "cc/timely.h"
 #include "ckpt/snapshot.h"
 #include "net/network.h"
@@ -78,7 +84,8 @@ double line_bps(const Network& net, const Flow& flow) {
 }
 
 void emit(Network& net, TraceEventKind kind, const char* counter,
-          TimePoint now, const Flow& flow, double value, double value2) {
+          TimePoint now, const Flow& flow, double value, double value2,
+          const char* detail = nullptr) {
   TraceBus* bus = net.trace_bus();
   if (bus == nullptr) return;
   TraceEvent ev;
@@ -88,6 +95,7 @@ void emit(Network& net, TraceEventKind kind, const char* counter,
   ev.flow = flow.id;
   ev.value = value;
   ev.value2 = value2;
+  ev.detail = detail;
   bus->emit(ev);
   bus->counter(counter).add();
 }
@@ -338,55 +346,21 @@ class DcqcnOracle final : public BandwidthPolicy {
   bool clear_ = true;
 };
 
-// --- TIMELY and Swift: one queue model, two decision laws -------------------
+// --- The rate machines: one queue model, four decision laws ----------------
 
-/// Per-flow record of the two delay-based oracles.
-struct DelayFlow {
-  double rate = 0.0;
-  double line = 0.0;
-  double step = 0.0;  ///< TIMELY's delta or Swift's AI
-  Duration prev_rtt = Duration::zero();
-  double ewma = 0.0;
-  int good_rounds = 0;
-  std::int64_t since_ns = 0;
-  double gradient = 0.0;
-};
-
-/// What the delay-based oracles share: per-flow records, line rates, and
-/// the fluid queue they sample — every link, every tick, in Bytes so the
-/// rounding is that of the unit types.  Subclasses supply the decisions.
-class DelayOracle : public BandwidthPolicy {
+/// The fluid queue the rate-machine oracles sample: every link, every tick,
+/// in Bytes so the rounding is that of the unit types.
+class QueueOracle : public BandwidthPolicy {
  public:
-  void on_flow_started(Network& net, Flow& flow) override {
-    queue_.resize(std::max(queue_.size(), net.topology().link_count()));
-    DelayFlow& s = flows_.start(net, flow);
-    s.line = line_bps(net, flow);
-    s.rate = s.line;
-    s.step = (flow.spec.cc_rai.is_positive() ? flow.spec.cc_rai : default_step_)
-                 .bits_per_sec();
-    net.set_rate(net.slot_of(flow.id), Rate::bps(s.rate));
-  }
-
-  void on_flow_finished(Network&, const Flow& flow) override {
-    flows_.finish(flow);
-  }
-
-  void on_link_capacity_changed(Network& net, LinkId) override {
-    for (const std::uint32_t slot : net.active_slots()) {
-      DelayFlow& s = flows_[slot];
-      s.line = line_bps(net, net.flow_at(slot));
-      s.rate = std::min(s.rate, s.line);
-      net.set_rate(slot, Rate::bps(s.rate));
-    }
-  }
-
   bool quiescent() const override { return clear_; }
 
  protected:
-  explicit DelayOracle(Rate default_step) : default_step_(default_step) {}
+  void size_queues(const Network& net) {
+    queue_.resize(std::max(queue_.size(), net.topology().link_count()));
+  }
 
   void step_queues(const Network& net, Duration dt) {
-    queue_.resize(std::max(queue_.size(), net.topology().link_count()));
+    size_queues(net);
     clear_ = true;
     for (std::size_t l = 0; l < queue_.size(); ++l) {
       const Rate cap =
@@ -408,18 +382,98 @@ class DelayOracle : public BandwidthPolicy {
     return rtt;
   }
 
+  double queue_bytes(LinkId link) const { return queue_[link.value].count(); }
+
   void serialize_queues(StateBuf& out) const {
     out.put_u64(queue_.size());
     for (const Bytes q : queue_) out.put_f64(q.count());
     out.put_u8(clear_ ? 1 : 0);
   }
 
-  FlowTable<DelayFlow> flows_;
-
  private:
-  Rate default_step_;
   std::vector<Bytes> queue_;
   bool clear_ = true;
+};
+
+/// The lifecycle every rate-machine oracle shares: a flow starts at its line
+/// rate, and a capacity change refreshes every line rate and caps the rate
+/// under it.  `Record` holds rate and line.
+template <typename Record>
+class RateOracle : public QueueOracle {
+ public:
+  void on_flow_started(Network& net, Flow& flow) override {
+    size_queues(net);
+    Record& s = flows_.start(net, flow);
+    s.line = line_bps(net, flow);
+    s.rate = s.line;
+    init(flow, s);
+    net.set_rate(net.slot_of(flow.id), Rate::bps(s.rate));
+  }
+
+  void on_flow_finished(Network&, const Flow& flow) override {
+    flows_.finish(flow);
+  }
+
+  void on_link_capacity_changed(Network& net, LinkId) override {
+    for (const std::uint32_t slot : net.active_slots()) {
+      Record& s = flows_[slot];
+      s.line = line_bps(net, net.flow_at(slot));
+      s.rate = std::min(s.rate, s.line);
+      net.set_rate(slot, Rate::bps(s.rate));
+    }
+  }
+
+ protected:
+  virtual void init(const Flow& flow, Record& s) = 0;
+
+  /// Clamps to [floor, line]; the line rate wins below the floor.
+  static double clamp(double rate, const Record& s) {
+    if (rate < kRateFloor.bits_per_sec()) rate = kRateFloor.bits_per_sec();
+    return rate > s.line ? s.line : rate;
+  }
+
+  /// Each live flow's id, slot and rate columns, ids ascending.
+  template <typename PutFlow>
+  void serialize_flows(StateBuf& out, PutFlow&& put) const {
+    out.put_u64(flows_.ids.size());
+    for (const auto& [id, slot] : flows_.ids) {
+      const Record& s = flows_.by_slot[slot];
+      out.put_i64(id);
+      out.put_u32(slot);
+      out.put_f64(s.rate);
+      out.put_f64(s.line);
+      put(s);
+    }
+  }
+
+  FlowTable<Record> flows_;
+};
+
+/// Per-flow record of the two delay-based oracles.
+struct DelayFlow {
+  double rate = 0.0;
+  double line = 0.0;
+  double step = 0.0;  ///< TIMELY's delta or Swift's AI
+  Duration prev_rtt = Duration::zero();
+  double ewma = 0.0;
+  int good_rounds = 0;
+  std::int64_t since_ns = 0;
+  double gradient = 0.0;
+};
+
+/// What TIMELY's and Swift's oracles share: the additive step.
+/// Subclasses supply the decisions.
+class DelayOracle : public RateOracle<DelayFlow> {
+ protected:
+  explicit DelayOracle(Rate default_step) : default_step_(default_step) {}
+
+ private:
+  void init(const Flow& flow, DelayFlow& s) override {
+    s.step = (flow.spec.cc_rai.is_positive() ? flow.spec.cc_rai : default_step_)
+                 .bits_per_sec();
+  }
+
+  Rate default_step_;
 };
 
 class TimelyOracle final : public DelayOracle {
@@ -483,20 +537,14 @@ class TimelyOracle final : public DelayOracle {
   std::string serialize_state() const override {
     StateBuf out;
     out.put_u8(0);
-    out.put_u64(flows_.ids.size());
-    for (const auto& [id, slot] : flows_.ids) {
-      const DelayFlow& s = flows_.by_slot[slot];
-      out.put_i64(id);
-      out.put_u32(slot);
-      out.put_f64(s.rate);
-      out.put_f64(s.line);
+    serialize_flows(out, [&out](const DelayFlow& s) {
       out.put_f64(s.step);
       out.put_i64(s.prev_rtt.ns());
       out.put_f64(s.ewma);
       out.put_u32(static_cast<std::uint32_t>(s.good_rounds));
       out.put_i64(s.since_ns);
       out.put_f64(s.gradient);
-    }
+    });
     serialize_queues(out);
     return out.take();
   }
@@ -557,19 +605,13 @@ class SwiftOracle final : public DelayOracle {
   std::string serialize_state() const override {
     StateBuf out;
     out.put_u8(0);
-    out.put_u64(flows_.ids.size());
-    for (const auto& [id, slot] : flows_.ids) {
-      const DelayFlow& s = flows_.by_slot[slot];
-      out.put_i64(id);
-      out.put_u32(slot);
-      out.put_f64(s.rate);
-      out.put_f64(s.line);
+    serialize_flows(out, [&out](const DelayFlow& s) {
       out.put_f64(s.step);
       out.put_i64(s.prev_rtt.ns());
       out.put_f64(s.ewma);
       out.put_i64(s.since_ns);
       out.put_f64(s.gradient);
-    }
+    });
     serialize_queues(out);
     out.put_bytes(rng_.save_state());
     return out.take();
@@ -577,6 +619,256 @@ class SwiftOracle final : public DelayOracle {
 
  private:
   SwiftConfig cfg_;
+  Rng rng_;
+};
+
+struct BbrRecord {
+  double rate = 0.0;
+  double line = 0.0;
+  double btl_bw = 0.0;
+  double full_bw = 0.0;
+  double delivered = 0.0;
+  std::int64_t min_rtt_ns = std::numeric_limits<std::int64_t>::max();
+  std::int64_t min_rtt_at_ns = 0;
+  std::int64_t probe_rtt_end_ns = 0;
+  std::int64_t interval_ns = 0;
+  std::int64_t since_ns = 0;
+  BbrMode mode = BbrMode::kStartup;
+  int cycle = 0;
+  int bw_age = 0;
+  int full_rounds = 0;
+};
+
+/// BBR-lite: each tick a flow delivers what it sent times the smallest
+/// capacity / arrival ratio of its route's overloaded links; each decision
+/// feeds that delivery into the bandwidth max filter and steps the
+/// four-phase machine.
+class BbrOracle final : public RateOracle<BbrRecord> {
+ public:
+  explicit BbrOracle(BbrConfig cfg) : rng_(cfg.seed) {}
+
+  const char* name() const override { return "bbr"; }
+
+  void update_rates(Network& net, TimePoint now, Duration dt) override {
+    step_queues(net, dt);
+    // Drain fractions at the rates the flows sent at over this tick.
+    std::vector<double> frac(net.topology().link_count());
+    for (std::size_t l = 0; l < frac.size(); ++l) {
+      const double arrival = arrival_bps(net, l);
+      const double cap =
+          net.effective_capacity(LinkId{static_cast<std::int32_t>(l)})
+              .bits_per_sec();
+      frac[l] = arrival > cap ? cap / arrival : 1.0;
+    }
+    const double dt_s = dt.to_seconds();
+    for (const std::uint32_t slot : net.active_slots()) {
+      const Flow& flow = net.flow_at(slot);
+      BbrRecord& s = flows_[slot];
+      double worst = 1.0;
+      for (const LinkId lid : flow.spec.route.links) {
+        worst = std::min(worst, frac[lid.value]);
+      }
+      s.delivered += net.rates_bps()[slot] * dt_s / 8.0 * worst;
+      s.since_ns += dt.ns();
+      if (s.since_ns >= s.interval_ns) decide(net, now, flow, s);
+      net.set_rate(slot, Rate::bps(s.rate));
+    }
+  }
+
+  std::string serialize_state() const override {
+    StateBuf out;
+    serialize_flows(out, [&out](const BbrRecord& s) {
+      out.put_f64(s.btl_bw);
+      out.put_f64(s.full_bw);
+      out.put_f64(s.delivered);
+      out.put_i64(s.min_rtt_ns);
+      out.put_i64(s.min_rtt_at_ns);
+      out.put_i64(s.probe_rtt_end_ns);
+      out.put_i64(s.interval_ns);
+      out.put_i64(s.since_ns);
+      out.put_u32(static_cast<std::uint32_t>(s.mode));
+      out.put_u32(static_cast<std::uint32_t>(s.cycle));
+      out.put_u32(static_cast<std::uint32_t>(s.bw_age));
+      out.put_u32(static_cast<std::uint32_t>(s.full_rounds));
+    });
+    serialize_queues(out);
+    out.put_bytes(rng_.save_state());
+    return out.take();
+  }
+
+ private:
+  void init(const Flow& flow, BbrRecord& s) override {
+    s.interval_ns = (flow.spec.cc_timer.is_positive()
+                         ? flow.spec.cc_timer
+                         : BbrPolicy::kUpdateInterval)
+                        .ns();
+    s.cycle = static_cast<int>(rng_.uniform_int(0, 7));
+  }
+
+  static double cycle_gain(int cycle) {
+    return cycle == 0   ? BbrPolicy::kProbeUpGain
+           : cycle == 1 ? BbrPolicy::kProbeDownGain
+                        : 1.0;
+  }
+
+  void decide(Network& net, TimePoint now, const Flow& flow, BbrRecord& s) {
+    const double sample =
+        s.delivered * 8.0 / (static_cast<double>(s.since_ns) * 1e-9);
+    s.since_ns = 0;
+    s.delivered = 0.0;
+    ++s.bw_age;
+    if (sample >= s.btl_bw || s.bw_age >= BbrPolicy::kBwWindowRounds) {
+      s.btl_bw = sample;
+      s.bw_age = 0;
+    }
+    const Duration rtt = sample_rtt(net, flow, kBaseRtt);
+    double backlog = 0.0;
+    for (const LinkId lid : flow.spec.route.links) backlog += queue_bytes(lid);
+    const std::int64_t now_ns = now.since_origin().ns();
+    if (rtt.ns() <= s.min_rtt_ns) {
+      s.min_rtt_ns = rtt.ns();
+      s.min_rtt_at_ns = now_ns;
+    }
+
+    BbrMode mode = s.mode;
+    double gain = BbrPolicy::kDrainGain;
+    if (mode == BbrMode::kStartup) {
+      gain = BbrPolicy::kStartupGain;
+      if (s.btl_bw >= s.full_bw * BbrPolicy::kStartupGrowth) {
+        s.full_bw = s.btl_bw;
+        s.full_rounds = 0;
+      } else if (++s.full_rounds >= BbrPolicy::kStartupFullRounds) {
+        mode = BbrMode::kDrain;
+        gain = BbrPolicy::kDrainGain;
+      }
+    } else if (mode == BbrMode::kDrain) {
+      if (backlog == 0.0) {
+        mode = BbrMode::kProbeBw;
+        gain = cycle_gain(s.cycle);
+      }
+    } else if (mode == BbrMode::kProbeBw) {
+      if (now_ns - s.min_rtt_at_ns > BbrPolicy::kMinRttWindow.ns()) {
+        mode = BbrMode::kProbeRtt;
+        s.probe_rtt_end_ns = now_ns + BbrPolicy::kProbeRttDuration.ns();
+      } else {
+        gain = cycle_gain(s.cycle);
+        s.cycle = (s.cycle + 1) % 8;
+      }
+    } else if (now_ns >= s.probe_rtt_end_ns) {  // kProbeRtt
+      s.min_rtt_ns = rtt.ns();
+      s.min_rtt_at_ns = now_ns;
+      mode = BbrMode::kProbeBw;
+    }
+
+    s.rate = clamp(gain * s.btl_bw, s);
+    if (mode != s.mode) {
+      s.mode = mode;
+      emit(net, TraceEventKind::kCcPhase, "bbr.phase_changes", now, flow,
+           static_cast<double>(static_cast<int>(mode)), s.rate,
+           to_string(mode));
+    }
+  }
+
+  Rng rng_;
+};
+
+struct TableRecord {
+  double rate = 0.0;
+  double line = 0.0;
+  Duration prev_rtt = Duration::zero();
+  double ewma = 0.0;
+  double sent = 0.0;  ///< bytes sent since the last decision
+  std::int64_t since_ns = 0;
+  int rule = -1;
+};
+
+/// The table policy: each decision assembles RTT, gradient (first sample
+/// counts as no change), route ECN fraction from the RED profile, bytes
+/// sent and flow progress, and applies the first matching rule's action.
+class TableOracle final : public RateOracle<TableRecord> {
+ public:
+  explicit TableOracle(TableConfig cfg)
+      : cfg_(std::move(cfg)), rng_(cfg_.seed) {}
+
+  const char* name() const override { return "table"; }
+
+  void update_rates(Network& net, TimePoint now, Duration dt) override {
+    step_queues(net, dt);
+    const double dt_s = dt.to_seconds();
+    for (const std::uint32_t slot : net.active_slots()) {
+      TableRecord& s = flows_[slot];
+      s.sent += net.rates_bps()[slot] * dt_s / 8.0;
+      s.since_ns += dt.ns();
+      if (s.since_ns >= cfg_.table.cadence().ns()) {
+        s.since_ns = 0;
+        decide(net, now, slot, s);
+      }
+      net.set_rate(slot, Rate::bps(s.rate));
+    }
+  }
+
+  std::string serialize_state() const override {
+    StateBuf out;
+    serialize_flows(out, [&out](const TableRecord& s) {
+      out.put_f64(s.ewma);
+      out.put_f64(s.ewma / kBaseRtt.to_micros());
+      out.put_f64(s.sent);
+      out.put_i64(s.prev_rtt.ns());
+      out.put_i64(s.since_ns);
+      out.put_u32(static_cast<std::uint32_t>(s.rule));
+    });
+    serialize_queues(out);
+    out.put_bytes(rng_.save_state());
+    return out.take();
+  }
+
+ private:
+  void init(const Flow&, TableRecord&) override {}
+
+  static double mark_probability(double queue) {
+    const double kmin = kRedKmin.count();
+    const double kmax = kRedKmax.count();
+    if (queue <= kmin) return 0.0;
+    if (queue >= kmax) return 1.0;
+    return (queue - kmin) * (kRedPmax / (kmax - kmin));
+  }
+
+  void decide(Network& net, TimePoint now, std::uint32_t slot,
+              TableRecord& s) {
+    const Flow& flow = net.flow_at(slot);
+    const Duration rtt = sample_rtt(net, flow, kBaseRtt);
+    double sum_log_keep = 0.0;
+    for (const LinkId lid : flow.spec.route.links) {
+      const double p = mark_probability(queue_bytes(lid));
+      sum_log_keep += p > 0.0 ? std::log1p(-std::min(p, 1.0 - 1e-12)) : 0.0;
+    }
+    const double diff_us = s.prev_rtt.is_zero()
+                               ? 0.0
+                               : rtt.to_micros() - s.prev_rtt.to_micros();
+    s.prev_rtt = rtt;
+    s.ewma = (1.0 - kGradientEwma) * s.ewma + kGradientEwma * diff_us;
+
+    CcObservation obs;
+    obs.rtt_us = rtt.to_micros();
+    obs.rtt_gradient = s.ewma / kBaseRtt.to_micros();
+    obs.ecn_fraction =
+        sum_log_keep < 0.0 ? 1.0 - std::exp(sum_log_keep) : 0.0;
+    obs.delivered_bytes = s.sent;
+    obs.phase_progress = net.progress_at(slot);
+    s.sent = 0.0;
+
+    CcAction action;
+    s.rule = cfg_.table.lookup(obs, action);
+    if (cfg_.explore > 0.0) {
+      action.rate_multiplier *=
+          1.0 + cfg_.explore * (2.0 * rng_.uniform() - 1.0);
+    }
+    s.rate = clamp(s.rate * action.rate_multiplier + action.additive_bps, s);
+    emit(net, TraceEventKind::kCcDecision, "table.decisions", now, flow,
+         s.rate, static_cast<double>(s.rule));
+  }
+
+  TableConfig cfg_;
   Rng rng_;
 };
 
@@ -747,16 +1039,17 @@ void expect_matches_oracle(const Config& cfg) {
 
 // --- DCQCN's lazy path on a leaf-spine --------------------------------------
 
-/// rp_state() of every active flow as exact bytes, from production or the
-/// oracle, whichever drives `net`.
+/// rp_state() of every active flow as exact bytes, from production DCQCN or
+/// its oracle, whichever drives `net`; empty under any other transport.
 std::string rp_states(const Network& net) {
   StateBuf out;
+  const auto* production = dynamic_cast<const DcqcnPolicy*>(&net.policy());
+  const auto* oracle = dynamic_cast<const DcqcnOracle*>(&net.policy());
+  if (production == nullptr && oracle == nullptr) return {};
   for (const FlowId id : net.active_flows()) {
-    const auto* production = dynamic_cast<const DcqcnPolicy*>(&net.policy());
-    const DcqcnPolicy::RpState s =
-        production != nullptr
-            ? production->rp_state(id)
-            : dynamic_cast<const DcqcnOracle&>(net.policy()).rp_state(id);
+    const DcqcnPolicy::RpState s = production != nullptr
+                                       ? production->rp_state(id)
+                                       : oracle->rp_state(id);
     out.put_f64(s.current.bits_per_sec());
     out.put_f64(s.target.bits_per_sec());
     out.put_f64(s.alpha);
@@ -904,13 +1197,12 @@ RunResult run_fabric(const MakePolicy& make_policy, bool observe,
   return result;
 }
 
-/// Production DCQCN against the eager oracle on every leaf-spine shape,
-/// watched and unwatched; production must owe ticks in each.
-void expect_lazy_matches_oracle(const DcqcnConfig& cfg) {
-  const MakePolicy production = [&] {
-    return std::make_unique<DcqcnPolicy>(cfg);
-  };
-  const MakePolicy oracle = [&] { return std::make_unique<DcqcnOracle>(cfg); };
+/// Production against its oracle on every leaf-spine shape, watched and
+/// unwatched, each finishing at least `min_finished` flows; with `lazy`
+/// (DCQCN), production must owe ticks in each.
+void expect_fabric_matches_oracle(const MakePolicy& production,
+                                  const MakePolicy& oracle, bool lazy,
+                                  std::size_t min_finished = 10) {
   for (const Fabric shape :
        {Fabric::kFrozen, Fabric::kParkUnpark, Fabric::kReplacePolicy,
         Fabric::kBusMidRun, Fabric::kSlowSources}) {
@@ -920,12 +1212,103 @@ void expect_lazy_matches_oracle(const DcqcnConfig& cfg) {
                    << (observe ? ", watched" : ", unwatched"));
       const RunResult want = run_fabric(oracle, observe, shape);
       const RunResult got = run_fabric(production, observe, shape);
-      ASSERT_GE(want.finish_ms.size(), 10u);
+      ASSERT_GE(want.finish_ms.size(), min_finished);
       ASSERT_EQ(want.trace.empty(), shape != Fabric::kBusMidRun);
-      EXPECT_GT(got.lazy_ticks, 0u);
+      if (lazy) {
+        EXPECT_GT(got.lazy_ticks, 0u);
+      }
       expect_bit_identical(want, got);
     }
   }
+}
+
+void expect_lazy_matches_oracle(const DcqcnConfig& cfg) {
+  expect_fabric_matches_oracle(
+      [&] { return std::make_unique<DcqcnPolicy>(cfg); },
+      [&] { return std::make_unique<DcqcnOracle>(cfg); }, /*lazy=*/true);
+}
+
+template <typename Production, typename Oracle, typename Config>
+void expect_fabric_matches_oracle(const Config& cfg,
+                                  std::size_t min_finished = 10) {
+  expect_fabric_matches_oracle(
+      [&] { return std::make_unique<Production>(cfg); },
+      [&] { return std::make_unique<Oracle>(cfg); }, /*lazy=*/false,
+      min_finished);
+}
+
+// --- The burst loop against per-tick stepping -------------------------------
+
+/// serialize_state() and the queue pass's link integrations, every 0.5 ms.
+struct FloorRun {
+  std::vector<std::string> states;
+  std::vector<std::uint64_t> passes;
+};
+
+/// Two long flows share a dumbbell's bottleneck while pair 0's destination
+/// host link browns out to 1e-4 (4.25 Mbps, below the 10 Mbps rate floor)
+/// from 2 ms to 6 ms.  The flow's line rate never exceeds that link's
+/// capacity, so only its rate bound, max(line, kRateFloor), puts the link
+/// in the congestible set; the restore takes it back out.  `observe`
+/// attaches an observer, so the network steps every tick through
+/// update_rates; without it the ticks between events fuse into bursts.
+FloorRun run_floor_brownout(const MakePolicy& make_policy, bool observe) {
+  const Topology topo = Topology::dumbbell(2, Rate::gbps(50), Rate::gbps(50));
+  const Router router(topo);
+  Simulator sim;
+  NetworkConfig cfg;
+  cfg.step = Duration::micros(20);
+  Network net(topo, make_policy(), cfg);
+  net.attach(sim);
+  RateRecorder recorder;
+  if (observe) net.add_observer(recorder);
+
+  const auto hosts = topo.hosts();
+  const LinkId host_link = router.pick(hosts[0], hosts[1], 0).links[2];
+  sim.schedule_at(TimePoint::origin() + Duration::millis(2), [&] {
+    net.set_link_capacity_factor(host_link, 1e-4);
+  });
+  sim.schedule_at(TimePoint::origin() + Duration::millis(6), [&] {
+    net.set_link_capacity_factor(host_link, 1.0);
+  });
+  FloorRun run;
+  for (int i = 1; i <= 20; ++i) {
+    sim.schedule_at(TimePoint::origin() + Duration::micros(500 * i), [&] {
+      run.states.push_back(net.policy().serialize_state());
+      run.passes.push_back(
+          dynamic_cast<const QueuePassWork&>(net.policy()).queue_link_passes());
+    });
+  }
+  for (int pair = 0; pair < 2; ++pair) {
+    FlowSpec fs;
+    fs.src = hosts[pair * 2];
+    fs.dst = hosts[pair * 2 + 1];
+    fs.route = router.pick(fs.src, fs.dst, 0);
+    fs.size = Bytes::mega(200);  // outlasts the run
+    fs.cc_timer = Duration::micros(pair == 0 ? 55 : 300);
+    fs.cc_rai = Rate::mbps(pair == 0 ? 80 : 40);
+    net.start_flow(std::move(fs));
+  }
+  sim.run_for(Duration::millis(10));
+  EXPECT_EQ(net.active_flow_count(), 2u);
+  return run;
+}
+
+/// The fused burst loop leaves the state per-tick stepping does, and both
+/// integrate the floored host link only while it is browned out: two links
+/// per tick (it and the bottleneck) inside the brownout, one after.
+void expect_burst_matches_per_tick(const MakePolicy& make_policy) {
+  const FloorRun fused = run_floor_brownout(make_policy, false);
+  const FloorRun ticked = run_floor_brownout(make_policy, true);
+  ASSERT_EQ(fused.states.size(), 20u);
+  for (std::size_t i = 0; i < fused.states.size(); ++i) {
+    EXPECT_EQ(fused.states[i], ticked.states[i]) << "sample " << i;
+  }
+  EXPECT_EQ(fused.passes, ticked.passes);
+  constexpr std::uint64_t kTicks = 25;  // per 0.5 ms sample
+  // Samples 5 -> 6 span 3.0-3.5 ms (browned out), 15 -> 16 span 8.0-8.5 ms.
+  EXPECT_EQ(fused.passes[6] - fused.passes[5], 2 * kTicks);
+  EXPECT_EQ(fused.passes[16] - fused.passes[15], kTicks);
 }
 
 // --- Cases -------------------------------------------------------------------
@@ -992,6 +1375,69 @@ TEST(KernelParity, SwiftJitterAndPhaseScalingMatchOracle) {
   SwiftConfig both = jitter;
   both.phase_scaling = true;
   expect_matches_oracle<SwiftPolicy, SwiftOracle>(both);
+}
+
+TEST(KernelParity, BbrMatchesOracle) {
+  expect_matches_oracle<BbrPolicy, BbrOracle>(BbrConfig{});
+  BbrConfig reseeded;
+  reseeded.seed = 7;
+  expect_matches_oracle<BbrPolicy, BbrOracle>(reseeded);
+}
+
+/// A table that reaches every rule on the contests: RTT bands, a rising
+/// gradient, marked routes, and an additive default.
+TableConfig test_table(double explore) {
+  std::istringstream in(
+      "ccml-cc-table v1\n"
+      "cadence_us 30\n"
+      "bins rtt_us 40 80\n"
+      "bins gradient 0\n"
+      "bins ecn 0.05\n"
+      "rule 2 * * * 0.7\n"
+      "rule * * 1 * 0.85\n"
+      "rule * 1 * * 0.95 1\n"
+      "rule 0 * 0 * 1.05 5\n"
+      "default 1.0 2\n");
+  TableConfig cfg;
+  cfg.table = CcPolicyTable::parse(in);
+  cfg.explore = explore;
+  return cfg;
+}
+
+TEST(KernelParity, TableMatchesOracle) {
+  expect_matches_oracle<TablePolicy, TableOracle>(test_table(0.0));
+}
+
+TEST(KernelParity, TableExploreMatchesOracle) {
+  expect_matches_oracle<TablePolicy, TableOracle>(test_table(0.1));
+}
+
+// The rate machines on DCQCN's leaf-spine shapes: park/unpark and reroute
+// move flows between links, so each rebuilds its congestible set.
+TEST(KernelParity, RateMachinesMatchOracleOnFabric) {
+  expect_fabric_matches_oracle<TimelyPolicy, TimelyOracle>(TimelyConfig{});
+  expect_fabric_matches_oracle<SwiftPolicy, SwiftOracle>(SwiftConfig{});
+  expect_fabric_matches_oracle<BbrPolicy, BbrOracle>(BbrConfig{});
+  // The table's small additive steps recover slowly on the fabric: fewer
+  // of its flows finish inside the 40 ms.
+  expect_fabric_matches_oracle<TablePolicy, TableOracle>(test_table(0.0), 1);
+}
+
+TEST(KernelParity, TimelyBurstMatchesPerTickAcrossFloorBrownout) {
+  expect_burst_matches_per_tick([] { return std::make_unique<TimelyPolicy>(); });
+}
+
+TEST(KernelParity, SwiftBurstMatchesPerTickAcrossFloorBrownout) {
+  expect_burst_matches_per_tick([] { return std::make_unique<SwiftPolicy>(); });
+}
+
+TEST(KernelParity, BbrBurstMatchesPerTickAcrossFloorBrownout) {
+  expect_burst_matches_per_tick([] { return std::make_unique<BbrPolicy>(); });
+}
+
+TEST(KernelParity, TableBurstMatchesPerTickAcrossFloorBrownout) {
+  expect_burst_matches_per_tick(
+      [] { return std::make_unique<TablePolicy>(test_table(0.0)); });
 }
 
 }  // namespace
